@@ -31,6 +31,8 @@ def _threads(args) -> int:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     _threads(args)   # validated; evolution is deterministic for any count
+    if args.steps is not None and args.steps < 1:
+        raise ValidationError("--steps must be >= 1")
     return runmod.run(cfg, out_dir=args.out, steps=args.steps)
 
 

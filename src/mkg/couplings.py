@@ -1,73 +1,90 @@
-"""Gauge-coupling matrix families h(Psi), k(Psi) and their derivatives.
+"""Gauge-coupling families h(Psi), k(Psi), applied without per-site matrices.
 
 Both couplings depend on the scalars only through the amplitude
-``Psi = |phi|**2``, so every evaluator takes a nonnegative scalar (or array)
-``psi``.  The shipped nontrivial family is saturating,
+``Psi = |phi|**2``.  Each is affine in one scalar function of ``psi``,
 
-    h(psi) = h_base + amp * tanh(psi) * h_mod ,
+    m(psi)  = base + s(psi) * mod,     s  = amp * tanh(psi),
+    m'(psi) = s'(psi) * mod,           s' = amp * sech(psi)**2,
 
-which is smooth, bounded with bounded derivatives on [0, inf), and collapses
-to the constant family at amplitude zero.  Definiteness of h is certified
-once, on construction, from ``lambda_min(h_base) > amp * ||h_mod||_2``.
+which is smooth and bounded with bounded derivatives on [0, inf).  The
+constant family is the case amp = 0, mod = 0.  A coupling acts on a field
+with a leading gauge axis as m.v = base.v + s * (mod.v): two tensordots
+over the gauge axis and a per-site scale, never a grid of matrices.
+
+h is inverted through the generalized symmetric eigenproblem of the pencil
+(h_base, h_mod) (Golub & Van Loan, Matrix Computations, sec. 8.7).  With
+h_base = L L^T and L^-1 h_mod L^-T = U diag(d) U^T, the matrix P = L^-T U
+gives P^T h_base P = I and P^T h_mod P = diag(d), hence exactly
+
+    h(psi)^-1 = P diag(1 / (1 + s(psi) d)) P^T .
+
+The same P and d certify definiteness exactly, once, on construction: s
+sweeps [0, amp) as psi sweeps [0, inf), so h is uniformly positive definite
+if and only if h_base is positive definite and 1 + amp * d_i > 0 for every
+i, whatever the sign of amp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IndefiniteCoupling
 
-
-class CouplingKind(Enum):
-    CONSTANT = "constant"
-    SATURATING = "saturating"
+# 1 + amp * d_i at or below this, relative to the spread of the pencil, is
+# treated as zero: h would be singular to working precision as psi -> inf
+_CERT_RTOL = 64 * np.finfo(float).eps
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _gauge_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m_LS v^S for a constant n x n matrix and a field whose leading axis
+    is the gauge index, e.g. (n, 3, grid) or (n, grid)."""
+    return np.tensordot(m, v, axes=(1, 0))
+
+
+def site_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-site u.v, summed over every axis in front of the three grid axes."""
+    return np.sum(u * v, axis=tuple(range(u.ndim - 3)))
+
+
 @dataclass(frozen=True)
 class MatrixFamily:
     """One matrix-valued function base + amp * tanh(psi) * mod."""
 
-    kind: CouplingKind
     base: np.ndarray
     mod: np.ndarray
-    amplitude: float = 1.0
+    amplitude: float = 0.0
+
+    def s(self, psi):
+        return self.amplitude * np.tanh(psi)
+
+    def s_prime(self, psi):
+        return self.amplitude / np.cosh(psi) ** 2
+
+    def apply(self, v: np.ndarray, s) -> np.ndarray:
+        """m(psi).v, with s = self.s(psi)."""
+        out = _gauge_dot(self.base, v)
+        out += self.apply_mod(v, s)
+        return out
+
+    def apply_mod(self, v: np.ndarray, s) -> np.ndarray:
+        """s * (mod.v); with s = self.s_prime(psi) this is m'(psi).v."""
+        out = _gauge_dot(self.mod, v)
+        out *= s
+        return out
+
+    # per-site matrices: the reference the contractions are tested against
 
     def value(self, psi):
-        if self.kind is CouplingKind.CONSTANT:
-            return self._broadcast(self.base, psi)
-        s = self.amplitude * np.tanh(psi)
-        return self.base + self._scale(s, psi)
+        return self.base + np.multiply.outer(self.s(psi), self.mod)
 
     def prime(self, psi):
-        if self.kind is CouplingKind.CONSTANT:
-            return self._broadcast(np.zeros_like(self.base), psi)
-        s = self.amplitude / np.cosh(psi) ** 2
-        return self._scale(s, psi)
-
-    def second(self, psi):
-        if self.kind is CouplingKind.CONSTANT:
-            return self._broadcast(np.zeros_like(self.base), psi)
-        s = -2.0 * self.amplitude * np.tanh(psi) / np.cosh(psi) ** 2
-        return self._scale(s, psi)
-
-    def _scale(self, s, psi):
-        if np.ndim(psi):
-            return np.multiply.outer(np.asarray(s), self.mod).reshape(
-                np.shape(psi) + self.base.shape)
-        return s * self.mod
-
-    @staticmethod
-    def _broadcast(m, psi):
-        if np.ndim(psi):
-            return np.broadcast_to(m, np.shape(psi) + m.shape).copy()
-        return m.copy()
+        return np.multiply.outer(self.s_prime(psi), self.mod)
 
 
 @dataclass
@@ -77,6 +94,8 @@ class CouplingFamily:
     n_gauge: int
     h: MatrixFamily
     k: MatrixFamily
+    _P: np.ndarray = field(init=False, repr=False)
+    _d: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_gauge
@@ -85,25 +104,34 @@ class CouplingFamily:
                 raise ValueError(f"{name} matrices must be {n}x{n}")
             if not np.allclose(fam.base, fam.base.T) or not np.allclose(fam.mod, fam.mod.T):
                 raise ValueError(f"{name} matrices must be symmetric")
-        lam_min = float(np.linalg.eigvalsh(self.h.base)[0])
-        mod_norm = abs(self.h.amplitude) * float(np.linalg.norm(self.h.mod, 2))
-        if self.h.kind is CouplingKind.CONSTANT:
-            mod_norm = 0.0
-        if lam_min <= mod_norm:
+        try:
+            chol = np.linalg.cholesky(self.h.base)
+        except np.linalg.LinAlgError:
             raise IndefiniteCoupling(
-                f"lambda_min(h_base) = {lam_min:.6g} does not dominate "
-                f"amp*||h_mod|| = {mod_norm:.6g}")
+                "h_base is not positive definite") from None
+        linv = np.linalg.inv(chol)
+        self._d, u = np.linalg.eigh(_sym(linv @ self.h.mod @ linv.T))
+        self._P = linv.T @ u
+        amp = self.h.amplitude
+        lower = 1.0 + amp * self._d
+        tol = _CERT_RTOL * (1.0 + abs(amp) * float(np.max(np.abs(self._d))))
+        if np.min(lower) <= tol:
+            raise IndefiniteCoupling(
+                f"h(psi) loses definiteness: min_i (1 + amp*d_i) = "
+                f"{np.min(lower):.6g} for amp = {amp:.6g}")
+
+    def solve_h(self, v: np.ndarray, s) -> np.ndarray:
+        """h(psi)^-1 v, with s = self.h.s(psi), by the pencil's eigenbasis."""
+        d = self._d.reshape((-1,) + (1,) * (v.ndim - 1))
+        w = np.tensordot(self._P, v, axes=(0, 0))
+        w /= 1.0 + d * s
+        return _gauge_dot(self._P, w)
 
 
 def constant_couplings(n_gauge: int, h: np.ndarray | None = None,
                        k: np.ndarray | None = None) -> CouplingFamily:
-    hb = _sym(np.asarray(h, dtype=float)) if h is not None else np.eye(n_gauge)
-    kb = _sym(np.asarray(k, dtype=float)) if k is not None else np.zeros((n_gauge, n_gauge))
-    z = np.zeros((n_gauge, n_gauge))
-    return CouplingFamily(
-        n_gauge,
-        MatrixFamily(CouplingKind.CONSTANT, hb, z),
-        MatrixFamily(CouplingKind.CONSTANT, kb, z))
+    return saturating_couplings(n_gauge, h_base=h, h_amplitude=0.0,
+                                k_base=k, k_amplitude=0.0)
 
 
 def saturating_couplings(n_gauge: int, h_base=None, h_mod=None, h_amplitude=1.0,
@@ -115,35 +143,5 @@ def saturating_couplings(n_gauge: int, h_base=None, h_mod=None, h_amplitude=1.0,
     km = _sym(np.asarray(k_mod, dtype=float)) if k_mod is not None else np.zeros((n, n))
     return CouplingFamily(
         n,
-        MatrixFamily(CouplingKind.SATURATING, hb, hm, h_amplitude),
-        MatrixFamily(CouplingKind.SATURATING, kb, km, k_amplitude))
-
-
-# -- flat evaluator API ------------------------------------------------------
-
-def eval_h(family: CouplingFamily, psi):
-    return family.h.value(psi)
-
-
-def eval_h_inverse(family: CouplingFamily, psi):
-    return np.linalg.inv(eval_h(family, psi))
-
-
-def eval_h_prime(family: CouplingFamily, psi):
-    return family.h.prime(psi)
-
-
-def eval_h_second(family: CouplingFamily, psi):
-    return family.h.second(psi)
-
-
-def eval_k(family: CouplingFamily, psi):
-    return family.k.value(psi)
-
-
-def eval_k_prime(family: CouplingFamily, psi):
-    return family.k.prime(psi)
-
-
-def eval_k_second(family: CouplingFamily, psi):
-    return family.k.second(psi)
+        MatrixFamily(hb, hm, float(h_amplitude)),
+        MatrixFamily(kb, km, float(k_amplitude)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import eval_h
+from .couplings import site_dot
 from .dynamics import ModelSpec, gauss_residual
 from .lattice import (FieldState, LatticeSpec, NormSnapshot, central_diff,
                       covariant_derivative, divergence, gradient,
@@ -35,10 +35,6 @@ class DiagnosticsRecord:
     mass_m: float
 
 
-def _hpair(h, u, v):
-    return np.einsum('abcls,liabc,siabc->abc', h, u, v)
-
-
 def energy_density(state: FieldState, lattice: LatticeSpec,
                    model: ModelSpec) -> np.ndarray:
     """Pointwise integrand of E0:
@@ -49,11 +45,12 @@ def energy_density(state: FieldState, lattice: LatticeSpec,
     r = np.sqrt(psi)
     alpha = model.kahler.alpha(r)
     Q = model.kahler.q(r)
-    h = eval_h(model.couplings, psi)
+    hf = model.couplings.h
+    sh = hf.s(psi)
     H = magnetic_field(state, lattice, order)
     Dphi = covariant_derivative(state, lattice, model.charges, order)
 
-    dens = 0.5 * (_hpair(h, state.E, state.E) + _hpair(h, H, H))
+    dens = 0.5 * (site_dot(state.E, hf.apply(state.E, sh)) + site_dot(H, hf.apply(H, sh)))
     u = np.sum(phi.conj() * pi, axis=0)
     dens = dens + alpha * np.sum(np.abs(pi) ** 2, axis=0) + Q * np.abs(u) ** 2
     dsum = np.sum(np.abs(Dphi) ** 2, axis=(0, 1))
@@ -78,11 +75,12 @@ def energy_E0_potential_form(state: FieldState, lattice: LatticeSpec,
     r = np.maximum(np.sqrt(psi), _R_FLOOR)
     alpha = model.kahler.phi_p(r) / (2.0 * r)
     Q = (model.kahler.phi_pp(r) - model.kahler.phi_p(r) / r) / (4.0 * r**2)
-    h = eval_h(model.couplings, psi)
+    hf = model.couplings.h
+    sh = hf.s(psi)
     H = magnetic_field(state, lattice, order)
     Dphi = covariant_derivative(state, lattice, model.charges, order)
 
-    dens = 0.5 * (_hpair(h, state.E, state.E) + _hpair(h, H, H))
+    dens = 0.5 * (site_dot(state.E, hf.apply(state.E, sh)) + site_dot(H, hf.apply(H, sh)))
     u = np.sum(phi.conj() * pi, axis=0)
     dens = dens + alpha * np.sum(np.abs(pi) ** 2, axis=0) + Q * np.abs(u) ** 2
     dens = dens + alpha * np.sum(np.abs(Dphi) ** 2, axis=(0, 1))
@@ -162,33 +160,3 @@ def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
         mass_m=m,
     )
 
-
-def stress_energy_00(state: FieldState, lattice: LatticeSpec,
-                     model: ModelSpec) -> np.ndarray:
-    """T^{00} as printed for this system:
-    (h/2)(F^{0g} F^{0}_g + F^{0g} Ft^{0}_g) + 2 g |D^0 phi|^2
-    - eta^{00} (g D_g phi conj(D^g phi) + V).
-
-    The second (dual) term integrates to (h/2) E.H and is kept as printed;
-    only the energy E0 (which drops it) feeds any conservation check.
-    """
-    order = model.stencil_order
-    phi, pi = state.phi, state.pi
-    psi = np.sum(np.abs(phi) ** 2, axis=0)
-    r = np.sqrt(psi)
-    alpha = model.kahler.alpha(r)
-    Q = model.kahler.q(r)
-    h = eval_h(model.couplings, psi)
-    H = magnetic_field(state, lattice, order)
-    E = state.E
-    Dphi = covariant_derivative(state, lattice, model.charges, order)
-
-    # F^{0g} F^{0}_g = F^{0i} F^0{}_i = E^i E_i; dual pairing gives E.H
-    maxwell = 0.5 * (_hpair(h, E, E) + _hpair(h, E, H))
-
-    u = np.sum(phi.conj() * pi, axis=0)
-    kin_t = alpha * np.sum(np.abs(pi) ** 2, axis=0) + Q * np.abs(u) ** 2
-    kin_x = alpha * np.sum(np.abs(Dphi) ** 2, axis=(0, 1)) + Q * np.sum(
-        np.abs(np.sum(phi.conj()[:, np.newaxis] * Dphi, axis=0)) ** 2, axis=0)
-    # eta^{00} = -1; D_g phi conj(D^g phi) = -|D_0|^2 + |D_i|^2
-    return maxwell + 2.0 * kin_t + (-kin_t + kin_x) + model.potential.value(psi)

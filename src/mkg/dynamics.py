@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .couplings import (CouplingFamily, eval_h, eval_h_inverse, eval_h_prime,
-                        eval_k, eval_k_prime)
+from .couplings import CouplingFamily, site_dot
 from .errors import NonFinite, RadiusExceeded
 from .kahler import KahlerFamily
 from .lattice import (FieldState, LatticeSpec, central_diff,
@@ -58,19 +57,6 @@ class StateDerivative:
     dpi: np.ndarray
 
 
-def _mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Contract a grid field of matrices (grid + (n,n)) with a field
-    carrying a leading gauge index (n, 3, grid) or (n, grid)."""
-    if v.ndim == 5:
-        return np.einsum('abcls,siabc->liabc', m, v)
-    return np.einsum('abcls,sabc->labc', m, v)
-
-
-def _pair_contract(m: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m_LS u^L_i v^S_i summed over gauge indices and the vector index."""
-    return np.einsum('abcls,liabc,siabc->abc', m, u, v)
-
-
 def _cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """conj(a).b summed over the leading scalar-component axis."""
     return np.sum(a.conj() * b, axis=0)
@@ -95,10 +81,8 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateD
     Q = model.kahler.q(r)
     W = model.kahler.q_prime_over_2r(r)
 
-    h = eval_h(model.couplings, psi)
-    hp = eval_h_prime(model.couplings, psi)
-    k = eval_k(model.couplings, psi)
-    kp = eval_k_prime(model.couplings, psi)
+    hf, kf = model.couplings.h, model.couplings.k
+    sh, sk = hf.s(psi), kf.s(psi)
 
     H = magnetic_field(state, lattice, order)
     Dphi = covariant_derivative(state, lattice, q, order)
@@ -107,16 +91,18 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateD
 
     # ---- gauge sector:  h dE/dt = curl(hH) + curl(kE) - k curl E
     #                              - h' psidot E + k' psidot H - 2 q Im X
-    curlE = curl(E, dx, order)
-    rhs_E = (curl(_mat_vec(h, H), dx, order)
-             + curl(_mat_vec(k, E), dx, order)
-             - _mat_vec(k, curlE)
-             - psidot * _mat_vec(hp, E)
-             + psidot * _mat_vec(kp, H))
+    sph = hf.s_prime(psi)
+    hpE = hf.apply_mod(E, sph)                      # h' E
+    kpH = kf.apply_mod(H, kf.s_prime(psi))          # k' H
+    rhs_E = curl(hf.apply(H, sh), dx, order)
+    rhs_E += curl(kf.apply(E, sk), dx, order)
+    rhs_E -= kf.apply(curl(E, dx, order), sk)
+    rhs_E -= psidot * hpE
+    rhs_E += psidot * kpH
     # X_i = g_ab D_i phi^a conj(phi^b) = (alpha + Q psi)(conj(phi).Dphi)
     X = (alpha + Q * psi)[np.newaxis] * _cdot(phi[:, np.newaxis], Dphi)
-    rhs_E = rhs_E - 2.0 * q[:, np.newaxis, np.newaxis, np.newaxis, np.newaxis] * X.imag[np.newaxis]
-    dE = _mat_vec(eval_h_inverse(model.couplings, psi), rhs_E)
+    rhs_E -= 2.0 * q[:, np.newaxis, np.newaxis, np.newaxis, np.newaxis] * X.imag[np.newaxis]
+    dE = model.couplings.solve_h(rhs_E, sh)
 
     # ---- scalar sector:  g dpi/dt = R, solved by Sherman-Morrison
     u = _cdot(phi, pi)                # conj(phi).pi
@@ -140,8 +126,9 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateD
     R = R + Q * (trK * phi + Kphi) + W * phiKphi * phi
 
     # scalar source from the Psi-dependence of h, k and the potential
-    S = (0.5 * _pair_contract(hp, E, E) - 0.5 * _pair_contract(hp, H, H)
-         - _pair_contract(kp, E, H) - model.potential.prime(psi))
+    S = (0.5 * site_dot(E, hpE)
+         - 0.5 * site_dot(H, hf.apply_mod(H, sph))
+         - site_dot(E, kpH) - model.potential.prime(psi))
     R = R + S * phi
 
     # solve (alpha I + Q phi conj(phi)^T) dpi = R
@@ -198,17 +185,17 @@ def gauss_residual(state: FieldState, lattice: LatticeSpec,
 
     alpha = model.kahler.alpha(r)
     Q = model.kahler.q(r)
-    hp = eval_h_prime(model.couplings, psi)
-    kp = eval_k_prime(model.couplings, psi)
+    hf, kf = model.couplings.h, model.couplings.k
     H = magnetic_field(state, lattice, order)
     dpsi = gradient(psi, dx, order)                         # (3, grid)
 
     X0 = (alpha + Q * psi) * _cdot(phi, pi)
     src = -2.0 * model.charges[:, np.newaxis, np.newaxis, np.newaxis] \
         * X0.imag[np.newaxis]
-    src = src - np.einsum('abclg,iabc,giabc->labc', hp, dpsi, E)
-    src = src + np.einsum('abclg,iabc,giabc->labc', kp, dpsi, H)
-    src = _mat_vec(eval_h_inverse(model.couplings, psi), src)
+    # dPsi.E^G and dPsi.H^G over the vector index, then h', k' and h^-1
+    src -= hf.apply_mod(np.sum(dpsi * E, axis=1), hf.s_prime(psi))
+    src += kf.apply_mod(np.sum(dpsi * H, axis=1), kf.s_prime(psi))
+    src = model.couplings.solve_h(src, hf.s(psi))
 
     res = divergence(E, dx, order) - src
     l2 = float(np.sqrt(np.sum(res**2) * lattice.cell_volume))
@@ -248,14 +235,14 @@ def lagrangian_density(state: FieldState, lattice: LatticeSpec,
     r = np.sqrt(psi)
     alpha = model.kahler.alpha(r)
     Q = model.kahler.q(r)
-    h = eval_h(model.couplings, psi)
-    k = eval_k(model.couplings, psi)
+    hf, kf = model.couplings.h, model.couplings.k
+    sh = hf.s(psi)
     H = magnetic_field(state, lattice, order)
     Dphi = covariant_derivative(state, lattice, model.charges, order)
 
     adot = -E
-    lag = 0.5 * (_pair_contract(h, adot, adot) - _pair_contract(h, H, H))
-    lag = lag + _pair_contract(k, adot, H)
+    lag = 0.5 * (site_dot(adot, hf.apply(adot, sh)) - site_dot(H, hf.apply(H, sh)))
+    lag = lag + site_dot(adot, kf.apply(H, kf.s(psi)))
     lag = lag + alpha * np.real(_cdot(pi, pi)) + Q * np.abs(_cdot(phi, pi)) ** 2
     dsum = np.sum(np.abs(Dphi) ** 2, axis=(0, 1))
     qsum = np.sum(np.abs(_cdot(phi[:, np.newaxis], Dphi)) ** 2, axis=0)

@@ -161,6 +161,15 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", bad]) == 2
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_nonpositive_steps_is_config_error(tmp_path, capsys, steps):
+    cfg = write(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--steps", steps]) == 2
+    assert "--steps must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mkg_threads_env(tmp_path, monkeypatch):
     cfg = write(tmp_path, MINIMAL)
     out = str(tmp_path / "envout")

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from mkg.couplings import (constant_couplings, eval_h, eval_k,
-                           saturating_couplings)
+from mkg.couplings import constant_couplings, saturating_couplings
 from mkg.dynamics import (ModelSpec, eom_rhs, gauge_transform, gauss_residual,
                           lagrangian_density, step_rk4)
 from mkg.errors import NonFinite, RadiusExceeded
@@ -61,8 +60,8 @@ def test_euler_lagrange_residual():
     def exact_pA(A, phi, Adot):
         st = FieldState(A, -Adot, phi, np.zeros_like(phi), 0.0)
         psi = np.sum(np.abs(phi) ** 2, axis=0)
-        h = eval_h(model.couplings, psi)
-        k = eval_k(model.couplings, psi)
+        h = model.couplings.h.value(psi)
+        k = model.couplings.k.value(psi)
         H = magnetic_field(st, lat, 2)
         mv = lambda m, v: np.einsum("abcls,siabc->liabc", m, v)
         return (mv(h, Adot) + mv(k, H)) * lat.cell_volume
