@@ -556,28 +556,21 @@ def eval_Q(snapshot: NormSnapshot, c: EstimateConstants) -> float:
             + J0 * Ug + J0 * Wg + J0**2 * (1.0 + t) * (L + M + N))
 
 
-# convenience map for the oracle test: fast evaluator per builder name
+# fast evaluator per builder name: (function, index into its tuple or None)
+_FAST = {"I": (eval_I, None), "O": (eval_O, None), "H": (eval_H_func, None),
+         "D": (eval_D_func, None), "Q": (eval_Q, None)}
+_FAST.update({n: (eval_LMN, i) for i, n in enumerate(("L", "M", "N"))})
+_FAST.update({n: (eval_SXUW, i) for i, n in enumerate(("Sg", "Xg", "Ug", "Wg"))})
+_FAST.update({n: (eval_YZP, i) for i, n in enumerate(
+    ("Y", "Z", "Pcal", "X", "W", "P", "U", "Ztilde", "Zhat", "S", "T", "Zcal", "chi"))})
+
+
 def eval_fast(name: str, snapshot: NormSnapshot, constants: EstimateConstants,
               E0_sf: float = 0.0) -> float:
-    if name == "I":
-        return eval_I(snapshot, constants)
-    if name == "O":
-        return eval_O(snapshot, constants)
-    if name == "H":
-        return eval_H_func(snapshot, constants)
-    if name == "D":
-        return eval_D_func(snapshot, constants)
-    if name in ("L", "M", "N"):
-        return dict(zip("LMN", eval_LMN(snapshot, constants)))[name]
-    if name in ("Sg", "Xg", "Ug", "Wg"):
-        vals = eval_SXUW(snapshot, constants)
-        return dict(zip(("Sg", "Xg", "Ug", "Wg"), vals))[name]
-    if name == "Q":
-        return eval_Q(snapshot, constants)
-    keys = ("Y", "Z", "Pcal", "X", "W", "P", "U", "Ztilde", "Zhat",
-            "S", "T", "Zcal", "chi")
-    vals = eval_YZP(snapshot, constants, E0_sf)
-    return dict(zip(keys, vals))[name]
+    fn, index = _FAST[name]
+    out = (fn(snapshot, constants, E0_sf) if fn is eval_YZP
+           else fn(snapshot, constants))
+    return out if index is None else out[index]
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +698,7 @@ def audit_gronwall(trace, constants: EstimateConstants):
     stabilized = quarter <= 1.05 * half + 1e-300
 
     # fit stabilization: half-trace fits within 5% of the full-trace fits
-    nh = max(n // 2, 2)
+    nh = max(n // 2, 3)        # _ddt needs three samples
     C0_half = c0_fit_to(nh)
     gronwall_half = e1_fit_to(nh)
     fits_stabilized = (C0_fit <= 1.05 * C0_half + 1e-300

@@ -1,13 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error,
-3 numerical abort.
+3 numerical abort or radius exceeded during `run`.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -20,17 +19,8 @@ from .kahler import (hessian_oracle, kahler_metric, radial_bound_check,
 from .spherical import PlaneWave, SphereQuadrature, kirchhoff_residual_scan
 
 
-def _threads(args) -> int:
-    n = args.threads if args.threads is not None \
-        else int(os.environ.get("MKG_THREADS", "1"))
-    if n < 1:
-        raise ValidationError("--threads must be >= 1")
-    return n
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    _threads(args)   # validated; evolution is deterministic for any count
     if args.steps is not None and args.steps < 1:
         raise ValidationError("--steps must be >= 1")
     return runmod.run(cfg, out_dir=args.out, steps=args.steps)
@@ -46,7 +36,7 @@ def cmd_check_geometry(args) -> int:
     worst = 0.0
     for _ in range(100):
         v = rng.normal(scale=0.5, size=n) + 1j * rng.normal(scale=0.5, size=n)
-        g = kahler_metric(family, v).entries
+        g = kahler_metric(family, v)
         h = hessian_oracle(family, v)
         scale = max(1.0, float(np.max(np.abs(h))))
         worst = max(worst, float(np.max(np.abs(g - h))) / scale)
@@ -112,17 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--config", required=True)
     pr.add_argument("--out", default=None)
     pr.add_argument("--steps", type=int, default=None)
-    pr.add_argument("--threads", type=int, default=None)
     pr.set_defaults(fn=cmd_run)
 
     pg = sub.add_parser("check-geometry", help="target-metric oracle checks")
     pg.add_argument("--config", required=True)
-    pg.add_argument("--threads", type=int, default=None)
     pg.set_defaults(fn=cmd_check_geometry)
 
     pb = sub.add_parser("check-bounds", help="audit a trace CSV")
     pb.add_argument("--trace", required=True)
-    pb.add_argument("--threads", type=int, default=None)
     pb.set_defaults(fn=cmd_check_bounds)
 
     pk = sub.add_parser("kirchhoff-verify",

@@ -1,8 +1,9 @@
 """Physical energies and residual summaries.
 
-Everything here is a pure function of one state: the geometric energy E0,
-the flat energy J, the two Sobolev-type energies, and the Gauss/Bianchi
-constraint summaries, bundled into a DiagnosticsRecord per instant.
+Everything here is a pure function of one state's Kinematics: the
+geometric energy E0, the flat energy J, the two Sobolev-type energies, the
+norms, and the Gauss/Bianchi constraint summaries, bundled into a
+DiagnosticsRecord per instant by `collect`.
 """
 
 from __future__ import annotations
@@ -11,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import site_dot
-from .dynamics import ModelSpec, gauss_residual
+from .dynamics import Kinematics, ModelSpec, gauss_residual
 from .lattice import (FieldState, LatticeSpec, NormSnapshot, central_diff,
-                      covariant_derivative, divergence, gradient,
-                      magnetic_field, norms, pairwise_sum)
+                      divergence, gradient, pairwise_sum)
 
 DEFAULT_MASS_M = 1.0
 _R_FLOOR = 1e-12
@@ -35,59 +34,23 @@ class DiagnosticsRecord:
     mass_m: float
 
 
-def energy_density(state: FieldState, lattice: LatticeSpec,
-                   model: ModelSpec) -> np.ndarray:
-    """Pointwise integrand of E0:
+def energy_E0(kin: Kinematics) -> float:
+    """Geometric energy: the integral of T + U (Kinematics.densities),
     (h/2)(E.E + H.H) + g |D_0 phi|^2 + g D_i phi conj(D_i phi) + V."""
-    order = model.stencil_order
-    phi, pi = state.phi, state.pi
-    psi = np.sum(np.abs(phi) ** 2, axis=0)
-    r = np.sqrt(psi)
-    alpha = model.kahler.alpha(r)
-    Q = model.kahler.q(r)
-    hf = model.couplings.h
-    sh = hf.s(psi)
-    H = magnetic_field(state, lattice, order)
-    Dphi = covariant_derivative(state, lattice, model.charges, order)
-
-    dens = 0.5 * (site_dot(state.E, hf.apply(state.E, sh)) + site_dot(H, hf.apply(H, sh)))
-    u = np.sum(phi.conj() * pi, axis=0)
-    dens = dens + alpha * np.sum(np.abs(pi) ** 2, axis=0) + Q * np.abs(u) ** 2
-    dsum = np.sum(np.abs(Dphi) ** 2, axis=(0, 1))
-    proj = np.sum(np.abs(np.sum(phi.conj()[:, np.newaxis] * Dphi, axis=0)) ** 2, axis=0)
-    dens = dens + alpha * dsum + Q * proj
-    dens = dens + model.potential.value(psi)
-    return dens
+    T, U = kin.densities()
+    return pairwise_sum(T + U) * kin.lattice.cell_volume
 
 
-def energy_E0(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> float:
-    return pairwise_sum(energy_density(state, lattice, model)) * lattice.cell_volume
-
-
-def energy_E0_potential_form(state: FieldState, lattice: LatticeSpec,
-                             model: ModelSpec) -> float:
+def energy_E0_potential_form(kin: Kinematics) -> float:
     """Same energy with the target metric written out in radial-potential
     derivatives, Phi'/(2r) and (Phi'' - Phi'/r)/(4 r^2).  Regression twin
     of energy_E0; must agree to rounding."""
-    order = model.stencil_order
-    phi, pi = state.phi, state.pi
-    psi = np.sum(np.abs(phi) ** 2, axis=0)
-    r = np.maximum(np.sqrt(psi), _R_FLOOR)
-    alpha = model.kahler.phi_p(r) / (2.0 * r)
-    Q = (model.kahler.phi_pp(r) - model.kahler.phi_p(r) / r) / (4.0 * r**2)
-    hf = model.couplings.h
-    sh = hf.s(psi)
-    H = magnetic_field(state, lattice, order)
-    Dphi = covariant_derivative(state, lattice, model.charges, order)
-
-    dens = 0.5 * (site_dot(state.E, hf.apply(state.E, sh)) + site_dot(H, hf.apply(H, sh)))
-    u = np.sum(phi.conj() * pi, axis=0)
-    dens = dens + alpha * np.sum(np.abs(pi) ** 2, axis=0) + Q * np.abs(u) ** 2
-    dens = dens + alpha * np.sum(np.abs(Dphi) ** 2, axis=(0, 1))
-    dens = dens + Q * np.sum(
-        np.abs(np.sum(phi.conj()[:, np.newaxis] * Dphi, axis=0)) ** 2, axis=0)
-    dens = dens + model.potential.value(psi)
-    return pairwise_sum(dens) * lattice.cell_volume
+    fam = kin.model.kahler
+    r = np.maximum(kin.r, _R_FLOOR)
+    alpha = fam.phi_p(r) / (2.0 * r)
+    Q = (fam.phi_pp(r) - fam.phi_p(r) / r) / (4.0 * r**2)
+    T, U = kin.densities(alpha, Q)
+    return pairwise_sum(T + U) * kin.lattice.cell_volume
 
 
 def flat_energy_J(snapshot: NormSnapshot, c1: float) -> float:
@@ -96,8 +59,15 @@ def flat_energy_J(snapshot: NormSnapshot, c1: float) -> float:
             + snapshot.l2_phi + snapshot.l2_V)
 
 
-def sobolev_energies(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
-                     m: float = DEFAULT_MASS_M) -> tuple[float, float]:
+def _grad_sq(f: np.ndarray, dx: float, order: int) -> np.ndarray:
+    """Per-site sum of |d_i f|^2 over i and every leading axis of f, one
+    spatial axis at a time."""
+    lead = tuple(range(f.ndim - 3))
+    return sum(np.sum(np.abs(central_diff(f, i, dx, order)) ** 2, axis=lead)
+               for i in range(3))
+
+
+def sobolev_energies(kin: Kinematics, m: float = DEFAULT_MASS_M) -> tuple[float, float]:
     """Flat-metric quadratic energies.
 
     E0_sf = 1/2 sum(E.E + dA.dA + m A.A + |pi|^2 + |dphi|^2 + m |phi|^2) dx^3
@@ -105,58 +75,92 @@ def sobolev_energies(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     """
     if m <= 0:
         raise ValueError("mass parameter m must be positive")
-    dx = lattice.dx
-    order = model.stencil_order
-    g = lambda f: gradient(f, dx, order)
+    st = kin.state
+    dx = kin.lattice.dx
+    order = kin.model.stencil_order
 
-    dA = g(state.A)
-    dphi = g(state.phi)
-    dens0 = (np.sum(state.E**2, axis=(0, 1)) + np.sum(dA**2, axis=(0, 1, 2))
-             + m * np.sum(state.A**2, axis=(0, 1))
-             + np.sum(np.abs(state.pi) ** 2, axis=0)
-             + np.sum(np.abs(dphi) ** 2, axis=(0, 1))
-             + m * np.sum(np.abs(state.phi) ** 2, axis=0))
+    dA = gradient(st.A, dx, order)
+    dens0 = (np.sum(st.E**2, axis=(0, 1)) + np.sum(dA**2, axis=(0, 1, 2))
+             + m * np.sum(st.A**2, axis=(0, 1))
+             + np.sum(np.abs(st.pi) ** 2, axis=0)
+             + np.sum(np.abs(kin.dphi) ** 2, axis=(0, 1))
+             + m * kin.psi)
+    dens1 = (_grad_sq(st.E, dx, order) + _grad_sq(dA, dx, order)
+             + _grad_sq(st.pi, dx, order) + _grad_sq(kin.dphi, dx, order))
 
-    dE = g(state.E)
-    ddA = g(dA)
-    dpi = g(state.pi)
-    ddphi = g(dphi)
-    dens1 = (np.sum(dE**2, axis=(0, 1, 2)) + np.sum(ddA**2, axis=(0, 1, 2, 3))
-             + np.sum(np.abs(dpi) ** 2, axis=(0, 1))
-             + np.sum(np.abs(ddphi) ** 2, axis=(0, 1, 2)))
-
-    vol = lattice.cell_volume
+    vol = kin.lattice.cell_volume
     return (0.5 * pairwise_sum(dens0) * vol, 0.5 * pairwise_sum(dens1) * vol)
 
 
-def bianchi_residual(state: FieldState, lattice: LatticeSpec,
-                     model: ModelSpec) -> float:
+def bianchi_residual(kin: Kinematics) -> float:
     """L-inf of div(curl A): the magnetic Bianchi identity, which the
     roll-based central stencils satisfy identically up to rounding.
     (The electric half, d_t H + curl E = 0, holds exactly by construction
     since H = curl A and d_t A = -E share the stencil.)"""
-    H = magnetic_field(state, lattice, model.stencil_order)
-    return float(np.max(np.abs(divergence(H, lattice.dx, model.stencil_order))))
+    return float(np.max(np.abs(divergence(kin.H, kin.lattice.dx,
+                                           kin.model.stencil_order))))
+
+
+def _l2(density: np.ndarray, vol: float) -> float:
+    return np.sqrt(max(pairwise_sum(density) * vol, 0.0))
+
+
+def norms(kin: Kinematics) -> NormSnapshot:
+    """Every norm the estimate functionals consume, at one instant."""
+    st = kin.state
+    vol = kin.lattice.cell_volume
+    H = kin.H
+
+    # pointwise squared magnitudes, summed over field and component axes
+    phi2 = kin.psi
+    pi2 = np.sum(np.abs(st.pi) ** 2, axis=0)
+    dphi2 = np.sum(np.abs(kin.dphi) ** 2, axis=(0, 1))
+    Dphi2 = np.sum(np.abs(kin.Dphi) ** 2, axis=(0, 1))
+    E2 = np.sum(st.E**2, axis=(0, 1))
+    H2 = np.sum(H**2, axis=(0, 1))
+    A2 = np.sum(st.A**2, axis=(0, 1))
+
+    # dPsi: d_mu Psi = 2 Re(sum_a d_mu phi^a conj(phi^a)); time part uses pi
+    dpsi_t = 2.0 * np.real(kin.phi_pi)
+    dpsi_x = 2.0 * np.real(np.sum(kin.dphi * st.phi.conj()[:, np.newaxis], axis=0))
+    dpsi2 = dpsi_t**2 + np.sum(dpsi_x**2, axis=0)
+
+    ff = np.sum(2.0 * (np.sum(H * H, axis=1) - np.sum(st.E**2, axis=1)), axis=0)
+
+    return NormSnapshot(
+        t=st.t,
+        linf_phi=float(np.sqrt(np.max(phi2))),
+        linf_dphi=float(np.sqrt(np.max(pi2 + dphi2))),
+        linf_Dphi=float(np.sqrt(np.max(pi2 + Dphi2))),
+        linf_F=float(np.sqrt(np.max(np.abs(ff)))),
+        linf_A=float(np.sqrt(np.max(A2))),
+        linf_dPsi=float(np.sqrt(np.max(dpsi2))),
+        l2_E=_l2(E2, vol),
+        l2_H=_l2(H2, vol),
+        l2_Dphi=_l2(pi2 + Dphi2, vol),
+        l2_phi=_l2(phi2, vol),
+        l2_V=_l2(kin.V**2, vol),
+    )
 
 
 def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             m: float = DEFAULT_MASS_M, c1: float | None = None) -> DiagnosticsRecord:
-    """One full diagnostics row for the current state."""
+    """One full diagnostics row for the current state, from one Kinematics."""
     if c1 is None:
         c1 = model.kahler.lower_c1 if model.kahler.lower_c1 is not None else 1.0
-    snap = norms(state, lattice, model)
-    _, g_l2, g_linf = gauss_residual(state, lattice, model)
-    e0_sf, e1_sf = sobolev_energies(state, lattice, model, m)
+    kin = Kinematics.of(state, lattice, model)
+    snap = norms(kin)
+    _, g_l2, g_linf = gauss_residual(kin)
+    e0_sf, e1_sf = sobolev_energies(kin, m)
     return DiagnosticsRecord(
         t=state.t,
-        energy_E0=energy_E0(state, lattice, model),
+        energy_E0=energy_E0(kin),
         flat_J=flat_energy_J(snap, c1),
         sobolev_E0=e0_sf,
         sobolev_E1=e1_sf,
         gauss_res_l2=g_l2,
         gauss_res_linf=g_linf,
-        bianchi_res_linf=bianchi_residual(state, lattice, model),
+        bianchi_res_linf=bianchi_residual(kin),
         norm_snapshot=snap,
         mass_m=m,
     )
-

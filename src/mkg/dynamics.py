@@ -14,16 +14,16 @@ certifies the assembled right-hand sides against this Lagrangian directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .couplings import CouplingFamily, site_dot
 from .errors import NonFinite, RadiusExceeded
 from .kahler import KahlerFamily
-from .lattice import (FieldState, LatticeSpec, central_diff,
-                      covariant_derivative, curl, divergence, gradient,
-                      magnetic_field)
+from .lattice import (FieldState, LatticeSpec, central_diff, curl, divergence,
+                      gradient, magnetic_field)
 from .potentials import PotentialFamily
 
 
@@ -62,32 +62,95 @@ def _cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a.conj() * b, axis=0)
 
 
-def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateDerivative:
-    dx = lattice.dx
-    order = model.stencil_order
-    q = model.charges
-    phi, pi, E = state.phi, state.pi, state.E
+@dataclass(eq=False)
+class Kinematics:
+    """The field kinematics of one state, computed once by `of`.
 
-    psi = np.sum(np.abs(phi) ** 2, axis=0)
-    r = np.sqrt(psi)
-    rmax = float(np.max(r))
+    eom_rhs and every diagnostic read psi = |phi|^2, r = |phi|, the metric
+    scalars alpha(r) and Q(r), the coupling scale sh = h.s(psi), H = curl A,
+    the gradient dphi and the covariant derivative
+    Dphi = dphi - i (q.A) phi from here instead of rebuilding them.
+    """
+
+    state: FieldState
+    lattice: LatticeSpec
+    model: ModelSpec
+    psi: np.ndarray         # [grid]
+    r: np.ndarray           # [grid]
+    alpha: np.ndarray       # [grid]
+    Q: np.ndarray           # [grid]
+    sh: np.ndarray          # h.s(psi), [grid]
+    H: np.ndarray           # [N_V, 3, grid]
+    qa: np.ndarray          # q.A_i, [3, grid]
+    dphi: np.ndarray        # [N_C, 3, grid]
+    Dphi: np.ndarray        # [N_C, 3, grid]
+    phi_pi: np.ndarray      # conj(phi).pi, [grid]
+    phi_Dphi: np.ndarray    # conj(phi).D_i phi, [3, grid]
+
+    @classmethod
+    def of(cls, state: FieldState, lattice: LatticeSpec,
+           model: ModelSpec) -> "Kinematics":
+        order = model.stencil_order
+        phi = state.phi
+        psi = np.sum(np.abs(phi) ** 2, axis=0)
+        r = np.sqrt(psi)
+        qa = np.tensordot(model.charges, state.A, axes=(0, 0))
+        dphi = gradient(phi, lattice.dx, order)
+        Dphi = dphi - 1j * qa[np.newaxis] * phi[:, np.newaxis]
+        return cls(state, lattice, model, psi, r,
+                   alpha=model.kahler.alpha(r), Q=model.kahler.q(r),
+                   sh=model.couplings.h.s(psi),
+                   H=magnetic_field(state, lattice, order), qa=qa,
+                   dphi=dphi, Dphi=Dphi, phi_pi=_cdot(phi, state.pi),
+                   phi_Dphi=_cdot(phi[:, np.newaxis], Dphi))
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """Potential V(psi); only the diagnostics read it."""
+        return self.model.potential.value(self.psi)
+
+    def densities(self, alpha=None, Q=None) -> tuple[np.ndarray, np.ndarray]:
+        """Kinetic and static densities (T, U), pointwise:
+
+        T = (1/2) E.hE + alpha |pi|^2 + Q |conj(phi).pi|^2
+        U = (1/2) H.hH + alpha |Dphi|^2 + Q |conj(phi).Dphi|^2 + V
+
+        E0 integrates T + U; the Lagrangian density is T - U - E.kH.
+        alpha and Q default to the stored metric scalars.
+        """
+        alpha = self.alpha if alpha is None else alpha
+        Q = self.Q if Q is None else Q
+        E, pi, h = self.state.E, self.state.pi, self.model.couplings.h
+        T = (0.5 * site_dot(E, h.apply(E, self.sh))
+             + alpha * np.sum(np.abs(pi) ** 2, axis=0)
+             + Q * np.abs(self.phi_pi) ** 2)
+        U = (0.5 * site_dot(self.H, h.apply(self.H, self.sh))
+             + alpha * np.sum(np.abs(self.Dphi) ** 2, axis=(0, 1))
+             + Q * np.sum(np.abs(self.phi_Dphi) ** 2, axis=0)
+             + self.V)
+        return T, U
+
+
+def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateDerivative:
+    kin = Kinematics.of(state, lattice, model)
+    rmax = float(np.max(kin.r))
     if rmax > model.kahler.r_max:
-        site = np.unravel_index(int(np.argmax(r)), r.shape)
+        site = tuple(int(i) for i in np.unravel_index(int(np.argmax(kin.r)), kin.r.shape))
         raise RadiusExceeded(
             f"|phi| = {rmax:.6g} exceeds validity radius "
             f"{model.kahler.r_max:.6g} at site {site}")
 
-    alpha = model.kahler.alpha(r)
-    Q = model.kahler.q(r)
-    W = model.kahler.q_prime_over_2r(r)
+    dx = lattice.dx
+    order = model.stencil_order
+    q = model.charges
+    phi, pi, E = state.phi, state.pi, state.E
+    psi, alpha, Q, sh, H = kin.psi, kin.alpha, kin.Q, kin.sh, kin.H
+    Dphi, pD, u = kin.Dphi, kin.phi_Dphi, kin.phi_pi
+    W = model.kahler.q_prime_over_2r(kin.r)
 
     hf, kf = model.couplings.h, model.couplings.k
-    sh, sk = hf.s(psi), kf.s(psi)
-
-    H = magnetic_field(state, lattice, order)
-    Dphi = covariant_derivative(state, lattice, q, order)
-    qa = np.tensordot(q, state.A, axes=(0, 0))        # (3, grid)
-    psidot = 2.0 * np.real(_cdot(phi, pi))
+    sk = kf.s(psi)
+    psidot = 2.0 * np.real(u)
 
     # ---- gauge sector:  h dE/dt = curl(hH) + curl(kE) - k curl E
     #                              - h' psidot E + k' psidot H - 2 q Im X
@@ -100,12 +163,11 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateD
     rhs_E -= psidot * hpE
     rhs_E += psidot * kpH
     # X_i = g_ab D_i phi^a conj(phi^b) = (alpha + Q psi)(conj(phi).Dphi)
-    X = (alpha + Q * psi)[np.newaxis] * _cdot(phi[:, np.newaxis], Dphi)
+    X = (alpha + Q * psi)[np.newaxis] * pD
     rhs_E -= 2.0 * q[:, np.newaxis, np.newaxis, np.newaxis, np.newaxis] * X.imag[np.newaxis]
     dE = model.couplings.solve_h(rhs_E, sh)
 
     # ---- scalar sector:  g dpi/dt = R, solved by Sherman-Morrison
-    u = _cdot(phi, pi)                # conj(phi).pi
     pi2 = np.real(_cdot(pi, pi))
 
     # -(d_t g) pi
@@ -113,16 +175,15 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateD
           + (Q * pi2 + W * psidot * u) * phi)
 
     # sum_i Cov_i(g D_i phi), Cov_i = d_i - i (q.A_i)
-    gD = alpha[np.newaxis] * Dphi \
-        + Q[np.newaxis] * _cdot(phi[:, np.newaxis], Dphi) * phi[:, np.newaxis]
+    gD = alpha[np.newaxis] * Dphi + Q[np.newaxis] * pD * phi[:, np.newaxis]
     for i in range(3):
-        R = R + central_diff(gD[:, i], i, dx, order) - 1j * qa[i] * gD[:, i]
+        R = R + central_diff(gD[:, i], i, dx, order) - 1j * kin.qa[i] * gD[:, i]
 
     # curvature term: dbar_b g_ac (pi pi - Dphi Dphi) contractions
     trK = pi2 - np.real(np.sum(np.abs(Dphi) ** 2, axis=(0, 1)))
     # (K phi)_b = pi_b (phi.conj(pi)) - sum_i D_i phi_b (phi.conj(D_i phi))
-    Kphi = pi * u.conj() - np.sum(Dphi * _cdot(phi[:, np.newaxis], Dphi).conj()[np.newaxis], axis=1)
-    phiKphi = np.abs(u) ** 2 - np.sum(np.abs(_cdot(phi[:, np.newaxis], Dphi)) ** 2, axis=0)
+    Kphi = pi * u.conj() - np.sum(Dphi * pD.conj()[np.newaxis], axis=1)
+    phiKphi = np.abs(u) ** 2 - np.sum(np.abs(pD) ** 2, axis=0)
     R = R + Q * (trK * phi + Kphi) + W * phiKphi * phi
 
     # scalar source from the Psi-dependence of h, k and the potential
@@ -135,8 +196,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateD
     denom = alpha + Q * psi
     dpi = R / alpha - (Q * _cdot(phi, R) / (alpha * denom)) * phi
 
-    out = StateDerivative(dA=-E.copy(), dE=dE, dphi=pi.copy(), dpi=dpi)
-    return out
+    return StateDerivative(dA=-E.copy(), dE=dE, dphi=pi.copy(), dpi=dpi)
 
 
 def step_rk4(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
@@ -167,8 +227,7 @@ def step_rk4(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     return new
 
 
-def gauss_residual(state: FieldState, lattice: LatticeSpec,
-                   model: ModelSpec) -> tuple[np.ndarray, float, float]:
+def gauss_residual(kin: Kinematics) -> tuple[np.ndarray, float, float]:
     """Temporal component of the gauge field equation (the constraint).
 
     residual^S = div E^S - h^{LS} { -2 q_L Im(g_ab pi^a conj(phi^b))
@@ -177,28 +236,22 @@ def gauss_residual(state: FieldState, lattice: LatticeSpec,
     Returns (field [N_V, grid], L2, Linf); zero on the continuum
     constraint surface.
     """
-    dx = lattice.dx
+    model, E, psi = kin.model, kin.state.E, kin.psi
+    dx = kin.lattice.dx
     order = model.stencil_order
-    phi, pi, E = state.phi, state.pi, state.E
-    psi = np.sum(np.abs(phi) ** 2, axis=0)
-    r = np.sqrt(psi)
-
-    alpha = model.kahler.alpha(r)
-    Q = model.kahler.q(r)
     hf, kf = model.couplings.h, model.couplings.k
-    H = magnetic_field(state, lattice, order)
     dpsi = gradient(psi, dx, order)                         # (3, grid)
 
-    X0 = (alpha + Q * psi) * _cdot(phi, pi)
+    X0 = (kin.alpha + kin.Q * psi) * kin.phi_pi
     src = -2.0 * model.charges[:, np.newaxis, np.newaxis, np.newaxis] \
         * X0.imag[np.newaxis]
     # dPsi.E^G and dPsi.H^G over the vector index, then h', k' and h^-1
     src -= hf.apply_mod(np.sum(dpsi * E, axis=1), hf.s_prime(psi))
-    src += kf.apply_mod(np.sum(dpsi * H, axis=1), kf.s_prime(psi))
-    src = model.couplings.solve_h(src, hf.s(psi))
+    src += kf.apply_mod(np.sum(dpsi * kin.H, axis=1), kf.s_prime(psi))
+    src = model.couplings.solve_h(src, kin.sh)
 
     res = divergence(E, dx, order) - src
-    l2 = float(np.sqrt(np.sum(res**2) * lattice.cell_volume))
+    l2 = float(np.sqrt(np.sum(res**2) * kin.lattice.cell_volume))
     linf = float(np.max(np.abs(res)))
     return res, l2, linf
 
@@ -222,30 +275,13 @@ def gauge_transform(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     )
 
 
-def lagrangian_density(state: FieldState, lattice: LatticeSpec,
-                       model: ModelSpec) -> np.ndarray:
-    """Pointwise discretized Lagrangian density (Adot = -E, pi = phidot).
+def lagrangian_density(kin: Kinematics) -> np.ndarray:
+    """Pointwise discretized Lagrangian density (Adot = -E, pi = phidot),
+    T - U - E.kH with (T, U) from Kinematics.densities.
 
     Used by the action-variation certification of eom_rhs; shares every
     stencil with the right-hand-side assembly.
     """
-    order = model.stencil_order
-    phi, pi, E = state.phi, state.pi, state.E
-    psi = np.sum(np.abs(phi) ** 2, axis=0)
-    r = np.sqrt(psi)
-    alpha = model.kahler.alpha(r)
-    Q = model.kahler.q(r)
-    hf, kf = model.couplings.h, model.couplings.k
-    sh = hf.s(psi)
-    H = magnetic_field(state, lattice, order)
-    Dphi = covariant_derivative(state, lattice, model.charges, order)
-
-    adot = -E
-    lag = 0.5 * (site_dot(adot, hf.apply(adot, sh)) - site_dot(H, hf.apply(H, sh)))
-    lag = lag + site_dot(adot, kf.apply(H, kf.s(psi)))
-    lag = lag + alpha * np.real(_cdot(pi, pi)) + Q * np.abs(_cdot(phi, pi)) ** 2
-    dsum = np.sum(np.abs(Dphi) ** 2, axis=(0, 1))
-    qsum = np.sum(np.abs(_cdot(phi[:, np.newaxis], Dphi)) ** 2, axis=0)
-    lag = lag - alpha * dsum - Q * qsum
-    lag = lag - model.potential.value(psi)
-    return lag
+    T, U = kin.densities()
+    kf = kin.model.couplings.k
+    return T - U - site_dot(kin.state.E, kf.apply(kin.H, kf.s(kin.psi)))

@@ -18,20 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateMetric, HypothesisViolated, RadiusExceeded
 
-R_EPS = 1e-8
 DEFAULT_R_MAX = 10.0
 
 
 class KahlerKind(Enum):
     FLAT = "flat"
     POLYNOMIAL_RADIAL = "polynomial_radial"
-    CUSTOM = "custom"
 
 
 def _poly_eval(coeffs: dict[int, float], r: np.ndarray | float):
@@ -57,10 +55,9 @@ def _poly_shift(coeffs: dict[int, float], factor, shift: int) -> dict[int, float
 class KahlerFamily:
     """Radial Kahler potential with closed-form derivatives and bound constants.
 
-    ``coefficients[k]`` is the coefficient of ``r**k`` in ``Phi(r)`` for the
-    polynomial kinds.  Odd powers are rejected: they would make the metric
-    coefficients singular at the origin.  For ``CUSTOM``, supply the callables
-    ``phi_fn`` .. ``phi_ppp_fn`` instead.
+    ``coefficients[k]`` is the coefficient of ``r**k`` in ``Phi(r)``.  Odd
+    powers are rejected: they would make the metric coefficients singular at
+    the origin.
     """
 
     kind: KahlerKind = KahlerKind.FLAT
@@ -72,10 +69,6 @@ class KahlerFamily:
     lower_c1: float | None = None
     lower_c2: float | None = None
     r_max: float = DEFAULT_R_MAX
-    phi_fn: Callable | None = None
-    phi_p_fn: Callable | None = None
-    phi_pp_fn: Callable | None = None
-    phi_ppp_fn: Callable | None = None
     _alpha_poly: dict[int, float] = field(init=False, repr=False, default_factory=dict)
     _q_poly: dict[int, float] = field(init=False, repr=False, default_factory=dict)
     _qp2r_poly: dict[int, float] = field(init=False, repr=False, default_factory=dict)
@@ -87,10 +80,6 @@ class KahlerFamily:
             raise ValueError("bound constants b_n must be nonnegative")
         if min(self.bound_c1, self.bound_c2, self.bound_c3) < 0:
             raise ValueError("bound constants C1..C3 must be nonnegative")
-        if self.kind is KahlerKind.CUSTOM:
-            if not all((self.phi_fn, self.phi_p_fn, self.phi_pp_fn, self.phi_ppp_fn)):
-                raise ValueError("CUSTOM family needs phi_fn..phi_ppp_fn callables")
-            return
         if self.kind is KahlerKind.FLAT:
             self.coefficients = (0.0, 0.0, 1.0)
         poly = {k: c for k, c in enumerate(self.coefficients) if c != 0.0}
@@ -111,47 +100,29 @@ class KahlerFamily:
     # -- scalar radial functions (vectorized over r) --
 
     def phi(self, r):
-        if self.kind is KahlerKind.CUSTOM:
-            return self.phi_fn(r)
         return _poly_eval({k: c for k, c in enumerate(self.coefficients)}, r)
 
     def phi_p(self, r):
-        if self.kind is KahlerKind.CUSTOM:
-            return self.phi_p_fn(r)
         poly = {k: c for k, c in enumerate(self.coefficients)}
         return _poly_eval(_poly_shift(poly, lambda k: float(k), -1), r)
 
     def phi_pp(self, r):
-        if self.kind is KahlerKind.CUSTOM:
-            return self.phi_pp_fn(r)
         poly = {k: c for k, c in enumerate(self.coefficients)}
         return _poly_eval(_poly_shift(poly, lambda k: float(k * (k - 1)), -2), r)
 
     def phi_ppp(self, r):
-        if self.kind is KahlerKind.CUSTOM:
-            return self.phi_ppp_fn(r)
         poly = {k: c for k, c in enumerate(self.coefficients)}
         return _poly_eval(_poly_shift(poly, lambda k: float(k * (k - 1) * (k - 2)), -3), r)
 
     def alpha(self, r):
         """Phi'/(2r), evaluated through its regular series at small r."""
-        if self.kind is KahlerKind.CUSTOM:
-            rr = np.maximum(np.asarray(r, dtype=float), R_EPS)
-            return self.phi_p_fn(rr) / (2.0 * rr)
         return _poly_eval(self._alpha_poly, r)
 
     def q(self, r):
         """(Phi'' - Phi'/r)/(4 r**2), the rank-one metric coefficient."""
-        if self.kind is KahlerKind.CUSTOM:
-            rr = np.maximum(np.asarray(r, dtype=float), R_EPS)
-            return (self.phi_pp_fn(rr) - self.phi_p_fn(rr) / rr) / (4.0 * rr**2)
         return _poly_eval(self._q_poly, r)
 
     def q_prime_over_2r(self, r):
-        if self.kind is KahlerKind.CUSTOM:
-            rr = np.maximum(np.asarray(r, dtype=float), R_EPS)
-            return (self.phi_ppp_fn(rr) - 3.0 * self.phi_pp_fn(rr) / rr
-                    + 3.0 * self.phi_p_fn(rr) / rr**2) / (8.0 * rr**3)
         return _poly_eval(self._qp2r_poly, r)
 
 
@@ -173,27 +144,6 @@ def sextic_family(strength: float = 0.1, **kw) -> KahlerFamily:
                         lower_c1=2.0, lower_c2=0.0, **kw)
 
 
-class HermitianMatrixField:
-    """Dense Hermitian matrix; storage symmetrizes so hermiticity is exact."""
-
-    def __init__(self, entries: np.ndarray):
-        m = np.asarray(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("expected a square matrix")
-        self.entries = 0.5 * (m + m.conj().T)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-    def __matmul__(self, other):
-        o = other.entries if isinstance(other, HermitianMatrixField) else other
-        return self.entries @ o
-
-
 def _radius(phi: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(phi) ** 2)))
 
@@ -203,8 +153,9 @@ def _check_radius(family: KahlerFamily, r: float):
         raise RadiusExceeded(f"|phi| = {r:.6g} exceeds r_max = {family.r_max:.6g}")
 
 
-def kahler_metric(family: KahlerFamily, phi: Sequence[complex]) -> HermitianMatrixField:
-    """Target-space metric g[a, b] at the point phi."""
+def kahler_metric(family: KahlerFamily, phi: Sequence[complex]) -> np.ndarray:
+    """Target-space metric g[a, b] at the point phi (Hermitian by
+    construction: conj(phi)[a] phi[b] is exactly conjugate-symmetric)."""
     v = np.asarray(phi, dtype=complex)
     r = _radius(v)
     _check_radius(family, r)
@@ -213,11 +164,10 @@ def kahler_metric(family: KahlerFamily, phi: Sequence[complex]) -> HermitianMatr
     if a <= 0.0 or a + q * r**2 <= 0.0:
         raise DegenerateMetric(
             f"metric not positive definite at r = {r:.6g} (alpha = {a:.6g})")
-    g = a * np.eye(v.size, dtype=complex) + q * np.outer(v.conj(), v)
-    return HermitianMatrixField(g)
+    return a * np.eye(v.size, dtype=complex) + q * np.outer(v.conj(), v)
 
 
-def kahler_metric_inverse(family: KahlerFamily, phi: Sequence[complex]) -> HermitianMatrixField:
+def kahler_metric_inverse(family: KahlerFamily, phi: Sequence[complex]) -> np.ndarray:
     """Closed-form inverse metric (rank-one downdate of the diagonal)."""
     v = np.asarray(phi, dtype=complex)
     r = _radius(v)
@@ -227,8 +177,7 @@ def kahler_metric_inverse(family: KahlerFamily, phi: Sequence[complex]) -> Hermi
     denom = a + q * r**2  # (Phi'' + Phi'/r)/4
     if a <= 0.0 or denom <= 0.0:
         raise DegenerateMetric(f"metric degenerate at r = {r:.6g}")
-    ginv = np.eye(v.size, dtype=complex) / a - (q / (a * denom)) * np.outer(v.conj(), v)
-    return HermitianMatrixField(ginv)
+    return np.eye(v.size, dtype=complex) / a - (q / (a * denom)) * np.outer(v.conj(), v)
 
 
 def kahler_metric_holomorphic_derivative(family: KahlerFamily,

@@ -1,4 +1,4 @@
-"""Periodic lattice geometry, field storage, stencils, norms, and snapshot IO.
+"""Periodic lattice geometry, field storage, stencils, and snapshot IO.
 
 Fields live on a uniform periodic box. Storage is structure-of-arrays:
 A and E are real arrays of shape [N_V, 3, nx, ny, nz], phi and pi are
@@ -16,7 +16,7 @@ Sign conventions, fixed once here and inherited everywhere:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,23 +195,9 @@ def hodge_dual(fs: FieldStrength) -> FieldStrength:
     return FieldStrength(Ft)
 
 
-def covariant_derivative(state: FieldState, lattice: LatticeSpec,
-                         charges: np.ndarray, order: int = 2) -> np.ndarray:
-    """Spatial covariant derivative D_i phi^a = d_i phi^a - i (q.A_i) phi^a.
-
-    Returns complex [N_C, 3, grid]. The temporal component D_0 phi is pi
-    by definition in the A_0 = 0 gauge and is not included here.
-    """
-    q = np.asarray(charges, dtype=float)
-    # q_tot A_i, shape [3, grid]
-    qa = np.tensordot(q, state.A, axes=(0, 0))
-    dphi = gradient(state.phi, lattice.dx, order)
-    return dphi - 1j * qa[np.newaxis] * state.phi[:, np.newaxis]
-
-
 def pairwise_sum(values: np.ndarray) -> float:
-    """Deterministic pairwise-tree reduction, independent of any site
-    partitioning: fold adjacent pairs until one value remains."""
+    """Deterministic pairwise-tree reduction: fold adjacent pairs until one
+    value remains."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         return 0.0
@@ -224,7 +210,8 @@ def pairwise_sum(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class NormSnapshot:
-    """Every norm the estimate functionals consume, at one instant."""
+    """Every norm the estimate functionals consume, at one instant
+    (computed by diagnostics.norms)."""
 
     t: float
     linf_phi: float
@@ -245,55 +232,6 @@ class NormSnapshot:
 
     def as_tuple(self):
         return tuple(getattr(self, name) for name in self.FIELDS)
-
-
-def _l2(density: np.ndarray, vol: float) -> float:
-    return np.sqrt(max(pairwise_sum(density) * vol, 0.0))
-
-
-def norms(state: FieldState, lattice: LatticeSpec, model) -> NormSnapshot:
-    """NormSnapshot of a state. `model` supplies charges and the potential
-    family (anything with .charges and .potential attributes works)."""
-    dx = lattice.dx
-    vol = lattice.cell_volume
-    order = getattr(model, "stencil_order", 2)
-
-    H = magnetic_field(state, lattice, order)
-    Dphi = covariant_derivative(state, lattice, model.charges, order)
-    dphi = gradient(state.phi, dx, order)
-    psi = np.sum(np.abs(state.phi) ** 2, axis=0)
-    V = model.potential.value(psi)
-
-    # pointwise squared magnitudes, summed over field and component axes
-    phi2 = np.sum(np.abs(state.phi) ** 2, axis=0)
-    pi2 = np.sum(np.abs(state.pi) ** 2, axis=0)
-    dphi2 = np.sum(np.abs(dphi) ** 2, axis=(0, 1))
-    Dphi2 = np.sum(np.abs(Dphi) ** 2, axis=(0, 1))
-    E2 = np.sum(state.E**2, axis=(0, 1))
-    H2 = np.sum(H**2, axis=(0, 1))
-    A2 = np.sum(state.A**2, axis=(0, 1))
-
-    # dPsi: d_mu Psi = 2 Re(sum_a d_mu phi^a conj(phi^a)); time part uses pi
-    dpsi_t = 2.0 * np.real(np.sum(state.pi * state.phi.conj(), axis=0))
-    dpsi_x = 2.0 * np.real(np.sum(dphi * state.phi.conj()[:, np.newaxis], axis=0))
-    dpsi2 = dpsi_t**2 + np.sum(dpsi_x**2, axis=0)
-
-    ff = np.sum(2.0 * (np.sum(H * H, axis=1) - np.sum(state.E**2, axis=1)), axis=0)
-
-    return NormSnapshot(
-        t=state.t,
-        linf_phi=float(np.sqrt(np.max(phi2))),
-        linf_dphi=float(np.sqrt(np.max(pi2 + dphi2))),
-        linf_Dphi=float(np.sqrt(np.max(pi2 + Dphi2))),
-        linf_F=float(np.sqrt(np.max(np.abs(ff)))),
-        linf_A=float(np.sqrt(np.max(A2))),
-        linf_dPsi=float(np.sqrt(np.max(dpsi2))),
-        l2_E=_l2(E2, vol),
-        l2_H=_l2(H2, vol),
-        l2_Dphi=_l2(pi2 + Dphi2, vol),
-        l2_phi=_l2(phi2, vol),
-        l2_V=_l2(V**2, vol),
-    )
 
 
 # ---------------------------------------------------------------------------

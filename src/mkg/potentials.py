@@ -107,21 +107,3 @@ def sine_gordon(v0: float, lam: float) -> PotentialFamily:
 def toda(*pairs: tuple[float, float]) -> PotentialFamily:
     return PotentialFamily(PotentialKind.TODA, toda_pairs=tuple(pairs))
 
-
-def eval_V(family: PotentialFamily, psi):
-    return family.value(psi)
-
-
-def eval_V_prime(family: PotentialFamily, psi):
-    return family.prime(psi)
-
-
-def eval_V_second(family: PotentialFamily, psi):
-    return family.second(psi)
-
-
-def grad_V(family: PotentialFamily, phi) -> np.ndarray:
-    """Holomorphic gradient dV/dphi[d] = V'(Psi) conj(phi)[d]."""
-    v = np.asarray(phi, dtype=complex)
-    psi = np.sum(np.abs(v) ** 2, axis=0) if v.ndim > 1 else np.sum(np.abs(v) ** 2)
-    return family.prime(psi) * v.conj()

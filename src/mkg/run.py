@@ -11,7 +11,7 @@ from . import bounds
 from .config import RunConfig
 from .diagnostics import DiagnosticsRecord, collect
 from .dynamics import step_rk4
-from .errors import NonFinite
+from .errors import NonFinite, NonUniformSampling, RadiusExceeded, TraceTooShort
 from .lattice import NormSnapshot, write_snapshot
 
 CSV_COLUMNS = (
@@ -127,17 +127,18 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
     try:
         for i in range(1, n_steps + 1):
             state = step_rk4(state, lattice, model, dt)
-            if i % cfg.csv_cadence == 0 or i == n_steps:
+            if i % cfg.csv_cadence == 0:
                 rec = collect(state, lattice, model)
                 records.append(rec)
                 rows.append(trace_row(rec, constants))
             if cfg.snapshot_cadence and i % cfg.snapshot_cadence == 0:
                 write_snapshot(os.path.join(out, f"snap_{i:06d}.mkg"),
                                state, lattice)
-    except NonFinite as exc:
+    except (NonFinite, RadiusExceeded) as exc:
         write_snapshot(os.path.join(out, "postmortem.mkg"), state, lattice)
         _write_trace(os.path.join(out, "trace.csv"), rows)
-        printer(f"numerical abort: {exc}; post-mortem snapshot written")
+        reason = "radius exceeded" if isinstance(exc, RadiusExceeded) else "numerical abort"
+        printer(f"{reason}: {exc}; post-mortem snapshot written")
         return 3
 
     write_snapshot(os.path.join(out, "snap_final.mkg"), state, lattice)
@@ -164,7 +165,7 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
         printer(f"fitted constants: C_N={fitted.C_N_fit:.6g} "
                 f"C0={fitted.C0_fit:.6g} gronwall={fitted.gronwall_fit:.6g} "
                 f"(stabilized={report['stabilized']})")
-    except Exception as exc:                  # audit is advisory on tiny runs
+    except (TraceTooShort, NonUniformSampling) as exc:   # audit is advisory
         printer(f"audit skipped: {exc}")
     return 0
 

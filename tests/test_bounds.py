@@ -130,6 +130,18 @@ def test_audit_trace_too_short():
         audit_gronwall(make_trace()[:2], c)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_audit_short_traces(n):
+    """The shortest auditable traces fit finite constants; the half-trace
+    refit keeps the three samples its derivative stencil needs."""
+    c = EstimateConstants(b_n=(1.0, 1.0), N=2, J0=2.0)
+    fitted, report = audit_gronwall(make_trace(n=n), c)
+    assert report["records"] == n
+    for v in (fitted.C_N_fit, fitted.C0_fit, fitted.gronwall_fit,
+              report["C0_half"], report["gronwall_half"]):
+        assert np.isfinite(v)
+
+
 def test_audit_nonuniform_sampling():
     c = EstimateConstants(J0=1.0)
     recs = make_trace()

@@ -5,8 +5,10 @@ import pytest
 
 from mkg.diagnostics import (collect, energy_E0, energy_E0_potential_form,
                              flat_energy_J, sobolev_energies)
-from mkg.dynamics import ModelSpec, gauge_transform, step_rk4
-from mkg.lattice import LatticeSpec, zero_state
+from mkg.dynamics import (Kinematics, ModelSpec, eom_rhs, gauge_transform,
+                          step_rk4)
+from mkg.lattice import FieldState, LatticeSpec, gradient, zero_state
+from mkg.scenarios import make_model
 from mkg.couplings import constant_couplings
 from mkg.kahler import flat_family
 from mkg.potentials import polynomial
@@ -19,8 +21,8 @@ def test_energy_twin_forms_agree():
     lat = LatticeSpec((32, 1, 1), 1.0 / 32)
     model = interacting_model()
     st = band_limited_state(lat)
-    e1 = energy_E0(st, lat, model)
-    e2 = energy_E0_potential_form(st, lat, model)
+    e1 = energy_E0(Kinematics.of(st, lat, model))
+    e2 = energy_E0_potential_form(Kinematics.of(st, lat, model))
     assert abs(e1 - e2) / e1 < 1e-12
 
 
@@ -33,7 +35,7 @@ def test_energy_free_field_value():
     st = zero_state(lat, 1, 1)
     st.E[0, 0] = 0.3
     vol = lat.n_sites * lat.cell_volume
-    assert energy_E0(st, lat, model) == pytest.approx(0.5 * 0.09 * vol)
+    assert energy_E0(Kinematics.of(st, lat, model)) == pytest.approx(0.5 * 0.09 * vol)
 
 
 def test_flat_energy_monotone_in_norms():
@@ -50,8 +52,24 @@ def test_sobolev_energies_positive_and_ordered():
     lat = LatticeSpec((32, 1, 1), 1.0 / 32)
     model = interacting_model()
     st = band_limited_state(lat)
-    e0, e1 = sobolev_energies(st, lat, model, 1.0)
+    e0, e1 = sobolev_energies(Kinematics.of(st, lat, model), 1.0)
     assert e0 > 0 and e1 > 0
+    # the per-axis sums against the stacked second-derivative tensors, on
+    # data that varies along every axis
+    lat3 = LatticeSpec((6, 5, 4), 0.2)
+    rng = np.random.default_rng(9)
+    st3 = zero_state(lat3, 2, 2)
+    for f in (st3.A, st3.E, st3.phi, st3.pi):
+        f[...] = rng.standard_normal(f.shape)
+    st3.phi += 1j * rng.standard_normal(st3.phi.shape)
+    g = lambda f: gradient(f, lat3.dx, 2)
+    dE, dA, dpi, dphi = g(st3.E), g(st3.A), g(st3.pi), g(st3.phi)
+    ref = 0.5 * lat3.cell_volume * np.sum(
+        np.sum(dE**2, axis=(0, 1, 2)) + np.sum(g(dA) ** 2, axis=(0, 1, 2, 3))
+        + np.sum(np.abs(dpi) ** 2, axis=(0, 1))
+        + np.sum(np.abs(g(dphi)) ** 2, axis=(0, 1, 2)))
+    _, e1 = sobolev_energies(Kinematics.of(st3, lat3, model), 1.0)
+    assert e1 == pytest.approx(ref, rel=1e-13)
 
 
 def test_collect_record_fields():
@@ -60,7 +78,7 @@ def test_collect_record_fields():
     st = band_limited_state(lat)
     rec = collect(st, lat, model)
     assert rec.t == st.t
-    assert rec.energy_E0 == pytest.approx(energy_E0(st, lat, model))
+    assert rec.energy_E0 == pytest.approx(energy_E0(Kinematics.of(st, lat, model)))
     assert rec.bianchi_res_linf < 1e-13
     assert np.isfinite(rec.gauss_res_l2)
     assert rec.norm_snapshot.linf_phi > 0
@@ -105,3 +123,65 @@ def test_flat_energy_uses_configured_c1():
     j1 = flat_energy_J(snap, 1.0)
     j2 = flat_energy_J(snap, 4.0)
     assert j2 > j1
+
+
+def _rotate_scalar(f):
+    """f'(i, j, k) = f(j, k, i) on the three trailing grid axes."""
+    n = f.ndim
+    return np.transpose(f, tuple(range(n - 3)) + (n - 1, n - 3, n - 2))
+
+
+def _rotate_vector(v):
+    """Rotate the grid together with the vector component axis:
+    v'_y = v_x, v'_z = v_y, v'_x = v_z."""
+    return _rotate_scalar(np.roll(v, 1, axis=v.ndim - 4))
+
+
+def _close(a, b, tol=1e-12):
+    a, b = np.asarray(a), np.asarray(b)
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-300)
+    return float(np.max(np.abs(a - b))) <= tol * scale
+
+
+def test_rhs_and_collect_equivariant_in_3d():
+    """On seeded interacting data that varies along x, y and z, relabelling
+    the axes x -> y -> z rotates eom_rhs and leaves every diagnostic fixed."""
+    n = 8
+    lat = LatticeSpec((n, n, n), 1.0 / n)
+    model = make_model("interacting_demo")
+    rng = np.random.default_rng(2024)
+    x = np.stack(lat.meshgrid())
+
+    def band(scale):
+        out = np.zeros(lat.dims)
+        for _ in range(3):
+            k = rng.integers(1, 3, size=3) * rng.choice((-1, 1), size=3)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            out += rng.uniform(0.5, 1.0) * np.cos(2.0 * np.pi * np.tensordot(k, x, 1) + phase)
+        return scale * out / 3.0
+
+    st = zero_state(lat, model.n_gauge, model.n_scalar)
+    for a in range(model.n_gauge):
+        for i in range(3):
+            st.A[a, i] = band(0.05)
+            st.E[a, i] = band(0.3)
+    for c in range(model.n_scalar):
+        st.phi[c] = band(0.1) + 1j * band(0.1)
+        st.pi[c] = band(0.1) + 1j * band(0.1)
+    for axis in (1, 2, 3):                  # the data varies along x, y, z
+        assert not np.allclose(st.phi, np.roll(st.phi, 1, axis=axis))
+    rot = FieldState(A=_rotate_vector(st.A), E=_rotate_vector(st.E),
+                     phi=_rotate_scalar(st.phi), pi=_rotate_scalar(st.pi))
+
+    d0, d1 = eom_rhs(st, lat, model), eom_rhs(rot, lat, model)
+    assert _close(_rotate_vector(d0.dA), d1.dA)
+    assert _close(_rotate_vector(d0.dE), d1.dE)
+    assert _close(_rotate_scalar(d0.dphi), d1.dphi)
+    assert _close(_rotate_scalar(d0.dpi), d1.dpi)
+
+    r0, r1 = collect(st, lat, model), collect(rot, lat, model)
+    for name in ("energy_E0", "flat_J", "sobolev_E0", "sobolev_E1",
+                 "gauss_res_l2", "gauss_res_linf"):
+        assert _close(getattr(r0, name), getattr(r1, name)), name
+    assert _close(r0.norm_snapshot.as_tuple(), r1.norm_snapshot.as_tuple())
+    assert max(r0.bianchi_res_linf, r1.bianchi_res_linf) < 1e-12

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from mkg.couplings import constant_couplings
-from mkg.dynamics import ModelSpec
+from mkg.diagnostics import norms
+from mkg.dynamics import Kinematics, ModelSpec
 from mkg.kahler import flat_family
 from mkg.lattice import (FieldState, FieldStrength, LatticeSpec, central_diff,
-                         covariant_derivative, curl, divergence,
-                         field_strength, hodge_dual, magnetic_field, norms,
-                         pairwise_sum, read_snapshot, write_snapshot,
-                         zero_state)
+                         curl, divergence, field_strength, hodge_dual,
+                         magnetic_field, pairwise_sum, read_snapshot,
+                         write_snapshot, zero_state)
 from mkg.potentials import polynomial
 
 
-def free_model(n_gauge=1, n_scalar=1):
-    return ModelSpec(charges=np.zeros(n_gauge),
+def free_model(n_gauge=1, n_scalar=1, charges=None):
+    return ModelSpec(charges=np.zeros(n_gauge) if charges is None else charges,
                      couplings=constant_couplings(n_gauge),
                      kahler=flat_family(), potential=polynomial(0.0),
                      n_gauge=n_gauge, n_scalar=n_scalar)
@@ -97,16 +97,16 @@ def test_covariant_derivative_free_limit():
     lat = LatticeSpec((32, 1, 1), 1.0 / 32)
     model = free_model()
     st = random_state(lat, seed=4)
-    D = covariant_derivative(st, lat, model.charges, 2)
+    D = Kinematics.of(st, lat, model).Dphi
     grad = np.stack([central_diff(st.phi[0], ax, lat.dx, 2) for ax in range(3)])
     assert D[0] == pytest.approx(grad)
 
 
 def test_covariant_derivative_charged():
     lat = LatticeSpec((32, 1, 1), 1.0 / 32)
-    charges = np.array([1.5])
+    model = free_model(charges=np.array([1.5]))
     st = random_state(lat, seed=5)
-    D = covariant_derivative(st, lat, charges, 2)
+    D = Kinematics.of(st, lat, model).Dphi
     grad = np.stack([central_diff(st.phi[0], ax, lat.dx, 2) for ax in range(3)])
     expect = grad - 1j * 1.5 * st.A[0] * st.phi[0]
     assert D[0] == pytest.approx(expect)
@@ -130,8 +130,8 @@ def test_norm_scaling_with_amplitude():
     st2.E *= 2.0
     st2.phi *= 2.0
     st2.pi *= 2.0
-    n1 = norms(st, lat, model)
-    n2 = norms(st2, lat, model)
+    n1 = norms(Kinematics.of(st, lat, model))
+    n2 = norms(Kinematics.of(st2, lat, model))
     assert n2.linf_phi == pytest.approx(2 * n1.linf_phi)
     assert n2.l2_E == pytest.approx(2 * n1.l2_E)
     assert n2.l2_phi == pytest.approx(2 * n1.l2_phi)
@@ -143,7 +143,7 @@ def test_l2_norm_value():
     model = free_model()
     st = zero_state(lat, 1, 1)
     st.phi[0] = 0.7 + 0.0j
-    n = norms(st, lat, model)
+    n = norms(Kinematics.of(st, lat, model))
     vol = lat.n_sites * lat.cell_volume
     assert n.l2_phi == pytest.approx(0.7 * np.sqrt(vol))
     assert n.linf_phi == pytest.approx(0.7)

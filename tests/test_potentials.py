@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from mkg.potentials import (PotentialKind, eval_V, eval_V_prime,
-                            eval_V_second, grad_V, polynomial, sine_gordon,
-                            toda)
+from mkg.potentials import PotentialKind, polynomial, sine_gordon, toda
 
 
 def test_polynomial_values():
     fam = polynomial(1.0, 2.0, 0.5)          # 1 + 2 Psi + Psi^2 / 2
     psi = np.array([0.0, 1.0, 2.0])
-    assert eval_V(fam, psi) == pytest.approx([1.0, 3.5, 7.0])
-    assert eval_V_prime(fam, psi) == pytest.approx([2.0, 3.0, 4.0])
-    assert eval_V_second(fam, psi) == pytest.approx([1.0, 1.0, 1.0])
+    assert fam.value(psi) == pytest.approx([1.0, 3.5, 7.0])
+    assert fam.prime(psi) == pytest.approx([2.0, 3.0, 4.0])
+    assert fam.second(psi) == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_polynomial_degree():
@@ -25,10 +23,10 @@ def test_sine_gordon_values():
     fam = sine_gordon(2.0, 1.5)
     psi = np.array([0.0, 0.7])
     # V = v0 (1 - cos(lam Psi))
-    assert eval_V(fam, psi) == pytest.approx(2.0 * (1 - np.cos(1.5 * psi)))
+    assert fam.value(psi) == pytest.approx(2.0 * (1 - np.cos(1.5 * psi)))
     d = 1e-6
-    fd = (eval_V(fam, psi + d) - eval_V(fam, psi - d)) / (2 * d)
-    assert eval_V_prime(fam, psi) == pytest.approx(fd, abs=1e-7)
+    fd = (fam.value(psi + d) - fam.value(psi - d)) / (2 * d)
+    assert fam.prime(psi) == pytest.approx(fd, abs=1e-7)
 
 
 def test_toda_values():
@@ -36,10 +34,10 @@ def test_toda_values():
     psi = np.array([0.0, 1.0])
     # decaying exponential pairs: V = sum a_n exp(-lam_n Psi)
     expect = 1.0 * np.exp(-0.5 * psi) + 2.0 * np.exp(-0.25 * psi)
-    assert eval_V(fam, psi) == pytest.approx(expect)
+    assert fam.value(psi) == pytest.approx(expect)
     d = 1e-6
-    fd = (eval_V(fam, psi + d) - eval_V(fam, psi - d)) / (2 * d)
-    assert eval_V_prime(fam, psi) == pytest.approx(fd, abs=1e-6)
+    fd = (fam.value(psi + d) - fam.value(psi - d)) / (2 * d)
+    assert fam.prime(psi) == pytest.approx(fd, abs=1e-6)
 
 
 def test_toda_requires_positive_rate():
@@ -52,16 +50,8 @@ def test_prime_second_consistency():
                 toda((0.5, 1.0))):
         psi = np.linspace(0.0, 3.0, 11)
         d = 1e-5
-        fd = (eval_V_prime(fam, psi + d) - eval_V_prime(fam, psi - d)) / (2 * d)
-        assert eval_V_second(fam, psi) == pytest.approx(fd, abs=1e-5)
-
-
-def test_grad_V_direction():
-    fam = polynomial(0.0, 0.0, 1.0)          # V = Psi^2, V' = 2 Psi
-    phi = np.array([[1.0 + 1.0j], [0.5 - 0.5j]])
-    psi = np.sum(np.abs(phi) ** 2, axis=0)
-    g = grad_V(fam, phi)
-    assert g == pytest.approx(2.0 * psi * phi.conj())
+        fd = (fam.prime(psi + d) - fam.prime(psi - d)) / (2 * d)
+        assert fam.second(psi) == pytest.approx(fd, abs=1e-5)
 
 
 def test_kinds():
