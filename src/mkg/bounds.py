@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonUniformSampling, TraceTooShort
 from .lattice import NormSnapshot
 from .potentials import PotentialKind
+
+if TYPE_CHECKING:
+    from .diagnostics import DiagnosticsRecord
 
 VARS = ("p", "dp", "Dp", "F4", "A", "dPsi", "E0h", "J0", "t")
 _IDX = {v: i for i, v in enumerate(VARS)}
@@ -47,6 +51,8 @@ class EstimateConstants:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("sum cutoff N must be >= 1")
+        if not self.b_n:
+            raise ValueError("b_n needs at least one value")
         if min(self.C1, self.C2, self.C3, self.c4, self.J0) < 0:
             raise ValueError("estimate constants must be nonnegative")
         if any(b < 0 for b in self.b_n):
@@ -130,7 +136,7 @@ class Poly:
             m = c
             for x, k in zip(vals, e):
                 if k:
-                    m *= x**k
+                    m *= _pw(x, k)
             total += m
         return total
 
@@ -150,21 +156,41 @@ def _psum(lo: int, hi: int, shift: int) -> Poly:
     return out
 
 
-def _pw(x: float, k: int) -> float:
-    return 1.0 if k == 0 else float(x) ** k
+def _pw(x, k: int):
+    """x**k for a float or a column array, rounded as libm pow rounds it.
+
+    numpy's vectorised ``**`` is not pow: it squares for k = 2 and, on
+    AVX-512 CPUs, calls a SIMD pow for k >= 3; each rounds differently
+    from pow in some elements (one in twenty for the SIMD pow).
+    ``np.float_power`` calls pow per element, so a column gives bit for bit
+    what the per-record floats give; floats stay Python floats.
+    """
+    if k == 0:
+        return 1.0
+    return x**k if isinstance(x, float) else np.float_power(x, k)
 
 
 def _ps(p: float, lo: int, hi: int, shift: int) -> float:
     return sum(_pw(p, n + shift) for n in range(lo, hi + 1))
 
 
+def _sqrt_pos(x):
+    """sqrt(max(x, 0)) for a float or a column array; both square roots are
+    correctly rounded, so they agree bit for bit."""
+    if isinstance(x, float):
+        return math.sqrt(max(x, 0.0))
+    return np.sqrt(np.maximum(x, 0.0))
+
+
 def snapshot_env(snapshot: NormSnapshot, constants: EstimateConstants,
-                 E0_sf: float = 0.0) -> dict[str, float]:
+                 E0_sf=0.0) -> dict:
+    """The estimate variables of one snapshot, or of a whole trace when the
+    snapshot fields and E0_sf are column arrays."""
     return {
         "p": snapshot.linf_phi, "dp": snapshot.linf_dphi,
         "Dp": snapshot.linf_Dphi, "F4": snapshot.linf_F,
         "A": snapshot.linf_A, "dPsi": snapshot.linf_dPsi,
-        "E0h": math.sqrt(max(E0_sf, 0.0)), "J0": constants.J0,
+        "E0h": _sqrt_pos(E0_sf), "J0": constants.J0,
         "t": snapshot.t,
     }
 
@@ -448,25 +474,26 @@ def eval_H_func(snapshot: NormSnapshot, c: EstimateConstants) -> float:
     if _is_polynomial(c):
         return eval_D_func(snapshot, c)
     e = snapshot_env(snapshot, c)
-    return e["J0"] * (e["dPsi"] ** 2 + 1.0)
+    return e["J0"] * (_pw(e["dPsi"], 2) + 1.0)
 
 
 def _zq(p: float, c: EstimateConstants) -> float:
-    return p + p**3 + _ps(p, 1, c.N, 2) + _ps(p, 1, c.N, 4)
+    return p + _pw(p, 3) + _ps(p, 1, c.N, 2) + _ps(p, 1, c.N, 4)
 
 
 def eval_LMN(snapshot: NormSnapshot, c: EstimateConstants) -> tuple[float, float, float]:
     e = snapshot_env(snapshot, c)
     p, dp, dPsi = e["p"], e["dp"], e["dPsi"]
     I = eval_I(snapshot, c)
-    L = (p * _zq(p, c) * (dp + 1.0) + dPsi * p + dp + p**2 * dp + p * I)
-    M = (p * dPsi + p**2
+    L = (p * _zq(p, c) * (dp + 1.0) + dPsi * p + dp + _pw(p, 2) * dp
+         + p * I)
+    M = (p * dPsi + _pw(p, 2)
          + sum((n + 2) / (n + 1) * c.b(n) * _pw(p, n + 3) for n in range(1, c.N + 1))
-         + c.C1 * p**2 + p**2 + p
+         + c.C1 * _pw(p, 2) + _pw(p, 2) + p
          + _ps(p, 1, c.N, 5) + _ps(p, 1, c.N, 4) + _ps(p, 1, c.N, 3)
          + _ps(p, 1, c.N, 2) + 1.0)
     N = (_ps(p, 1, c.N, 5) + _ps(p, 1, c.N, 4) + _ps(p, 1, c.N, 3)
-         + _ps(p, 1, c.N, 2) + p**2 + p + 1.0
+         + _ps(p, 1, c.N, 2) + _pw(p, 2) + p + 1.0
          + _zq(p, c) * (dp + 1.0)
          + p * dp + c.c4 * I)
     return L, M, N
@@ -479,7 +506,7 @@ def eval_SXUW(snapshot: NormSnapshot, c: EstimateConstants) -> tuple[float, floa
     Sg = (dp * (_ps(p, 1, c.N, 2) + _ps(p, 1, c.N, 1) + 1.0)
           + I + p + (1.0 + t) * A
           + dp * _zq(p, c) * (1.0 + p))
-    Xg = 1.0 + dp**2 * p**2 + dp * p**2 + p + dp + p**2
+    Xg = 1.0 + _pw(dp, 2) * _pw(p, 2) + dp * _pw(p, 2) + p + dp + _pw(p, 2)
     Ug = _zq(p, c) * (1.0 + p) + p * dp + c.c4 * I
     Wg = (_zq(p, c) * (1.0 + dp) + p * dp + c.c4 * I) * _zq(p, c) \
         + eval_H_func(snapshot, c)
@@ -495,7 +522,7 @@ def eval_YZP(snapshot: NormSnapshot, c: EstimateConstants, E0_sf: float):
 
     Y = (sum(c.b(n) * (8.0 * _pw(p, n + 6) + _pw(p, n + 5) + 12.0 * _pw(p, n + 3))
              for n in range(1, c.N + 1))
-         + 6.0 * c.C1 * (p**2 + p**3) + (c.C2 + c.C3) * p + c.C3)
+         + 6.0 * c.C1 * (_pw(p, 2) + _pw(p, 3)) + (c.C2 + c.C3) * p + c.C3)
     Z = _zq(p, c)
     Pcal = Y * (Dp + 1.0 + p) + F4 * dp * (1.0 + p) + (dp + Dp) * Z + I + 1.0
 
@@ -515,30 +542,31 @@ def eval_YZP(snapshot: NormSnapshot, c: EstimateConstants, E0_sf: float):
         chi = E0h
 
     S = (dp * Zt * (p * F4 * E0h + chi)
-         + E0h * dp * Zt**2 * (1.0 + p) * (Dp + dp)
+         + E0h * dp * _pw(Zt, 2) * (1.0 + p) * (Dp + dp)
          + E0h * Z * (Dp + 1.0) * (dp + p)
          + E0h * F4 * dp
-         + Dp * p**2 * dp * E0h * (1.0 + p)
-         + Zh * dp * (1.0 + p) * E0h**2)
+         + Dp * _pw(p, 2) * dp * E0h * (1.0 + p)
+         + Zh * dp * (1.0 + p) * _pw(E0h, 2))
     T = E0h * (1.0 + p) * Zt + F4 * p + Z * (Dp + 1.0)
 
     X = (Y * ((Dp * dp + Dp + p + dp + 1.0) * E0h + 1.0)
-         + E0h * F4 * (dp**2 * p + dp) + p)
+         + E0h * F4 * (_pw(dp, 2) * p + dp) + p)
     W = (Dp * Y * (dp * E0h + p + dPsi * E0h * dp)
          + F4 * p * dp * (dp * E0h + p * E0h + dPsi * E0h * dp)
          + Dp * dPsi * Zt * E0h
          + Dp * p * (Zh * dp * E0h + Zt)
-         + dp * Y * (p + E0h * p**2 + E0h * dp * p + Dp * E0h)
-         + F4 * dp**2 * p**3 * (dp**2 + p) * E0h
-         + dp**2 * p**2)
-    P = (p**2 * dp**2 + Zt * Dp * dp * p + F4 * dp * p**2 + F4 * dp
+         + dp * Y * (p + E0h * _pw(p, 2) + E0h * dp * p + Dp * E0h)
+         + F4 * _pw(dp, 2) * _pw(p, 3) * (_pw(dp, 2) + p) * E0h
+         + _pw(dp, 2) * _pw(p, 2))
+    P = (_pw(p, 2) * _pw(dp, 2) + Zt * Dp * dp * p + F4 * dp * _pw(p, 2)
+         + F4 * dp
          + p * T + Y * (T + p + A + 1.0) + p * S + p * Zcal + Y * S
          + E0h * Y * (dp + p) + Y * Zcal
-         + p**2 * dp**3 * F4 * E0h
+         + _pw(p, 2) * _pw(dp, 3) * F4 * E0h
          + Dp * dp * p * E0h * Y
-         + Zt * dp * p * Dp * (E0h + E0h * (p * dp + p**2))
-         + F4 * (dPsi * dp**2 * E0h * p + dp**2 * p * E0h)
-         + F4 * (dPsi * (dp * E0h + p) + dPsi**2 * dp * E0h))
+         + Zt * dp * p * Dp * (E0h + E0h * (p * dp + _pw(p, 2)))
+         + F4 * (dPsi * _pw(dp, 2) * E0h * p + _pw(dp, 2) * p * E0h)
+         + F4 * (dPsi * (dp * E0h + p) + _pw(dPsi, 2) * dp * E0h))
     U = S + T + Zcal
     return Y, Z, Pcal, X, W, P, U, Zt, Zh, S, T, Zcal, chi
 
@@ -613,7 +641,7 @@ def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
     return float(np.max(num[mask] / den[mask]))
 
 
-def audit_gronwall(trace, constants: EstimateConstants):
+def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     """Fit the smallest constants closing the three Gronwall-type bounds on
     a diagnostics trace; returns (FittedConstants, report dict).
 
@@ -627,26 +655,27 @@ def audit_gronwall(trace, constants: EstimateConstants):
     pointwise derivative ratio has a heavy-tailed supremum (dE1/dt oscillates
     with slowly growing spikes while E1 itself stays bounded), so its running
     max never settles; the exponent of the integrated envelope does.
-    """
-    trace = list(trace)
-    ts = np.array([r.t for r in trace])
-    dt = _check_uniform(ts)
-    n = len(trace)
 
-    J = np.array([r.flat_J for r in trace])
+    `trace` is columnar (run.parse_trace, diagnostics.stack_records): every
+    field an array over the records.  Each functional is evaluated once over
+    the whole trace, through the same evaluators trace_row calls per record.
+    """
+    ts = np.asarray(trace.t, dtype=float)
+    dt = _check_uniform(ts)
+    n = len(ts)
+
+    J = trace.flat_J
     J0 = J[0]
     envelope = J0 * (1.0 + ts)
     ratios = np.where(envelope > 1e-300, J / np.maximum(envelope, 1e-300), 0.0)
     C_N_fit = float(np.max(ratios)) if J0 > 1e-300 else 0.0
 
-    E0v = np.array([r.sobolev_E0 for r in trace])
-    E1v = np.array([r.sobolev_E1 for r in trace])
-    Pcal = np.array([eval_monomial("Pcal", r.norm_snapshot, constants, r.sobolev_E0)
-                     for r in trace])
-    XWPU = np.zeros(n)
-    for i, r in enumerate(trace):
-        y = eval_YZP(r.norm_snapshot, constants, r.sobolev_E0)
-        XWPU[i] = y[3] + y[4] + y[5] + y[6]
+    snap = trace.norm_snapshot
+    E0v = trace.sobolev_E0
+    E1v = trace.sobolev_E1
+    Pcal = build_Pcal(constants).eval(snapshot_env(snap, constants, E0v))
+    _, _, _, X, W, P, U, *_ = eval_YZP(snap, constants, E0v)
+    XWPU = X + W + P + U
 
     def c0_fit_to(k):
         return _ratio_sup(_ddt(E0v[:k], dt), (Pcal * E0v)[:k])
@@ -665,11 +694,8 @@ def audit_gronwall(trace, constants: EstimateConstants):
     gronwall_fit = e1_fit_to(n)
 
     # caps on the two self-referencing inequalities (trapezoidal integrals)
-    F4 = np.array([r.norm_snapshot.linf_F for r in trace])
-    Dp = np.array([r.norm_snapshot.linf_Dphi for r in trace])
-    p = np.array([r.norm_snapshot.linf_phi for r in trace])
-    dp = np.array([r.norm_snapshot.linf_dphi for r in trace])
-    A = np.array([r.norm_snapshot.linf_A for r in trace])
+    F4, Dp, p = snap.linf_F, snap.linf_Dphi, snap.linf_phi
+    dp, A = snap.linf_dphi, snap.linf_A
 
     def cumint(f2):
         out = np.zeros(n)
@@ -678,17 +704,15 @@ def audit_gronwall(trace, constants: EstimateConstants):
 
     iF, iD, ip, idp, iA = (cumint(F4**2), cumint(Dp**2), cumint(p**2),
                            cumint(dp**2), cumint(A**2))
-    LMN = np.array([eval_LMN(r.norm_snapshot, constants) for r in trace])
-    SXUW = np.array([eval_SXUW(r.norm_snapshot, constants) for r in trace])
-    Xval = np.array([eval_YZP(r.norm_snapshot, constants, r.sobolev_E0)[3]
-                     for r in trace])
+    L, M, N = eval_LMN(snap, constants)
+    Sg, _, Ug, Wg = eval_SXUW(snap, constants)
     J0c = constants.J0
-    bound_F = J0c**2 * (1.0 + ts) * (LMN[:, 0] * iF + LMN[:, 1] * iD + LMN[:, 2] * ip)
+    bound_F = J0c**2 * (1.0 + ts) * (L * iF + M * iD + N * ip)
     resid_F = F4 - bound_F
     c0, c1 = _fit_line_cap(ts, resid_F)
-    bound_D = (J0c * iD * SXUW[:, 0] + J0c**2 * (1.0 + ts) * iF * Xval
-               + J0c * ip * p * (1.0 + dp) + J0c * iA * SXUW[:, 2]
-               + J0c * idp * SXUW[:, 3])
+    bound_D = (J0c * iD * Sg + J0c**2 * (1.0 + ts) * iF * X
+               + J0c * ip * p * (1.0 + dp) + J0c * iA * Ug
+               + J0c * idp * Wg)
     resid_D = Dp - bound_D
     k0, k1 = _fit_line_cap(ts, resid_D)
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -57,9 +58,14 @@ def cmd_check_geometry(args) -> int:
 
 
 def cmd_check_bounds(args) -> int:
-    records = runmod.parse_trace(args.trace)
-    constants = bounds.EstimateConstants(J0=records[0].flat_J or 1.0)
-    fitted, report = bounds.audit_gronwall(records, constants)
+    trace = runmod.parse_trace(args.trace)
+    manifest = os.path.join(os.path.dirname(args.trace), "run.json")
+    if os.path.exists(manifest):         # the constants the run audited with
+        constants = runmod.read_run_constants(manifest)
+    else:
+        J0 = float(trace.flat_J[0]) if len(trace.flat_J) else 0.0
+        constants = bounds.EstimateConstants(J0=J0 or 1.0)
+    fitted, report = bounds.audit_gronwall(trace, constants)
     print(f"C_N_fit={fitted.C_N_fit:.6g} C0_fit={fitted.C0_fit:.6g} "
           f"gronwall_fit={fitted.gronwall_fit:.6g}")
     print(f"caps: c0={fitted.c0:.6g} c1={fitted.c1:.6g} "

@@ -8,7 +8,7 @@ DiagnosticsRecord per instant by `collect`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,17 @@ class DiagnosticsRecord:
     bianchi_res_linf: float
     norm_snapshot: NormSnapshot
     mass_m: float
+
+
+def stack_records(records) -> DiagnosticsRecord:
+    """The columnar form of a list of records: one DiagnosticsRecord (and
+    NormSnapshot) whose every field is an array over the records."""
+    snaps = [r.norm_snapshot for r in records]
+    snap = NormSnapshot(**{name: np.array([getattr(s, name) for s in snaps])
+                           for name in NormSnapshot.FIELDS})
+    return DiagnosticsRecord(norm_snapshot=snap, **{
+        f.name: np.array([getattr(r, f.name) for r in records])
+        for f in fields(DiagnosticsRecord) if f.name != "norm_snapshot"})
 
 
 def energy_E0(kin: Kinematics) -> float:

@@ -25,10 +25,6 @@ from .errors import ParseError, ValidationError
 SNAPSHOT_MAGIC = b"MKG1"
 SNAPSHOT_VERSION = 1
 
-# index order of the stored independent components of F
-F_COMPONENTS = ("01", "02", "03", "12", "13", "23")
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Uniform periodic box: site counts per axis and the common spacing."""
@@ -140,59 +136,6 @@ def divergence(v: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
 def magnetic_field(state: FieldState, lattice: LatticeSpec, order: int = 2) -> np.ndarray:
     """H^Lam_i = (curl A^Lam)_i, shape [N_V, 3, grid]."""
     return curl(state.A, lattice.dx, order)
-
-
-@dataclass
-class FieldStrength:
-    """Independent components (F_01, F_02, F_03, F_12, F_13, F_23) per
-    gauge index; antisymmetry is structural."""
-
-    F: np.ndarray  # real [N_V, 6, grid]
-
-    @classmethod
-    def from_state(cls, state: FieldState, lattice: LatticeSpec,
-                   order: int = 2) -> "FieldStrength":
-        H = magnetic_field(state, lattice, order)
-        F = np.empty((state.n_gauge, 6) + state.dims)
-        F[:, 0] = -state.E[:, 0]
-        F[:, 1] = -state.E[:, 1]
-        F[:, 2] = -state.E[:, 2]
-        F[:, 3] = H[:, 2]       # F_12 = eps_{12k} H_k = H_3
-        F[:, 4] = -H[:, 1]      # F_13 = -H_2
-        F[:, 5] = H[:, 0]       # F_23 = H_1
-        return cls(F)
-
-    def electric(self) -> np.ndarray:
-        return -self.F[:, 0:3]
-
-    def magnetic(self) -> np.ndarray:
-        return np.stack([self.F[:, 5], -self.F[:, 4], self.F[:, 3]], axis=1)
-
-    def scalar_invariant(self) -> np.ndarray:
-        """F_{ab} F^{ab} per gauge index = 2(|H|^2 - |E|^2)."""
-        E = self.electric()
-        H = self.magnetic()
-        return 2.0 * (np.sum(H * H, axis=1) - np.sum(E * E, axis=1))
-
-
-def field_strength(state: FieldState, lattice: LatticeSpec,
-                   order: int = 2) -> FieldStrength:
-    return FieldStrength.from_state(state, lattice, order)
-
-
-def hodge_dual(fs: FieldStrength) -> FieldStrength:
-    """Dual components under eps^{0123} = +1:
-    Ft_{0i} = -H_i, Ft_{ij} = -eps_{ijk} E_k."""
-    E = fs.electric()
-    H = fs.magnetic()
-    Ft = np.empty_like(fs.F)
-    Ft[:, 0] = -H[:, 0]
-    Ft[:, 1] = -H[:, 1]
-    Ft[:, 2] = -H[:, 2]
-    Ft[:, 3] = -E[:, 2]
-    Ft[:, 4] = E[:, 1]
-    Ft[:, 5] = -E[:, 0]
-    return FieldStrength(Ft)
 
 
 def pairwise_sum(values: np.ndarray) -> float:

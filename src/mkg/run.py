@@ -1,18 +1,25 @@
 """Run orchestration: evolve a configured scenario, write the trace CSV,
-binary snapshots and SVG plots, then audit the trace."""
+the run.json manifest, binary snapshots and SVG plots, then audit the
+trace."""
 
 from __future__ import annotations
 
+import json
+import math
 import os
+import warnings
 
 import numpy as np
 
 from . import bounds
 from .config import RunConfig
-from .diagnostics import DiagnosticsRecord, collect
+from .diagnostics import (DEFAULT_MASS_M, DiagnosticsRecord, collect,
+                          stack_records)
 from .dynamics import step_rk4
-from .errors import NonFinite, NonUniformSampling, RadiusExceeded, TraceTooShort
+from .errors import (NonFinite, NonUniformSampling, ParseError, RadiusExceeded,
+                     TraceTooShort)
 from .lattice import NormSnapshot, write_snapshot
+from .potentials import PotentialKind
 
 CSV_COLUMNS = (
     ("t", "E0", "J", "J_envelope", "E0_sf", "E1_sf",
@@ -40,26 +47,73 @@ def trace_row(record: DiagnosticsRecord, constants: bounds.EstimateConstants) ->
     return ",".join(_fmt(v) for v in vals)
 
 
-def parse_trace(path: str):
-    """Read a trace CSV back into DiagnosticsRecord objects."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected trace header in {path}")
-        records = []
-        col = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            v = [float(x) for x in line.strip().split(",")]
-            snap = NormSnapshot(t=v[col["t"]], **{
-                name: v[col[name]] for name in NormSnapshot.FIELDS[1:]})
-            records.append(DiagnosticsRecord(
-                t=v[col["t"]], energy_E0=v[col["E0"]], flat_J=v[col["J"]],
-                sobolev_E0=v[col["E0_sf"]], sobolev_E1=v[col["E1_sf"]],
-                gauss_res_l2=v[col["gauss_l2"]],
-                gauss_res_linf=v[col["gauss_linf"]],
-                bianchi_res_linf=v[col["bianchi_linf"]],
-                norm_snapshot=snap, mass_m=1.0))
-    return records
+def parse_trace(path: str) -> DiagnosticsRecord:
+    """Read a trace CSV into one columnar DiagnosticsRecord: every field,
+    and every field of its NormSnapshot, is an array over the records.
+
+    A file that cannot be read, a wrong header, a cell that is not a number
+    or a row of the wrong length raises ParseError."""
+    try:
+        with open(path) as fh:
+            if tuple(fh.readline().strip().split(",")) != CSV_COLUMNS:
+                raise ParseError(f"unexpected trace header in {path}")
+            with warnings.catch_warnings():   # a header-only trace has no rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read trace {path}: {exc}") from exc
+    if data.size == 0:
+        data = data.reshape(0, len(CSV_COLUMNS))
+    elif data.shape[1] != len(CSV_COLUMNS):
+        raise ParseError(f"trace {path} has {data.shape[1]} columns, "
+                         f"expected {len(CSV_COLUMNS)}")
+    col = dict(zip(CSV_COLUMNS, data.T))
+    snap = NormSnapshot(**{name: col[name] for name in NormSnapshot.FIELDS})
+    return DiagnosticsRecord(
+        t=col["t"], energy_E0=col["E0"], flat_J=col["J"],
+        sobolev_E0=col["E0_sf"], sobolev_E1=col["E1_sf"],
+        gauss_res_l2=col["gauss_l2"], gauss_res_linf=col["gauss_linf"],
+        bianchi_res_linf=col["bianchi_linf"], norm_snapshot=snap,
+        mass_m=np.full(len(data), DEFAULT_MASS_M))
+
+
+# the estimate constants a run writes to run.json, by EstimateConstants field
+_RUN_CONSTANTS = ("b_n", "C1", "C2", "C3", "c4", "N", "J0", "potential_kind")
+
+
+def write_run_json(path: str, constants: bounds.EstimateConstants):
+    """The run's manifest: the resolved estimate constants, so that
+    check-bounds audits the run's trace with the constants the run used."""
+    raw = {name: getattr(constants, name) for name in _RUN_CONSTANTS}
+    raw["b_n"] = list(constants.b_n)
+    raw["potential_kind"] = constants.potential_kind.value
+    with open(path, "w", newline="\n") as fh:
+        json.dump({"estimate_constants": raw}, fh, indent=2)
+        fh.write("\n")
+
+
+def _finite(key: str, v, kind=float):
+    """v as a finite float, or an int when kind is int; ValueError otherwise."""
+    ok = isinstance(v, int) if kind is int else isinstance(v, (int, float))
+    if isinstance(v, bool) or not ok or not math.isfinite(v):
+        raise ValueError(f"{key}: expected a finite {kind.__name__}, got {v!r}")
+    return kind(v)
+
+
+def read_run_constants(path: str) -> bounds.EstimateConstants:
+    """The EstimateConstants of a run.json; ParseError if it is malformed."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)["estimate_constants"]
+        if sorted(raw) != sorted(_RUN_CONSTANTS):
+            raise ValueError(f"expected the keys {', '.join(_RUN_CONSTANTS)}")
+        return bounds.EstimateConstants(
+            b_n=tuple(_finite("b_n", b) for b in raw["b_n"]),
+            **{key: _finite(key, raw[key]) for key in ("C1", "C2", "C3", "c4", "J0")},
+            N=_finite("N", raw["N"], int),
+            potential_kind=PotentialKind(raw["potential_kind"]))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"malformed run manifest {path}: {exc}") from exc
 
 
 def svg_line_plot(path: str, title: str, series: dict, log_y: bool = False):
@@ -120,6 +174,7 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
 
     records = [collect(state, lattice, model)]
     constants = cfg.estimate_constants(records[0].flat_J or 1.0)
+    write_run_json(os.path.join(out, "run.json"), constants)
     rows = [trace_row(records[0], constants)]
 
     if cfg.snapshot_cadence:
@@ -144,24 +199,25 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
     write_snapshot(os.path.join(out, "snap_final.mkg"), state, lattice)
     _write_trace(os.path.join(out, "trace.csv"), rows)
 
+    trace = stack_records(records)
     if cfg.plots:
-        ts = [r.t for r in records]
+        ts = trace.t
         svg_line_plot(os.path.join(out, "energy.svg"), "energies",
-                      {"E0": (ts, [r.energy_E0 for r in records]),
-                       "E0_sf": (ts, [r.sobolev_E0 for r in records]),
-                       "E1_sf": (ts, [r.sobolev_E1 for r in records])})
+                      {"E0": (ts, trace.energy_E0),
+                       "E0_sf": (ts, trace.sobolev_E0),
+                       "E1_sf": (ts, trace.sobolev_E1)})
         svg_line_plot(os.path.join(out, "flat_energy.svg"),
                       "J(t) against the linear envelope",
-                      {"J": (ts, [r.flat_J for r in records]),
-                       "J0(1+t)": (ts, [constants.J0 * (1 + t) for t in ts])})
+                      {"J": (ts, trace.flat_J),
+                       "J0(1+t)": (ts, constants.J0 * (1 + ts))})
         svg_line_plot(os.path.join(out, "constraints.svg"),
                       "constraint residuals (log10)",
-                      {"gauss_l2": (ts, [r.gauss_res_l2 for r in records]),
-                       "bianchi": (ts, [r.bianchi_res_linf for r in records])},
+                      {"gauss_l2": (ts, trace.gauss_res_l2),
+                       "bianchi": (ts, trace.bianchi_res_linf)},
                       log_y=True)
 
     try:
-        fitted, report = bounds.audit_gronwall(records, constants)
+        fitted, report = bounds.audit_gronwall(trace, constants)
         printer(f"fitted constants: C_N={fitted.C_N_fit:.6g} "
                 f"C0={fitted.C0_fit:.6g} gronwall={fitted.gronwall_fit:.6g} "
                 f"(stabilized={report['stabilized']})")

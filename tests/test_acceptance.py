@@ -14,7 +14,7 @@ from mkg.bounds import (BUILDERS, EstimateConstants, audit_gronwall,
                         eval_LMN, eval_SXUW, eval_YZP, eval_fast,
                         eval_monomial)
 from mkg.cli import main
-from mkg.diagnostics import collect, energy_E0
+from mkg.diagnostics import collect, energy_E0, stack_records
 from mkg.dynamics import Kinematics, ModelSpec, gauge_transform, step_rk4
 from mkg.kahler import (flat_family, hessian_oracle, kahler_metric,
                         radial_bound_check, quartic_family,
@@ -304,7 +304,7 @@ def test_criterion_8_functional_oracle():
 def test_criterion_9_gronwall_audit(interacting_long):
     c = EstimateConstants(b_n=(1.0, 1.0), N=2,
                           J0=interacting_long[0].flat_J)
-    fitted, rep = audit_gronwall(interacting_long, c)
+    fitted, rep = audit_gronwall(stack_records(interacting_long), c)
     finite = all(np.isfinite([fitted.C_N_fit, fitted.C0_fit,
                               fitted.gronwall_fit]))
     no_blowup = all(np.isfinite(r.sobolev_E0) and np.isfinite(r.sobolev_E1)

@@ -1,17 +1,25 @@
-"""Estimate functionals: dual-evaluation oracle, frozen zero values, audits."""
+"""Estimate functionals: dual-evaluation oracle, frozen zero values, audits,
+and the columnar audit against its per-record reference."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mkg.bounds import (BUILDERS, EstimateConstants, Poly, audit_gronwall,
-                        eval_fast, eval_G, eval_LMN, eval_monomial, eval_Q,
-                        eval_SXUW, eval_YZP)
-from mkg.diagnostics import DiagnosticsRecord
+from mkg.bounds import (BUILDERS, EstimateConstants, FittedConstants, Poly,
+                        _check_uniform, _ddt, _fit_line_cap, _ratio_sup,
+                        audit_gronwall, eval_fast, eval_G, eval_LMN,
+                        eval_monomial, eval_Q, eval_SXUW, eval_YZP,
+                        snapshot_env)
+from mkg.diagnostics import DiagnosticsRecord, stack_records
 from mkg.errors import NonUniformSampling, TraceTooShort
 from mkg.lattice import NormSnapshot
 from mkg.potentials import PotentialKind
+from mkg.run import _write_trace, parse_trace, trace_row
 
 
 def random_snapshot(rng, t=None):
@@ -116,7 +124,7 @@ def make_trace(n=21, dt=0.1, growth=0.05):
 
 def test_audit_fits_finite_and_stabilized():
     c = EstimateConstants(b_n=(1.0, 1.0), N=2, J0=2.0)
-    fitted, report = audit_gronwall(make_trace(), c)
+    fitted, report = audit_gronwall(stack_records(make_trace()), c)
     for v in (fitted.C_N_fit, fitted.C0_fit, fitted.gronwall_fit,
               fitted.c0, fitted.c1, fitted.k0, fitted.k1):
         assert np.isfinite(v)
@@ -127,7 +135,7 @@ def test_audit_fits_finite_and_stabilized():
 def test_audit_trace_too_short():
     c = EstimateConstants(J0=1.0)
     with pytest.raises(TraceTooShort):
-        audit_gronwall(make_trace()[:2], c)
+        audit_gronwall(stack_records(make_trace()[:2]), c)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -135,7 +143,7 @@ def test_audit_short_traces(n):
     """The shortest auditable traces fit finite constants; the half-trace
     refit keeps the three samples its derivative stencil needs."""
     c = EstimateConstants(b_n=(1.0, 1.0), N=2, J0=2.0)
-    fitted, report = audit_gronwall(make_trace(n=n), c)
+    fitted, report = audit_gronwall(stack_records(make_trace(n=n)), c)
     assert report["records"] == n
     for v in (fitted.C_N_fit, fitted.C0_fit, fitted.gronwall_fit,
               report["C0_half"], report["gronwall_half"]):
@@ -147,15 +155,15 @@ def test_audit_nonuniform_sampling():
     recs = make_trace()
     bad = recs[:5] + recs[6:]
     with pytest.raises(NonUniformSampling):
-        audit_gronwall(bad, c)
+        audit_gronwall(stack_records(bad), c)
 
 
 def test_audit_subsample_stability():
     """Fits from every-other-record subsampling stay within 10%."""
     c = EstimateConstants(b_n=(1.0, 1.0), N=2, J0=2.0)
     trace = make_trace(n=41, dt=0.05)
-    f_full, _ = audit_gronwall(trace, c)
-    f_half, _ = audit_gronwall(trace[::2], c)
+    f_full, _ = audit_gronwall(stack_records(trace), c)
+    f_half, _ = audit_gronwall(stack_records(trace[::2]), c)
     for a, b in ((f_full.C_N_fit, f_half.C_N_fit),
                  (f_full.gronwall_fit, f_half.gronwall_fit)):
         assert abs(a - b) <= 0.10 * max(abs(a), abs(b), 1e-12)
@@ -167,3 +175,187 @@ def test_Q_combination_positive():
     for _ in range(10):
         snap = random_snapshot(rng)
         assert eval_Q(snap, c) > 0
+
+
+# ---------------------------------------------------------------------------
+# the columnar audit against the per-record evaluation it replaced
+
+constants_st = st.builds(
+    EstimateConstants,
+    b_n=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5).map(tuple),
+    C1=st.floats(0.0, 2.0), C2=st.floats(0.0, 2.0), C3=st.floats(0.0, 2.0),
+    c4=st.floats(0.0, 2.0), N=st.integers(1, 4), J0=st.floats(0.1, 3.0),
+    potential_kind=st.sampled_from(PotentialKind))
+
+
+@st.composite
+def records_st(draw):
+    """A uniformly sampled list of per-record DiagnosticsRecords of floats:
+    norms in [0, 2], E0_sf in [-0.5, 2] (the negative part is clamped by
+    the estimates), positive J and E1_sf."""
+    n = draw(st.integers(3, 12))
+    dt = draw(st.floats(1e-3, 0.5))
+    v = draw(arrays(np.float64, (n, 19), elements=st.floats(0.0, 2.0))).tolist()
+    recs = []
+    for i, row in enumerate(v):
+        t = i * dt
+        snap = NormSnapshot(t, *row[:11])
+        recs.append(DiagnosticsRecord(
+            t=t, energy_E0=row[11], flat_J=0.01 + row[12],
+            sobolev_E0=row[13] - 0.5, sobolev_E1=0.01 + row[14],
+            gauss_res_l2=row[15], gauss_res_linf=row[16],
+            bianchi_res_linf=row[17], norm_snapshot=snap, mass_m=1.0))
+    return recs
+
+
+def same_bits(column, per_record) -> bool:
+    per_record = np.asarray(per_record, dtype=float)
+    column = np.broadcast_to(np.asarray(column, dtype=float), per_record.shape)
+    return column.tobytes() == per_record.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(recs=records_st(), c=constants_st)
+def test_column_evaluators_match_per_record(recs, c):
+    """Every fast evaluator and every monomial list, called once on column
+    arrays, equals its per-record scalar calls bit for bit."""
+    cols = stack_records(recs)
+    snap, E0 = cols.norm_snapshot, cols.sobolev_E0
+    per_record = (
+        (eval_LMN(snap, c), [eval_LMN(r.norm_snapshot, c) for r in recs]),
+        (eval_SXUW(snap, c), [eval_SXUW(r.norm_snapshot, c) for r in recs]),
+        (eval_YZP(snap, c, E0),
+         [eval_YZP(r.norm_snapshot, c, r.sobolev_E0) for r in recs]))
+    for got, want in per_record:
+        for i, column in enumerate(got):
+            assert same_bits(column, [w[i] for w in want]), i
+    env = snapshot_env(snap, c, E0)
+    for name, build in BUILDERS.items():
+        want = [eval_monomial(name, r.norm_snapshot, c, r.sobolev_E0)
+                for r in recs]
+        assert same_bits(build(c).eval(env), want), name
+
+
+def reference_audit(trace, constants):
+    """audit_gronwall as a loop over per-record floats: Pcal through the
+    monomial list of every record, the other functionals through the scalar
+    fast evaluators."""
+    ts = np.array([r.t for r in trace])
+    dt = _check_uniform(ts)
+    n = len(trace)
+
+    J = np.array([r.flat_J for r in trace])
+    J0 = J[0]
+    envelope = J0 * (1.0 + ts)
+    ratios = np.where(envelope > 1e-300, J / np.maximum(envelope, 1e-300), 0.0)
+    C_N_fit = float(np.max(ratios)) if J0 > 1e-300 else 0.0
+
+    E0v = np.array([r.sobolev_E0 for r in trace])
+    E1v = np.array([r.sobolev_E1 for r in trace])
+    Pcal = np.array([eval_monomial("Pcal", r.norm_snapshot, constants, r.sobolev_E0)
+                     for r in trace])
+    XWPU = np.zeros(n)
+    for i, r in enumerate(trace):
+        y = eval_YZP(r.norm_snapshot, constants, r.sobolev_E0)
+        XWPU[i] = y[3] + y[4] + y[5] + y[6]
+
+    def c0_fit_to(k):
+        return _ratio_sup(_ddt(E0v[:k], dt), (Pcal * E0v)[:k])
+
+    cum_XWPU = np.zeros(n)
+    cum_XWPU[1:] = np.cumsum(0.5 * (XWPU[1:] + XWPU[:-1]) * dt)
+
+    def e1_fit_to(k):
+        if E1v[0] <= 1e-300:
+            return 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expo = np.log(E1v[1:k] / E1v[0]) / np.maximum(cum_XWPU[1:k], 1e-300)
+        return float(max(np.max(expo), 0.0)) if k > 1 else 0.0
+
+    C0_fit = c0_fit_to(n)
+    gronwall_fit = e1_fit_to(n)
+
+    F4 = np.array([r.norm_snapshot.linf_F for r in trace])
+    Dp = np.array([r.norm_snapshot.linf_Dphi for r in trace])
+    p = np.array([r.norm_snapshot.linf_phi for r in trace])
+    dp = np.array([r.norm_snapshot.linf_dphi for r in trace])
+    A = np.array([r.norm_snapshot.linf_A for r in trace])
+
+    def cumint(f2):
+        out = np.zeros(n)
+        out[1:] = np.cumsum(0.5 * (f2[1:] + f2[:-1]) * dt)
+        return np.sqrt(out)
+
+    iF, iD, ip, idp, iA = (cumint(F4**2), cumint(Dp**2), cumint(p**2),
+                           cumint(dp**2), cumint(A**2))
+    LMN = np.array([eval_LMN(r.norm_snapshot, constants) for r in trace])
+    SXUW = np.array([eval_SXUW(r.norm_snapshot, constants) for r in trace])
+    Xval = np.array([eval_YZP(r.norm_snapshot, constants, r.sobolev_E0)[3]
+                     for r in trace])
+    J0c = constants.J0
+    bound_F = J0c**2 * (1.0 + ts) * (LMN[:, 0] * iF + LMN[:, 1] * iD + LMN[:, 2] * ip)
+    c0, c1 = _fit_line_cap(ts, F4 - bound_F)
+    bound_D = (J0c * iD * SXUW[:, 0] + J0c**2 * (1.0 + ts) * iF * Xval
+               + J0c * ip * p * (1.0 + dp) + J0c * iA * SXUW[:, 2]
+               + J0c * idp * SXUW[:, 3])
+    k0, k1 = _fit_line_cap(ts, Dp - bound_D)
+
+    half = float(np.max(ratios[: max(n // 2, 2)]))
+    quarter = float(np.max(ratios[-max(n // 4, 2):]))
+    nh = max(n // 2, 3)
+    C0_half = c0_fit_to(nh)
+    gronwall_half = e1_fit_to(nh)
+    fitted = FittedConstants(C_N_fit=C_N_fit, C0_fit=C0_fit,
+                             gronwall_fit=gronwall_fit,
+                             c0=c0, c1=c1, k0=k0, k1=k1)
+    report = {
+        "C_N_fit": C_N_fit, "C0_fit": C0_fit, "gronwall_fit": gronwall_fit,
+        "caps": (c0, c1, k0, k1),
+        "stabilized": quarter <= 1.05 * half + 1e-300,
+        "half_sup": half, "final_quarter_sup": quarter,
+        "C0_half": C0_half, "gronwall_half": gronwall_half,
+        "fits_stabilized": (C0_fit <= 1.05 * C0_half + 1e-300
+                            and gronwall_fit <= 1.05 * gronwall_half + 1e-300),
+        "records": n, "dt": dt,
+    }
+    return fitted, report
+
+
+@settings(max_examples=40, deadline=None)
+@given(recs=records_st(), c=constants_st)
+def test_columnar_audit_matches_per_record_reference(recs, c):
+    """A trace written by trace_row and read back by parse_trace audits to
+    the same fitted constants and report as the per-record loop."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        _write_trace(path, [trace_row(r, c) for r in recs])
+        trace = parse_trace(path)
+    assert audit_gronwall(trace, c) == reference_audit(recs, c)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=st.lists(st.tuples(*[finite] * 8, *[st.floats(0.0, 1e3)] * 6,
+                            *[finite] * 5), max_size=6),
+       c=constants_st)
+def test_trace_write_parse_roundtrip(v, c):
+    """_write_trace then parse_trace gives back every record field exactly,
+    from subnormals and -0.0 to the largest finite floats."""
+    recs = [DiagnosticsRecord(
+        t=r[0], energy_E0=r[1], flat_J=r[2], sobolev_E0=r[3],
+        sobolev_E1=r[4], gauss_res_l2=r[5], gauss_res_linf=r[6],
+        bianchi_res_linf=r[7], mass_m=1.0,
+        norm_snapshot=NormSnapshot(r[0], *r[8:])) for r in v]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        _write_trace(path, [trace_row(r, c) for r in recs])
+        trace = parse_trace(path)
+    for name in ("t", "energy_E0", "flat_J", "sobolev_E0", "sobolev_E1",
+                 "gauss_res_l2", "gauss_res_linf", "bianchi_res_linf"):
+        assert same_bits(getattr(trace, name),
+                         [getattr(r, name) for r in recs]), name
+    for name in NormSnapshot.FIELDS:
+        assert same_bits(getattr(trace.norm_snapshot, name),
+                         [getattr(r.norm_snapshot, name) for r in recs]), name

@@ -1,6 +1,8 @@
 """Config loading, run orchestration outputs, CLI exit codes."""
 
+import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -77,13 +79,20 @@ def test_dt_cfl_exclusive(tmp_path):
         load_config(write(tmp_path, bad))
 
 
+def test_empty_b_n_is_validation_error(tmp_path):
+    """An empty b_n leaves the curvature sums without coefficients."""
+    bad = MINIMAL + "\n[estimate_constants]\nb_n =\n"
+    with pytest.raises(ValidationError, match="b_n"):
+        load_config(write(tmp_path, bad))
+
+
 def test_vacuum_run_zero_trace(tmp_path):
     cfg = write(tmp_path, MINIMAL)
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out, "--steps", "20"]) == 0
-    records = parse_trace(os.path.join(out, "trace.csv"))
-    assert all(r.energy_E0 == 0.0 for r in records)
-    assert all(r.flat_J == 0.0 for r in records)
+    trace = parse_trace(os.path.join(out, "trace.csv"))
+    assert all(e == 0.0 for e in trace.energy_E0)
+    assert all(j == 0.0 for j in trace.flat_J)
 
 
 def test_trace_header_golden(tmp_path):
@@ -109,10 +118,10 @@ def test_run_outputs_and_roundtrip(tmp_path):
     st, lat = read_snapshot(os.path.join(out, "snap_final.mkg"))
     assert lat.dims == (64, 1, 1)
     assert st.is_finite()
-    records = parse_trace(os.path.join(out, "trace.csv"))
-    assert len(records) >= 3
+    trace = parse_trace(os.path.join(out, "trace.csv"))
+    assert len(trace.t) >= 3
     # energy conserved along the run
-    e = [r.energy_E0 for r in records]
+    e = trace.energy_E0
     assert abs(e[-1] - e[0]) / e[0] < 1e-6
 
 
@@ -150,6 +159,77 @@ def test_check_bounds_short_trace(tmp_path):
     assert main(["check-bounds", "--trace", str(path)]) == 1
 
 
+def test_check_bounds_header_only_trace(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n")
+    assert main(["check-bounds", "--trace", str(path)]) == 1
+    assert "need >= 3 records, got 0" in capsys.readouterr().err
+
+
+def test_check_bounds_uses_run_constants(tmp_path, capsys):
+    """check-bounds on a run's trace reads the run's run.json and so prints
+    the C0 and E1 exponent the run printed (N from the quartic potential,
+    not the default N = 1)."""
+    cfg = write(tmp_path, DEMO.replace("plots = true", "plots = false"))
+    out = tmp_path / "demo"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    ran = re.search(r"C0=(\S+) gronwall=(\S+)", capsys.readouterr().out)
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["estimate_constants"]["N"] == 2
+    assert main(["check-bounds", "--trace", str(out / "trace.csv")]) == 0
+    printed = capsys.readouterr().out
+    assert f"C0_fit={ran.group(1)} gronwall_fit={ran.group(2)}" in printed
+
+
+HEADER = ",".join(CSV_COLUMNS)
+ROW = ",".join(["0.0"] * len(CSV_COLUMNS))
+GOOD_TRACE = HEADER + "\n" + "".join(f"{t}{ROW[3:]}\n" for t in (0.0, 0.1, 0.2))
+MALFORMED_TRACES = {
+    "missing": None,
+    "header": HEADER.replace("E0_sf", "E0sf") + "\n" + ROW + "\n",
+    "cell": HEADER + "\n" + ROW + "\n" + ROW.replace("0.0", "abc", 1) + "\n",
+    "ragged": HEADER + "\n" + ROW + "\n" + ROW[:-len(",0.0")] + "\n",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TRACES)
+def test_malformed_trace_is_config_error(tmp_path, capsys, case):
+    """A missing file, a wrong header, a cell that is not a number and a
+    short row each print one config-error line and exit 2."""
+    path = tmp_path / "trace.csv"
+    if MALFORMED_TRACES[case] is not None:
+        path.write_text(MALFORMED_TRACES[case])
+    assert main(["check-bounds", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+GOOD_CONSTANTS = {"b_n": [1.0], "C1": 0.0, "C2": 0.0, "C3": 0.0, "c4": 1.0,
+                  "N": 1, "J0": 1.0, "potential_kind": "polynomial"}
+MALFORMED_MANIFESTS = {
+    "json": "{",
+    "key": json.dumps({"estimate_constants": {"N": 1}}),
+    "type": json.dumps({"estimate_constants": dict(GOOD_CONSTANTS, N="2")}),
+    "value": json.dumps({"estimate_constants": dict(GOOD_CONSTANTS, N=0)}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
+def test_malformed_run_json_is_config_error(tmp_path, capsys, case):
+    """A run.json beside the trace that is not JSON, lacks a key, has a
+    value of the wrong type or one EstimateConstants rejects is one
+    config-error line and exit 2; the well-formed manifest audits."""
+    (tmp_path / "trace.csv").write_text(GOOD_TRACE)
+    (tmp_path / "run.json").write_text(MALFORMED_MANIFESTS[case])
+    assert main(["check-bounds", "--trace", str(tmp_path / "trace.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed run manifest")
+    assert err.count("\n") == 1
+    (tmp_path / "run.json").write_text(
+        json.dumps({"estimate_constants": GOOD_CONSTANTS}))
+    assert main(["check-bounds", "--trace", str(tmp_path / "trace.csv")]) == 0
+
+
 def test_kirchhoff_verify_cli():
     assert main(["kirchhoff-verify"]) == 0
     assert main(["kirchhoff-verify", "--order", "8", "--k", "1,0,0",
@@ -179,11 +259,11 @@ def test_trace_rows_only_on_cadence(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", out]) == 0
     printed = capsys.readouterr().out
     assert "fitted constants" in printed and "audit skipped" not in printed
-    records = parse_trace(os.path.join(out, "trace.csv"))
-    assert len(records) == 1 + 40 // 3
-    assert np.ptp(np.diff([r.t for r in records])) < 1e-12
+    trace = parse_trace(os.path.join(out, "trace.csv"))
+    assert len(trace.t) == 1 + 40 // 3
+    assert np.ptp(np.diff(trace.t)) < 1e-12
     main(["check-bounds", "--trace", os.path.join(out, "trace.csv")])
-    assert f"over {len(records)} records" in capsys.readouterr().out
+    assert f"over {len(trace.t)} records" in capsys.readouterr().out
 
 
 def test_radius_exceeded_is_postmortem_exit(tmp_path, capsys):
@@ -197,4 +277,4 @@ def test_radius_exceeded_is_postmortem_exit(tmp_path, capsys):
     assert "radius exceeded" in printed and "at site (" in printed
     assert "np.int64" not in printed
     assert (out / "postmortem.mkg").exists()
-    assert len(parse_trace(str(out / "trace.csv"))) >= 1
+    assert len(parse_trace(str(out / "trace.csv")).t) >= 1

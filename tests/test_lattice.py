@@ -1,4 +1,4 @@
-"""Grid geometry, stencils, field-strength bookkeeping, norms, snapshots."""
+"""Grid geometry, stencils, covariant derivatives, norms, snapshots."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,9 @@ from mkg.couplings import constant_couplings
 from mkg.diagnostics import norms
 from mkg.dynamics import Kinematics, ModelSpec
 from mkg.kahler import flat_family
-from mkg.lattice import (FieldState, FieldStrength, LatticeSpec, central_diff,
-                         curl, divergence, field_strength, hodge_dual,
-                         magnetic_field, pairwise_sum, read_snapshot,
-                         write_snapshot, zero_state)
+from mkg.lattice import (LatticeSpec, central_diff, curl, divergence,
+                         pairwise_sum, read_snapshot, write_snapshot,
+                         zero_state)
 from mkg.potentials import polynomial
 
 
@@ -69,28 +68,6 @@ def test_div_curl_identity():
     c = curl(v, lat.dx, order=2)
     d = divergence(c, lat.dx, order=2)
     assert np.max(np.abs(d)) < 1e-13
-
-
-def test_field_strength_sign_conventions():
-    lat = LatticeSpec((16, 16, 1), 0.5)
-    st = random_state(lat, n_gauge=2, seed=2)
-    fs = field_strength(st, lat)
-    # F_{0i} = -E_i and the magnetic components come from curl A
-    assert fs.electric() == pytest.approx(st.E)
-    H = magnetic_field(st, lat, 2)
-    assert fs.magnetic() == pytest.approx(H)
-    inv = fs.scalar_invariant()
-    expect = 2.0 * (np.sum(H**2, axis=1) - np.sum(st.E**2, axis=1))
-    assert inv == pytest.approx(expect)
-
-
-def test_hodge_dual_involution():
-    lat = LatticeSpec((8, 8, 4), 0.4)
-    st = random_state(lat, seed=3)
-    fs = field_strength(st, lat)
-    dd = hodge_dual(hodge_dual(fs))
-    # in Lorentzian signature the double dual is minus the identity
-    assert dd.F == pytest.approx(-fs.F)
 
 
 def test_covariant_derivative_free_limit():
