@@ -189,13 +189,15 @@ MALFORMED_TRACES = {
     "header": HEADER.replace("E0_sf", "E0sf") + "\n" + ROW + "\n",
     "cell": HEADER + "\n" + ROW + "\n" + ROW.replace("0.0", "abc", 1) + "\n",
     "ragged": HEADER + "\n" + ROW + "\n" + ROW[:-len(",0.0")] + "\n",
+    "width": HEADER + "\n" + (ROW[:-len(",0.0")] + "\n") * 3,
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED_TRACES)
 def test_malformed_trace_is_config_error(tmp_path, capsys, case):
-    """A missing file, a wrong header, a cell that is not a number and a
-    short row each print one config-error line and exit 2."""
+    """A missing file, a wrong header, a cell that is not a number, a short
+    row and rows one column short each print one config-error line and
+    exit 2."""
     path = tmp_path / "trace.csv"
     if MALFORMED_TRACES[case] is not None:
         path.write_text(MALFORMED_TRACES[case])
