@@ -481,36 +481,38 @@ def _zq(p: float, c: EstimateConstants) -> float:
     return p + _pw(p, 3) + _ps(p, 1, c.N, 2) + _ps(p, 1, c.N, 4)
 
 
-def eval_LMN(snapshot: NormSnapshot, c: EstimateConstants) -> tuple[float, float, float]:
+def eval_LMNSXUW(snapshot: NormSnapshot, c: EstimateConstants):
+    """The seven functionals a trace row carries, (L, M, N, Sg, Xg, Ug, Wg),
+    from one environment, one I, one Z(p) and one of each power sum."""
     e = snapshot_env(snapshot, c)
-    p, dp, dPsi = e["p"], e["dp"], e["dPsi"]
+    p, dp, dPsi, A, t = e["p"], e["dp"], e["dPsi"], e["A"], e["t"]
     I = eval_I(snapshot, c)
-    L = (p * _zq(p, c) * (dp + 1.0) + dPsi * p + dp + _pw(p, 2) * dp
+    Z = _zq(p, c)
+    s1, s2, s3, s4, s5 = (_ps(p, 1, c.N, k) for k in range(1, 6))
+    L = (p * Z * (dp + 1.0) + dPsi * p + dp + _pw(p, 2) * dp
          + p * I)
     M = (p * dPsi + _pw(p, 2)
          + sum((n + 2) / (n + 1) * c.b(n) * _pw(p, n + 3) for n in range(1, c.N + 1))
          + c.C1 * _pw(p, 2) + _pw(p, 2) + p
-         + _ps(p, 1, c.N, 5) + _ps(p, 1, c.N, 4) + _ps(p, 1, c.N, 3)
-         + _ps(p, 1, c.N, 2) + 1.0)
-    N = (_ps(p, 1, c.N, 5) + _ps(p, 1, c.N, 4) + _ps(p, 1, c.N, 3)
-         + _ps(p, 1, c.N, 2) + _pw(p, 2) + p + 1.0
-         + _zq(p, c) * (dp + 1.0)
+         + s5 + s4 + s3 + s2 + 1.0)
+    N = (s5 + s4 + s3 + s2 + _pw(p, 2) + p + 1.0
+         + Z * (dp + 1.0)
          + p * dp + c.c4 * I)
-    return L, M, N
+    Sg = (dp * (s2 + s1 + 1.0)
+          + I + p + (1.0 + t) * A
+          + dp * Z * (1.0 + p))
+    Xg = 1.0 + _pw(dp, 2) * _pw(p, 2) + dp * _pw(p, 2) + p + dp + _pw(p, 2)
+    Ug = Z * (1.0 + p) + p * dp + c.c4 * I
+    Wg = (Z * (1.0 + dp) + p * dp + c.c4 * I) * Z + eval_H_func(snapshot, c)
+    return L, M, N, Sg, Xg, Ug, Wg
+
+
+def eval_LMN(snapshot: NormSnapshot, c: EstimateConstants) -> tuple[float, float, float]:
+    return eval_LMNSXUW(snapshot, c)[:3]
 
 
 def eval_SXUW(snapshot: NormSnapshot, c: EstimateConstants) -> tuple[float, float, float, float]:
-    e = snapshot_env(snapshot, c)
-    p, dp, A, t = e["p"], e["dp"], e["A"], e["t"]
-    I = eval_I(snapshot, c)
-    Sg = (dp * (_ps(p, 1, c.N, 2) + _ps(p, 1, c.N, 1) + 1.0)
-          + I + p + (1.0 + t) * A
-          + dp * _zq(p, c) * (1.0 + p))
-    Xg = 1.0 + _pw(dp, 2) * _pw(p, 2) + dp * _pw(p, 2) + p + dp + _pw(p, 2)
-    Ug = _zq(p, c) * (1.0 + p) + p * dp + c.c4 * I
-    Wg = (_zq(p, c) * (1.0 + dp) + p * dp + c.c4 * I) * _zq(p, c) \
-        + eval_H_func(snapshot, c)
-    return Sg, Xg, Ug, Wg
+    return eval_LMNSXUW(snapshot, c)[3:]
 
 
 def eval_YZP(snapshot: NormSnapshot, c: EstimateConstants, E0_sf: float):
@@ -578,8 +580,7 @@ def eval_G(snapshot: NormSnapshot) -> float:
 def eval_Q(snapshot: NormSnapshot, c: EstimateConstants) -> float:
     e = snapshot_env(snapshot, c)
     J0, t, p, dp = e["J0"], e["t"], e["p"], e["dp"]
-    Sg, Xg, Ug, Wg = eval_SXUW(snapshot, c)
-    L, M, N = eval_LMN(snapshot, c)
+    L, M, N, Sg, Xg, Ug, Wg = eval_LMNSXUW(snapshot, c)
     return (J0 * Sg + J0**2 * (1.0 + t) * Xg + J0 * p * (1.0 + dp)
             + J0 * Ug + J0 * Wg + J0**2 * (1.0 + t) * (L + M + N))
 
@@ -587,8 +588,8 @@ def eval_Q(snapshot: NormSnapshot, c: EstimateConstants) -> float:
 # fast evaluator per builder name: (function, index into its tuple or None)
 _FAST = {"I": (eval_I, None), "O": (eval_O, None), "H": (eval_H_func, None),
          "D": (eval_D_func, None), "Q": (eval_Q, None)}
-_FAST.update({n: (eval_LMN, i) for i, n in enumerate(("L", "M", "N"))})
-_FAST.update({n: (eval_SXUW, i) for i, n in enumerate(("Sg", "Xg", "Ug", "Wg"))})
+_FAST.update({n: (eval_LMNSXUW, i) for i, n in enumerate(
+    ("L", "M", "N", "Sg", "Xg", "Ug", "Wg"))})
 _FAST.update({n: (eval_YZP, i) for i, n in enumerate(
     ("Y", "Z", "Pcal", "X", "W", "P", "U", "Ztilde", "Zhat", "S", "T", "Zcal", "chi"))})
 
@@ -704,8 +705,7 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
 
     iF, iD, ip, idp, iA = (cumint(F4**2), cumint(Dp**2), cumint(p**2),
                            cumint(dp**2), cumint(A**2))
-    L, M, N = eval_LMN(snap, constants)
-    Sg, _, Ug, Wg = eval_SXUW(snap, constants)
+    L, M, N, Sg, _, Ug, Wg = eval_LMNSXUW(snap, constants)
     J0c = constants.J0
     bound_F = J0c**2 * (1.0 + ts) * (L * iF + M * iD + N * ip)
     resid_F = F4 - bound_F

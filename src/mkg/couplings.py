@@ -8,8 +8,8 @@ Both couplings depend on the scalars only through the amplitude
 
 which is smooth and bounded with bounded derivatives on [0, inf).  The
 constant family is the case amp = 0, mod = 0.  A coupling acts on a field
-with a leading gauge axis as m.v = base.v + s * (mod.v): two tensordots
-over the gauge axis and a per-site scale, never a grid of matrices.
+with a leading gauge axis as m.v = base.v + s * (mod.v): two matrix
+products over the gauge axis and a per-site scale, never a grid of matrices.
 
 h is inverted through the generalized symmetric eigenproblem of the pencil
 (h_base, h_mod) (Golub & Van Loan, Matrix Computations, sec. 8.7).  With
@@ -42,9 +42,16 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _gauge_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m_LS v^S for a constant n x n matrix and a field whose leading axis
-    is the gauge index, e.g. (n, 3, grid) or (n, grid)."""
-    return np.tensordot(m, v, axes=(1, 0))
+    """m_LS v^S for a constant matrix m (n x n, or a vector of n) and a field
+    whose leading axis is the gauge index, e.g. (n, 3, grid) or (n, grid).
+
+    One BLAS product on the (n, rest) view of v.  np.dot on these 2-D
+    operands is the call np.tensordot makes, so the result is the same to
+    the bit; matmul picks another gemv kernel for a vector m and a short
+    rest (n = 4 and 2 or 3 sites differ in the last bit).
+    """
+    out = np.dot(m, v.reshape(v.shape[0], -1))
+    return out.reshape(m.shape[:-1] + v.shape[1:])
 
 
 def site_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -123,7 +130,7 @@ class CouplingFamily:
     def solve_h(self, v: np.ndarray, s) -> np.ndarray:
         """h(psi)^-1 v, with s = self.h.s(psi), by the pencil's eigenbasis."""
         d = self._d.reshape((-1,) + (1,) * (v.ndim - 1))
-        w = np.tensordot(self._P, v, axes=(0, 0))
+        w = _gauge_dot(self._P.T, v)
         w /= 1.0 + d * s
         return _gauge_dot(self._P, w)
 

@@ -72,10 +72,11 @@ def flat_energy_J(snapshot: NormSnapshot, c1: float) -> float:
 
 def _grad_sq(f: np.ndarray, dx: float, order: int) -> np.ndarray:
     """Per-site sum of |d_i f|^2 over i and every leading axis of f, one
-    spatial axis at a time."""
+    spatial axis of size > 1 at a time, accumulated from zero."""
     lead = tuple(range(f.ndim - 3))
-    return sum(np.sum(np.abs(central_diff(f, i, dx, order)) ** 2, axis=lead)
-               for i in range(3))
+    return sum((np.sum(np.abs(central_diff(f, i, dx, order)) ** 2, axis=lead)
+                for i in range(3) if f.shape[f.ndim - 3 + i] > 1),
+               np.zeros(f.shape[-3:]))
 
 
 def sobolev_energies(kin: Kinematics, m: float = DEFAULT_MASS_M) -> tuple[float, float]:
@@ -105,7 +106,7 @@ def sobolev_energies(kin: Kinematics, m: float = DEFAULT_MASS_M) -> tuple[float,
 
 def bianchi_residual(kin: Kinematics) -> float:
     """L-inf of div(curl A): the magnetic Bianchi identity, which the
-    roll-based central stencils satisfy identically up to rounding.
+    periodic central stencils satisfy identically up to rounding.
     (The electric half, d_t H + curl E = 0, holds exactly by construction
     since H = curl A and d_t A = -E share the stencil.)"""
     return float(np.max(np.abs(divergence(kin.H, kin.lattice.dx,

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .couplings import CouplingFamily, site_dot
+from .couplings import CouplingFamily, _gauge_dot, site_dot
 from .errors import NonFinite, RadiusExceeded
 from .kahler import KahlerFamily
 from .lattice import (FieldState, LatticeSpec, central_diff, curl, divergence,
@@ -94,7 +94,7 @@ class Kinematics:
         phi = state.phi
         psi = np.sum(np.abs(phi) ** 2, axis=0)
         r = np.sqrt(psi)
-        qa = np.tensordot(model.charges, state.A, axes=(0, 0))
+        qa = _gauge_dot(model.charges, state.A)
         dphi = gradient(phi, lattice.dx, order)
         Dphi = dphi - 1j * qa[np.newaxis] * phi[:, np.newaxis]
         return cls(state, lattice, model, psi, r,
@@ -174,10 +174,13 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateD
     R = -(Q * psidot * pi + Q * u * pi
           + (Q * pi2 + W * psidot * u) * phi)
 
-    # sum_i Cov_i(g D_i phi), Cov_i = d_i - i (q.A_i)
+    # sum_i Cov_i(g D_i phi), Cov_i = d_i - i (q.A_i); d_i of a size-1 axis
+    # is zero and skipped
     gD = alpha[np.newaxis] * Dphi + Q[np.newaxis] * pD * phi[:, np.newaxis]
     for i in range(3):
-        R = R + central_diff(gD[:, i], i, dx, order) - 1j * kin.qa[i] * gD[:, i]
+        if state.dims[i] > 1:
+            R = R + central_diff(gD[:, i], i, dx, order)
+        R = R - 1j * kin.qa[i] * gD[:, i]
 
     # curvature term: dbar_b g_ac (pi pi - Dphi Dphi) contractions
     trK = pi2 - np.real(np.sum(np.abs(Dphi) ** 2, axis=(0, 1)))
@@ -265,7 +268,7 @@ def gauge_transform(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     """
     theta = np.asarray(theta, dtype=float)
     dtheta = gradient(theta, lattice.dx, model.stencil_order)
-    phase = np.exp(1j * np.tensordot(model.charges, theta, axes=(0, 0)))
+    phase = np.exp(1j * _gauge_dot(model.charges, theta))
     return FieldState(
         A=state.A + dtheta,
         E=state.E.copy(),

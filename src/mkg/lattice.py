@@ -5,6 +5,15 @@ A and E are real arrays of shape [N_V, 3, nx, ny, nz], phi and pi are
 complex arrays of shape [N_C, nx, ny, nz]. Axes of size 1 make the box
 effectively lower dimensional (their derivatives vanish identically).
 
+Stencil contract. `central_diff`, `gradient`, `curl` and `divergence` are
+periodic central differences of order 2 or 4 along the last three axes.
+They do the same floating-point operations, in the same order, as the
+textbook form built from `np.roll` and `np.stack` (the tests keep that form
+as their reference and require equal bits), but they subtract basic slices
+of the input into one preallocated output instead of copying shifted
+arrays. A size-1 axis is never differenced: its derivative is an exact
+zero, which `gradient` writes and `curl` and `divergence` skip.
+
 Sign conventions, fixed once here and inherited everywhere:
     eta = diag(-1, 1, 1, 1)
     E^i = F^{0i}             =>  F_{0i} = -E_i
@@ -96,6 +105,42 @@ def zero_state(lattice: LatticeSpec, n_gauge: int, n_scalar: int) -> FieldState:
     )
 
 
+def _shift_diff(out: np.ndarray, f: np.ndarray, ax: int, k: int) -> None:
+    """out[i] = f[i + k] - f[i - k] along axis ax, indices modulo its size.
+
+    The axis splits at the wrap points of i + k and i - k into at most
+    three runs on which both shifted indices are contiguous, so each run is
+    one subtraction of basic slices.
+    """
+    n = f.shape[ax]
+    cuts = sorted({0, k % n, -k % n, n})
+    lead = (slice(None),) * ax
+    for a, b in zip(cuts, cuts[1:]):
+        hi, lo = (a + k) % n, (a - k) % n
+        np.subtract(f[lead + (slice(hi, hi + b - a),)],
+                    f[lead + (slice(lo, lo + b - a),)],
+                    out=out[lead + (slice(a, b),)])
+
+
+def _diff_into(out: np.ndarray, f: np.ndarray, ax: int, dx: float,
+               order: int) -> None:
+    """out = periodic central difference of f along axis ax (size > 1):
+    (f[i+1] - f[i-1]) / (2 dx), or
+    (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 dx)."""
+    if order == 2:
+        _shift_diff(out, f, ax, 1)
+        out /= 2.0 * dx
+    elif order == 4:
+        _shift_diff(out, f, ax, 1)
+        out *= 8.0
+        far = np.empty_like(out)
+        _shift_diff(far, f, ax, 2)
+        out -= far
+        out /= 12.0 * dx
+    else:
+        raise ValidationError(f"unsupported stencil order {order}")
+
+
 def central_diff(f: np.ndarray, axis: int, dx: float, order: int = 2) -> np.ndarray:
     """Periodic central difference along a spatial axis (counted from the end).
 
@@ -105,32 +150,61 @@ def central_diff(f: np.ndarray, axis: int, dx: float, order: int = 2) -> np.ndar
     ax = f.ndim - 3 + axis
     if f.shape[ax] == 1:
         return np.zeros_like(f)
-    if order == 2:
-        return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * dx)
-    if order == 4:
-        return (8.0 * (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax))
-                - (np.roll(f, -2, axis=ax) - np.roll(f, 2, axis=ax))) / (12.0 * dx)
-    raise ValidationError(f"unsupported stencil order {order}")
+    out = np.empty(f.shape, np.result_type(f, 1.0))
+    _diff_into(out, f, ax, dx, order)
+    return out
 
 
 def gradient(f: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
-    """Stack of the three spatial central differences, new axis first
-    after any leading field axes: shape f.shape[:-3] + (3,) + grid."""
-    parts = [central_diff(f, i, dx, order) for i in range(3)]
-    return np.stack(parts, axis=f.ndim - 3)
+    """The three spatial central differences, new axis first after any
+    leading field axes: shape f.shape[:-3] + (3,) + grid."""
+    lead = f.ndim - 3
+    out = np.empty(f.shape[:lead] + (3,) + f.shape[lead:], np.result_type(f, 1.0))
+    for i in range(3):
+        part = out[..., i, :, :, :]
+        if f.shape[lead + i] == 1:
+            part[...] = 0
+        else:
+            _diff_into(part, f, lead + i, dx, order)
+    return out
+
+
+# (c, a, b): component c of the curl is d_a v_b - d_b v_a
+_CURL_TERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def curl(v: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
-    """Curl of a vector field with component axis third from the end."""
-    d = lambda comp, axis: central_diff(v[..., comp, :, :, :], axis, dx, order)
-    cx = d(2, 1) - d(1, 2)
-    cy = d(0, 2) - d(2, 0)
-    cz = d(1, 0) - d(0, 1)
-    return np.stack([cx, cy, cz], axis=v.ndim - 4)
+    """Curl of a vector field with component axis fourth from the end.
+
+    Each component starts from the d_a v_b term, or from zero when axis a
+    has size 1, and subtracts d_b v_a unless axis b has size 1: the same
+    values, signed zeros included, as subtracting the zero derivatives."""
+    lead = v.ndim - 4
+    out = np.empty(v.shape, np.result_type(v, 1.0))
+    term = np.empty_like(out[..., 0, :, :, :])
+    for c, a, b in _CURL_TERMS:
+        part = out[..., c, :, :, :]
+        if v.shape[lead + 1 + a] == 1:
+            part[...] = 0
+        else:
+            _diff_into(part, v[..., b, :, :, :], lead + a, dx, order)
+        if v.shape[lead + 1 + b] > 1:
+            _diff_into(term, v[..., a, :, :, :], lead + b, dx, order)
+            part -= term
+    return out
 
 
 def divergence(v: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
-    return sum(central_diff(v[..., i, :, :, :], i, dx, order) for i in range(3))
+    """Sum over i of d_i v_i (component axis fourth from the end), over the
+    axes of size > 1, accumulated from zero."""
+    lead = v.ndim - 4
+    out = np.zeros(v.shape[:lead] + v.shape[lead + 1:], np.result_type(v, 1.0))
+    term = np.empty_like(out)
+    for i in range(3):
+        if v.shape[lead + 1 + i] > 1:
+            _diff_into(term, v[..., i, :, :, :], lead + i, dx, order)
+            out += term
+    return out
 
 
 def magnetic_field(state: FieldState, lattice: LatticeSpec, order: int = 2) -> np.ndarray:

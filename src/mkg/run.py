@@ -35,8 +35,7 @@ def _fmt(v: float) -> str:
 
 def trace_row(record: DiagnosticsRecord, constants: bounds.EstimateConstants) -> str:
     snap = record.norm_snapshot
-    L, M, N = bounds.eval_LMN(snap, constants)
-    Sg, Xg, Ug, Wg = bounds.eval_SXUW(snap, constants)
+    L, M, N, Sg, Xg, Ug, Wg = bounds.eval_LMNSXUW(snap, constants)
     vals = ((record.t, record.energy_E0, record.flat_J,
              constants.J0 * (1.0 + record.t),
              record.sobolev_E0, record.sobolev_E1,

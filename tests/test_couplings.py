@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mkg.couplings import constant_couplings, saturating_couplings, site_dot
+from mkg.couplings import (_gauge_dot, constant_couplings, saturating_couplings,
+                           site_dot)
 from mkg.errors import IndefiniteCoupling
 
 
@@ -163,3 +164,62 @@ def test_affine_algebra_matches_per_site_matrices(n, amp, psi_max, dims, vector,
     rhs = np.moveaxis(v, 0, -1)[..., None]      # ([3,] grid, n, 1)
     want = np.moveaxis(np.linalg.solve(h, rhs)[..., 0], -1, 0)
     _rel_close(fam.solve_h(v, fam.h.s(psi)), want)
+
+
+# Reference contractions: the np.tensordot forms the products replaced.
+
+
+def tensordot_apply_mod(m, v, s):
+    out = np.tensordot(m.mod, v, axes=(1, 0))
+    out *= s
+    return out
+
+
+def tensordot_apply(m, v, s):
+    out = np.tensordot(m.base, v, axes=(1, 0))
+    out += tensordot_apply_mod(m, v, s)
+    return out
+
+
+def tensordot_solve_h(fam, v, s):
+    d = fam._d.reshape((-1,) + (1,) * (v.ndim - 1))
+    w = np.tensordot(fam._P, v, axes=(0, 0))
+    w /= 1.0 + d * s
+    return np.tensordot(fam._P, w, axes=(1, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 4),
+       dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+       layout=st.sampled_from(("vector", "scalar", "component")),
+       seed=st.integers(0, 2**32 - 1))
+def test_gauge_products_match_tensordot(n, dims, layout, seed):
+    """apply, apply_mod, solve_h and the charge contraction q.v give the
+    tensordot forms' bits, on contiguous fields and on strided component
+    views v[:, c], signed zeros included."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(-1.0, 1.0, (n, n))
+    mod = rng.uniform(-1.0, 1.0, (n, n))
+    mod = 0.2 * (mod + mod.T) / n
+    fam = saturating_couplings(n, h_base=np.eye(n) + 0.5 * b @ b.T, h_mod=mod,
+                               h_amplitude=0.5, k_base=mod, k_mod=b + b.T,
+                               k_amplitude=-0.7)
+    field = rng.standard_normal((n, 3) + dims)
+    flat = field.reshape(-1)
+    flat[rng.random(flat.size) < 0.1] = 0.0
+    flat[rng.random(flat.size) < 0.1] = -0.0
+    v = {"vector": field, "scalar": field[:, 0].copy(),
+         "component": field[:, int(rng.integers(3))]}[layout]
+    psi = rng.uniform(0.0, 3.0, dims)
+    q = rng.uniform(-2.0, 2.0, n)
+    q[rng.random(n) < 0.3] = 0.0
+
+    def same(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    for m in (fam.h, fam.k):
+        same(m.apply(v, m.s(psi)), tensordot_apply(m, v, m.s(psi)))
+        same(m.apply_mod(v, m.s_prime(psi)),
+             tensordot_apply_mod(m, v, m.s_prime(psi)))
+    same(fam.solve_h(v, fam.h.s(psi)), tensordot_solve_h(fam, v, fam.h.s(psi)))
+    same(_gauge_dot(q, v), np.tensordot(q, v, axes=(0, 0)))

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mkg.couplings import constant_couplings
 from mkg.diagnostics import norms
 from mkg.dynamics import Kinematics, ModelSpec
 from mkg.kahler import flat_family
 from mkg.lattice import (LatticeSpec, central_diff, curl, divergence,
-                         pairwise_sum, read_snapshot, write_snapshot,
-                         zero_state)
+                         gradient, pairwise_sum, read_snapshot,
+                         write_snapshot, zero_state)
 from mkg.potentials import polynomial
 
 
@@ -59,6 +60,84 @@ def test_central_diff_exact_on_modes():
 def test_central_diff_size_one_axis_is_zero():
     f = np.ones((4, 1, 1))
     assert np.all(central_diff(f, 1, 0.1) == 0.0)
+
+
+# Reference stencils: shifted copies by np.roll, components joined by np.stack.
+
+
+def roll_central_diff(f, axis, dx, order):
+    ax = f.ndim - 3 + axis
+    if f.shape[ax] == 1:
+        return np.zeros_like(f)
+    if order == 2:
+        return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * dx)
+    return (8.0 * (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax))
+            - (np.roll(f, -2, axis=ax) - np.roll(f, 2, axis=ax))) / (12.0 * dx)
+
+
+def roll_gradient(f, dx, order):
+    parts = [roll_central_diff(f, i, dx, order) for i in range(3)]
+    return np.stack(parts, axis=f.ndim - 3)
+
+
+def roll_curl(v, dx, order):
+    d = lambda comp, axis: roll_central_diff(v[..., comp, :, :, :], axis, dx, order)
+    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)],
+                    axis=v.ndim - 4)
+
+
+def roll_divergence(v, dx, order):
+    return sum(roll_central_diff(v[..., i, :, :, :], i, dx, order) for i in range(3))
+
+
+def _same_bits(got, want):
+    assert isinstance(got, np.ndarray)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _field(rng, shape, complex_data):
+    """Normal draws at a random scale, with +0.0 and -0.0 sprinkled in so
+    that signed zeros reach every subtraction."""
+    f = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5)
+    if complex_data:
+        f = f + 1j * rng.standard_normal(shape)
+    flat = f.reshape(-1)
+    flat[rng.random(flat.size) < 0.15] = 0.0
+    flat[rng.random(flat.size) < 0.15] = -0.0
+    return f
+
+
+AXIS_SIZES = st.sampled_from((1, 2, 3, 4, 5, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.tuples(AXIS_SIZES, AXIS_SIZES, AXIS_SIZES),
+       lead=st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple),
+       order=st.sampled_from((2, 4)), complex_data=st.booleans(),
+       dx=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_stencils_match_roll_reference(dims, lead, order, complex_data, dx, seed):
+    """The slicing stencils give the roll/stack form's bits, signed zeros
+    included, on every axis size, wrap-around (n <= 2k) and size 1 alike."""
+    rng = np.random.default_rng(seed)
+    f = _field(rng, lead + dims, complex_data)
+    v = _field(rng, lead + (3,) + dims, complex_data)
+    for axis in range(3):
+        _same_bits(central_diff(f, axis, dx, order),
+                   roll_central_diff(f, axis, dx, order))
+    _same_bits(gradient(f, dx, order), roll_gradient(f, dx, order))
+    _same_bits(curl(v, dx, order), roll_curl(v, dx, order))
+    _same_bits(divergence(v, dx, order), roll_divergence(v, dx, order))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_single_site_box_stencils_are_zero_arrays(order):
+    v = np.random.default_rng(3).standard_normal((2, 3, 1, 1, 1))
+    for got, shape in ((divergence(v, 0.1, order), (2, 1, 1, 1)),
+                       (curl(v, 0.1, order), (2, 3, 1, 1, 1)),
+                       (gradient(v[:, 0], 0.1, order), (2, 3, 1, 1, 1))):
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        assert got.dtype == np.float64 and not np.any(got)
 
 
 def test_div_curl_identity():
