@@ -1,13 +1,12 @@
 """Estimate functionals and Gronwall-type trace audits.
 
-Every functional of the global-existence estimates is implemented twice:
+Every functional of the global-existence estimates is transcribed once
+here, display by display, as plain arithmetic; each evaluator takes one
+record's floats or a whole trace's columns.  The tests keep a second,
+symbolic transcription of every display (a monomial list built term by
+term) as the reference these evaluators must match to rounding: the
+defense against transcription errors in the very long printed expressions.
 
-* a *fast* evaluator, transcribed display by display as plain arithmetic;
-* a *symbolic* monomial list (coefficient + power per norm variable), built
-  term by term through a tiny polynomial algebra.
-
-The two must agree to rounding on random inputs; that cross-check is the
-anti-transcription-error defense for the very long printed expressions.
 All free multiplicative constants of the estimates (the various curly-C,
 K and B constants) default to 1; only b_n, C1..C3 and c4 are data.
 
@@ -19,7 +18,7 @@ E0h = sqrt(sobolev E0), J0 = initial flat energy, t = time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,10 +29,6 @@ from .potentials import PotentialKind
 
 if TYPE_CHECKING:
     from .diagnostics import DiagnosticsRecord
-
-VARS = ("p", "dp", "Dp", "F4", "A", "dPsi", "E0h", "J0", "t")
-_IDX = {v: i for i, v in enumerate(VARS)}
-
 
 @dataclass(frozen=True)
 class EstimateConstants:
@@ -73,87 +68,6 @@ class FittedConstants:
     c1: float
     k0: float
     k1: float
-
-
-# ---------------------------------------------------------------------------
-# tiny polynomial algebra over the norm variables (monomial oracle)
-
-
-class Poly:
-    """Polynomial with nonnegative integer powers over VARS."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[tuple, float] = dict(terms or {})
-
-    @classmethod
-    def const(cls, c: float) -> "Poly":
-        if c == 0.0:
-            return cls()
-        return cls({(0,) * len(VARS): float(c)})
-
-    @classmethod
-    def var(cls, name: str, power: int = 1) -> "Poly":
-        e = [0] * len(VARS)
-        e[_IDX[name]] = power
-        return cls({tuple(e): 1.0})
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = Poly.const(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0.0) + c
-        return Poly({e: c for e, c in out.items() if c != 0.0})
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0.0:
-                return Poly()
-            return Poly({e: c * other for e, c in self.terms.items()})
-        out: dict[tuple, float] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0.0) + c1 * c2
-        return Poly({e: c for e, c in out.items() if c != 0.0})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = Poly.const(1.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def eval(self, env: dict[str, float]) -> float:
-        total = 0.0
-        vals = [env[v] for v in VARS]
-        for e, c in sorted(self.terms.items()):
-            m = c
-            for x, k in zip(vals, e):
-                if k:
-                    m *= _pw(x, k)
-            total += m
-        return total
-
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-
-def _v(name, k=1):
-    return Poly.var(name, k)
-
-
-def _psum(lo: int, hi: int, shift: int) -> Poly:
-    """sum_{n=lo}^{hi} p**(n+shift) as a Poly (exponents must be >= 0)."""
-    out = Poly()
-    for n in range(lo, hi + 1):
-        out = out + _v("p", n + shift)
-    return out
 
 
 def _pw(x, k: int):
@@ -200,252 +114,7 @@ def _is_polynomial(constants: EstimateConstants) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# symbolic builders, one per printed display
-
-
-def build_O(c: EstimateConstants) -> Poly:
-    # p dp (1 + J0 (1+t) sum_{n=1}^{N-2} p^{2n+1})
-    inner = Poly.const(1.0)
-    if c.N - 2 >= 1:
-        s = Poly()
-        for n in range(1, c.N - 1):
-            s = s + _v("p", 2 * n + 1)
-        inner = inner + _v("J0") * (1 + _v("t")) * s
-    return _v("p") * _v("dp") * inner
-
-
-def build_I(c: EstimateConstants) -> Poly:
-    if _is_polynomial(c):
-        return build_O(c)
-    return _v("p") * _v("dp") * _v("J0")
-
-
-def build_D(c: EstimateConstants) -> Poly:
-    # sum_{n=0}^{N-1} p^{2n} + J0 (1+t) dPsi sum_{n=0}^{N-2} p^{2n}
-    s1 = Poly()
-    for n in range(0, c.N):
-        s1 = s1 + _v("p", 2 * n)
-    s2 = Poly()
-    for n in range(0, c.N - 1):
-        s2 = s2 + _v("p", 2 * n)
-    return s1 + _v("J0") * (1 + _v("t")) * _v("dPsi") * s2
-
-
-def build_H(c: EstimateConstants) -> Poly:
-    if _is_polynomial(c):
-        return build_D(c)
-    return _v("J0") * (_v("dPsi") ** 2 + 1)
-
-
-def _Zq(c: EstimateConstants) -> Poly:
-    # the recurring quartet: p + p^3 + sum p^{n+2} + sum p^{n+4}
-    return _v("p") + _v("p", 3) + _psum(1, c.N, 2) + _psum(1, c.N, 4)
-
-
-def build_L(c: EstimateConstants) -> Poly:
-    return (_v("p") * _Zq(c) * (_v("dp") + 1)
-            + _v("dPsi") * _v("p") + _v("dp")
-            + _v("p", 2) * _v("dp") + _v("p") * build_I(c))
-
-
-def build_M(c: EstimateConstants) -> Poly:
-    s = _v("p") * _v("dPsi") + _v("p", 2)
-    for n in range(1, c.N + 1):
-        s = s + ((n + 2) / (n + 1)) * c.b(n) * _v("p", n + 3)
-    s = s + c.C1 * _v("p", 2) + _v("p", 2) + _v("p")
-    s = s + _psum(1, c.N, 5) + _psum(1, c.N, 4) + _psum(1, c.N, 3) + _psum(1, c.N, 2)
-    return s + 1
-
-
-def build_N(c: EstimateConstants) -> Poly:
-    head = (_psum(1, c.N, 5) + _psum(1, c.N, 4) + _psum(1, c.N, 3)
-            + _psum(1, c.N, 2) + _v("p", 2) + _v("p") + 1)
-    tail = _Zq(c) * (_v("dp") + 1)
-    return head + tail + _v("p") * _v("dp") + c.c4 * build_I(c)
-
-
-def build_Sg(c: EstimateConstants) -> Poly:
-    # script-S of the scalar estimate
-    return (_v("dp") * (_psum(1, c.N, 2) + _psum(1, c.N, 1) + 1)
-            + build_I(c) + _v("p") + (1 + _v("t")) * _v("A")
-            + _v("dp") * _Zq(c) * (1 + _v("p")))
-
-
-def build_Xg(c: EstimateConstants) -> Poly:
-    return (Poly.const(1.0) + _v("dp", 2) * _v("p", 2) + _v("dp") * _v("p", 2)
-            + _v("p") + _v("dp") + _v("p", 2))
-
-
-def build_Ug(c: EstimateConstants) -> Poly:
-    return _Zq(c) * (1 + _v("p")) + _v("p") * _v("dp") + c.c4 * build_I(c)
-
-
-def build_Wg(c: EstimateConstants) -> Poly:
-    inner = _Zq(c) * (1 + _v("dp")) + _v("p") * _v("dp") + c.c4 * build_I(c)
-    return inner * _Zq(c) + build_H(c)
-
-
-def build_Y(c: EstimateConstants) -> Poly:
-    s = Poly()
-    for n in range(1, c.N + 1):
-        b = c.b(n)
-        s = s + 8 * b * _v("p", n + 6) + b * _v("p", n + 5) + 12 * b * _v("p", n + 3)
-    s = s + 6 * c.C1 * (_v("p", 2) + _v("p", 3))
-    s = s + (c.C2 + c.C3) * _v("p") + Poly.const(c.C3)
-    return s
-
-
-def build_Z(c: EstimateConstants) -> Poly:
-    return _Zq(c)
-
-
-def build_Pcal(c: EstimateConstants) -> Poly:
-    # exponent of the sobolev-E0 Gronwall bound
-    return (build_Y(c) * (_v("Dp") + 1 + _v("p"))
-            + _v("F4") * _v("dp") * (1 + _v("p"))
-            + (_v("dp") + _v("Dp")) * build_Z(c)
-            + build_I(c) + 1)
-
-
-def build_Ztilde(c: EstimateConstants) -> Poly:
-    s = Poly()
-    for n in range(1, c.N + 1):
-        s = s + ((n + 2) / (n + 1)) * c.b(n) * _v("p", n + 2)
-    return s + c.C1 * _v("p")
-
-
-def build_Zhat(c: EstimateConstants) -> Poly:
-    s = Poly()
-    for n in range(0, c.N + 1):
-        s = s + ((n + 2) / (n + 1)) * c.b(n) * _v("p", n + 1)
-        s = s + (n + 3) * c.b(n) * _v("p", n + 2)
-    return s + c.C1
-
-
-def build_Zcal(c: EstimateConstants) -> Poly:
-    # Psi_inf = p^2
-    if _is_polynomial(c):
-        s1 = Poly()
-        for n in range(2, c.N + 1):      # the n=1 term carries factor (n-1)=0
-            s1 = s1 + (n - 1) * _v("p", 2 * (n - 2))
-        s2 = Poly()
-        for n in range(1, c.N + 1):
-            s2 = s2 + n * _v("p", 2 * (n - 1))
-        return _v("p") * s1 * _v("E0h") + s2
-    return 1 + _v("E0h") * _v("p")
-
-
-def build_chi(c: EstimateConstants) -> Poly:
-    if _is_polynomial(c):
-        s = Poly()
-        for n in range(1, c.N + 1):
-            s = s + n * _v("p", 2 * (n - 1))
-        return _v("E0h") * s
-    return _v("E0h")
-
-
-def build_S(c: EstimateConstants) -> Poly:
-    Zt = build_Ztilde(c)
-    Zh = build_Zhat(c)
-    Z = build_Z(c)
-    return (_v("dp") * Zt * (_v("p") * _v("F4") * _v("E0h") + build_chi(c))
-            + _v("E0h") * _v("dp") * Zt * Zt * (1 + _v("p")) * (_v("Dp") + _v("dp"))
-            + _v("E0h") * Z * (_v("Dp") + 1) * (_v("dp") + _v("p"))
-            + _v("E0h") * _v("F4") * _v("dp")
-            + _v("Dp") * _v("p", 2) * _v("dp") * _v("E0h") * (1 + _v("p"))
-            + Zh * _v("dp") * (1 + _v("p")) * _v("E0h", 2))
-
-
-def build_T(c: EstimateConstants) -> Poly:
-    return (_v("E0h") * (1 + _v("p")) * build_Ztilde(c)
-            + _v("F4") * _v("p") + build_Z(c) * (_v("Dp") + 1))
-
-
-def build_X(c: EstimateConstants) -> Poly:
-    Y = build_Y(c)
-    inner = (_v("Dp") * _v("dp") + _v("Dp") + _v("p") + _v("dp") + 1)
-    return (Y * (inner * _v("E0h") + 1)
-            + _v("E0h") * _v("F4") * (_v("dp", 2) * _v("p") + _v("dp"))
-            + _v("p"))
-
-
-def build_W(c: EstimateConstants) -> Poly:
-    Y = build_Y(c)
-    Zt = build_Ztilde(c)
-    Zh = build_Zhat(c)
-    return (_v("Dp") * Y * (_v("dp") * _v("E0h") + _v("p")
-                            + _v("dPsi") * _v("E0h") * _v("dp"))
-            + _v("F4") * _v("p") * _v("dp") * (_v("dp") * _v("E0h")
-                                               + _v("p") * _v("E0h")
-                                               + _v("dPsi") * _v("E0h") * _v("dp"))
-            + _v("Dp") * _v("dPsi") * Zt * _v("E0h")
-            + _v("Dp") * _v("p") * (Zh * _v("dp") * _v("E0h") + Zt)
-            + _v("dp") * Y * (_v("p") + _v("E0h") * _v("p", 2)
-                              + _v("E0h") * _v("dp") * _v("p")
-                              + _v("Dp") * _v("E0h"))
-            + _v("F4") * _v("dp", 2) * _v("p", 3) * (_v("dp", 2) + _v("p")) * _v("E0h")
-            + _v("dp", 2) * _v("p", 2))
-
-
-def build_P(c: EstimateConstants) -> Poly:
-    Y = build_Y(c)
-    Zt = build_Ztilde(c)
-    S = build_S(c)
-    T = build_T(c)
-    Zc = build_Zcal(c)
-    return (_v("p", 2) * _v("dp", 2)
-            + Zt * _v("Dp") * _v("dp") * _v("p")
-            + _v("F4") * _v("dp") * _v("p", 2)
-            + _v("F4") * _v("dp")
-            + _v("p") * T
-            + Y * (T + _v("p") + _v("A") + 1)
-            + _v("p") * S
-            + _v("p") * Zc
-            + Y * S
-            + _v("E0h") * Y * (_v("dp") + _v("p"))
-            + Y * Zc
-            + _v("p", 2) * _v("dp", 3) * _v("F4") * _v("E0h")
-            + _v("Dp") * _v("dp") * _v("p") * _v("E0h") * Y
-            + Zt * _v("dp") * _v("p") * _v("Dp")
-            * (_v("E0h") + _v("E0h") * (_v("p") * _v("dp") + _v("p", 2)))
-            + _v("F4") * (_v("dPsi") * _v("dp", 2) * _v("E0h") * _v("p")
-                          + _v("dp", 2) * _v("p") * _v("E0h"))
-            + _v("F4") * (_v("dPsi") * (_v("dp") * _v("E0h") + _v("p"))
-                          + _v("dPsi", 2) * _v("dp") * _v("E0h")))
-
-
-def build_U(c: EstimateConstants) -> Poly:
-    return build_S(c) + build_T(c) + build_Zcal(c)
-
-
-def build_Q(c: EstimateConstants) -> Poly:
-    # all free constants set to one
-    J0, t = _v("J0"), _v("t")
-    return (J0 * build_Sg(c) + J0 * J0 * (1 + t) * build_Xg(c)
-            + J0 * _v("p") * (1 + _v("dp"))
-            + J0 * build_Ug(c) + J0 * build_Wg(c)
-            + J0 * J0 * (1 + t) * (build_L(c) + build_M(c) + build_N(c)))
-
-
-BUILDERS = {
-    "I": build_I, "O": build_O, "H": build_H, "D": build_D,
-    "L": build_L, "M": build_M, "N": build_N,
-    "Sg": build_Sg, "Xg": build_Xg, "Ug": build_Ug, "Wg": build_Wg,
-    "Y": build_Y, "Z": build_Z, "Pcal": build_Pcal,
-    "Ztilde": build_Ztilde, "Zhat": build_Zhat,
-    "Zcal": build_Zcal, "chi": build_chi,
-    "S": build_S, "T": build_T, "X": build_X, "W": build_W,
-    "P": build_P, "U": build_U, "Q": build_Q,
-}
-
-
-def eval_monomial(name: str, snapshot: NormSnapshot, constants: EstimateConstants,
-                  E0_sf: float = 0.0) -> float:
-    return BUILDERS[name](constants).eval(snapshot_env(snapshot, constants, E0_sf))
-
-
-# ---------------------------------------------------------------------------
-# fast evaluators (independent transcriptions of the same displays)
+# estimate functionals, one evaluator per printed display
 
 
 def eval_O(snapshot: NormSnapshot, c: EstimateConstants) -> float:
@@ -505,14 +174,6 @@ def eval_LMNSXUW(snapshot: NormSnapshot, c: EstimateConstants):
     Ug = Z * (1.0 + p) + p * dp + c.c4 * I
     Wg = (Z * (1.0 + dp) + p * dp + c.c4 * I) * Z + eval_H_func(snapshot, c)
     return L, M, N, Sg, Xg, Ug, Wg
-
-
-def eval_LMN(snapshot: NormSnapshot, c: EstimateConstants) -> tuple[float, float, float]:
-    return eval_LMNSXUW(snapshot, c)[:3]
-
-
-def eval_SXUW(snapshot: NormSnapshot, c: EstimateConstants) -> tuple[float, float, float, float]:
-    return eval_LMNSXUW(snapshot, c)[3:]
 
 
 def eval_YZP(snapshot: NormSnapshot, c: EstimateConstants, E0_sf: float):
@@ -575,31 +236,6 @@ def eval_YZP(snapshot: NormSnapshot, c: EstimateConstants, E0_sf: float):
 
 def eval_G(snapshot: NormSnapshot) -> float:
     return snapshot.linf_F + snapshot.linf_Dphi
-
-
-def eval_Q(snapshot: NormSnapshot, c: EstimateConstants) -> float:
-    e = snapshot_env(snapshot, c)
-    J0, t, p, dp = e["J0"], e["t"], e["p"], e["dp"]
-    L, M, N, Sg, Xg, Ug, Wg = eval_LMNSXUW(snapshot, c)
-    return (J0 * Sg + J0**2 * (1.0 + t) * Xg + J0 * p * (1.0 + dp)
-            + J0 * Ug + J0 * Wg + J0**2 * (1.0 + t) * (L + M + N))
-
-
-# fast evaluator per builder name: (function, index into its tuple or None)
-_FAST = {"I": (eval_I, None), "O": (eval_O, None), "H": (eval_H_func, None),
-         "D": (eval_D_func, None), "Q": (eval_Q, None)}
-_FAST.update({n: (eval_LMNSXUW, i) for i, n in enumerate(
-    ("L", "M", "N", "Sg", "Xg", "Ug", "Wg"))})
-_FAST.update({n: (eval_YZP, i) for i, n in enumerate(
-    ("Y", "Z", "Pcal", "X", "W", "P", "U", "Ztilde", "Zhat", "S", "T", "Zcal", "chi"))})
-
-
-def eval_fast(name: str, snapshot: NormSnapshot, constants: EstimateConstants,
-              E0_sf: float = 0.0) -> float:
-    fn, index = _FAST[name]
-    out = (fn(snapshot, constants, E0_sf) if fn is eval_YZP
-           else fn(snapshot, constants))
-    return out if index is None else out[index]
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +310,7 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     snap = trace.norm_snapshot
     E0v = trace.sobolev_E0
     E1v = trace.sobolev_E1
-    Pcal = build_Pcal(constants).eval(snapshot_env(snap, constants, E0v))
-    _, _, _, X, W, P, U, *_ = eval_YZP(snap, constants, E0v)
+    _, _, Pcal, X, W, P, U, *_ = eval_YZP(snap, constants, E0v)
     XWPU = X + W + P + U
 
     def c0_fit_to(k):

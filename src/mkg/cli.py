@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 check failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -81,9 +82,18 @@ def cmd_check_bounds(args) -> int:
 
 
 def cmd_kirchhoff_verify(args) -> int:
-    k = np.array([float(p) for p in args.k.split(",")])
-    if k.size != 3:
-        raise ValidationError("--k expects three comma-separated numbers")
+    try:
+        k = np.array([float(p) for p in args.k.split(",")])
+    except ValueError:
+        k = np.array([])
+    if k.size != 3 or not np.isfinite(k).all():
+        raise ValidationError(f"--k expects three comma-separated finite "
+                              f"numbers (got {args.k!r})")
+    if args.order < 1:
+        raise ValidationError(f"--order must be >= 1 (got {args.order})")
+    if not 0.0 < args.r0 < math.inf:
+        raise ValidationError(f"--r0 must be a positive finite number "
+                              f"(got {args.r0})")
     quad = SphereQuadrature.build(args.order)
     wave = PlaneWave(k)
     points = [(0.0, np.zeros(3)), (1.0, np.array([0.3, -0.2, 0.5])),

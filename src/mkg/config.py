@@ -8,6 +8,7 @@ is a bare ``[initial_data]`` section naming a scenario.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .bounds import EstimateConstants
@@ -73,9 +74,12 @@ def _fail_key(section: str, key: str, value: str, why: str):
 
 def _as_float(section, key, value):
     try:
-        return float(value)
+        v = float(value)
     except ValueError:
         _fail_key(section, key, value, "expected a number")
+    if not math.isfinite(v):
+        _fail_key(section, key, value, "expected a finite number")
+    return v
 
 
 def _as_int(section, key, value):

@@ -85,14 +85,6 @@ class MatrixFamily:
         out *= s
         return out
 
-    # per-site matrices: the reference the contractions are tested against
-
-    def value(self, psi):
-        return self.base + np.multiply.outer(self.s(psi), self.mod)
-
-    def prime(self, psi):
-        return np.multiply.outer(self.s_prime(psi), self.mod)
-
 
 @dataclass
 class CouplingFamily:

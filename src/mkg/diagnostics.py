@@ -16,9 +16,6 @@ from .dynamics import Kinematics, ModelSpec, gauss_residual
 from .lattice import (FieldState, LatticeSpec, NormSnapshot, central_diff,
                       divergence, gradient, pairwise_sum)
 
-DEFAULT_MASS_M = 1.0
-_R_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -31,7 +28,6 @@ class DiagnosticsRecord:
     gauss_res_linf: float
     bianchi_res_linf: float
     norm_snapshot: NormSnapshot
-    mass_m: float
 
 
 def stack_records(records) -> DiagnosticsRecord:
@@ -52,18 +48,6 @@ def energy_E0(kin: Kinematics) -> float:
     return pairwise_sum(T + U) * kin.lattice.cell_volume
 
 
-def energy_E0_potential_form(kin: Kinematics) -> float:
-    """Same energy with the target metric written out in radial-potential
-    derivatives, Phi'/(2r) and (Phi'' - Phi'/r)/(4 r^2).  Regression twin
-    of energy_E0; must agree to rounding."""
-    fam = kin.model.kahler
-    r = np.maximum(kin.r, _R_FLOOR)
-    alpha = fam.phi_p(r) / (2.0 * r)
-    Q = (fam.phi_pp(r) - fam.phi_p(r) / r) / (4.0 * r**2)
-    T, U = kin.densities(alpha, Q)
-    return pairwise_sum(T + U) * kin.lattice.cell_volume
-
-
 def flat_energy_J(snapshot: NormSnapshot, c1: float) -> float:
     """||E|| + ||H|| + (c1/2)||Dphi|| + ||phi|| + ||V||, all L2."""
     return (snapshot.l2_E + snapshot.l2_H + 0.5 * c1 * snapshot.l2_Dphi
@@ -79,24 +63,22 @@ def _grad_sq(f: np.ndarray, dx: float, order: int) -> np.ndarray:
                np.zeros(f.shape[-3:]))
 
 
-def sobolev_energies(kin: Kinematics, m: float = DEFAULT_MASS_M) -> tuple[float, float]:
-    """Flat-metric quadratic energies.
+def sobolev_energies(kin: Kinematics) -> tuple[float, float]:
+    """Flat-metric quadratic energies (unit mass).
 
-    E0_sf = 1/2 sum(E.E + dA.dA + m A.A + |pi|^2 + |dphi|^2 + m |phi|^2) dx^3
+    E0_sf = 1/2 sum(E.E + dA.dA + A.A + |pi|^2 + |dphi|^2 + |phi|^2) dx^3
     E1_sf = 1/2 sum(dE.dE + ddA.ddA + |dpi|^2 + |ddphi|^2) dx^3
     """
-    if m <= 0:
-        raise ValueError("mass parameter m must be positive")
     st = kin.state
     dx = kin.lattice.dx
     order = kin.model.stencil_order
 
     dA = gradient(st.A, dx, order)
     dens0 = (np.sum(st.E**2, axis=(0, 1)) + np.sum(dA**2, axis=(0, 1, 2))
-             + m * np.sum(st.A**2, axis=(0, 1))
+             + np.sum(st.A**2, axis=(0, 1))
              + np.sum(np.abs(st.pi) ** 2, axis=0)
              + np.sum(np.abs(kin.dphi) ** 2, axis=(0, 1))
-             + m * kin.psi)
+             + kin.psi)
     dens1 = (_grad_sq(st.E, dx, order) + _grad_sq(dA, dx, order)
              + _grad_sq(st.pi, dx, order) + _grad_sq(kin.dphi, dx, order))
 
@@ -156,14 +138,14 @@ def norms(kin: Kinematics) -> NormSnapshot:
 
 
 def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
-            m: float = DEFAULT_MASS_M, c1: float | None = None) -> DiagnosticsRecord:
+            c1: float | None = None) -> DiagnosticsRecord:
     """One full diagnostics row for the current state, from one Kinematics."""
     if c1 is None:
         c1 = model.kahler.lower_c1 if model.kahler.lower_c1 is not None else 1.0
     kin = Kinematics.of(state, lattice, model)
     snap = norms(kin)
     _, g_l2, g_linf = gauss_residual(kin)
-    e0_sf, e1_sf = sobolev_energies(kin, m)
+    e0_sf, e1_sf = sobolev_energies(kin)
     return DiagnosticsRecord(
         t=state.t,
         energy_E0=energy_E0(kin),
@@ -174,5 +156,4 @@ def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
         gauss_res_linf=g_linf,
         bianchi_res_linf=bianchi_residual(kin),
         norm_snapshot=snap,
-        mass_m=m,
     )

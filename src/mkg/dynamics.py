@@ -109,24 +109,21 @@ class Kinematics:
         """Potential V(psi); only the diagnostics read it."""
         return self.model.potential.value(self.psi)
 
-    def densities(self, alpha=None, Q=None) -> tuple[np.ndarray, np.ndarray]:
+    def densities(self) -> tuple[np.ndarray, np.ndarray]:
         """Kinetic and static densities (T, U), pointwise:
 
         T = (1/2) E.hE + alpha |pi|^2 + Q |conj(phi).pi|^2
         U = (1/2) H.hH + alpha |Dphi|^2 + Q |conj(phi).Dphi|^2 + V
 
         E0 integrates T + U; the Lagrangian density is T - U - E.kH.
-        alpha and Q default to the stored metric scalars.
         """
-        alpha = self.alpha if alpha is None else alpha
-        Q = self.Q if Q is None else Q
         E, pi, h = self.state.E, self.state.pi, self.model.couplings.h
         T = (0.5 * site_dot(E, h.apply(E, self.sh))
-             + alpha * np.sum(np.abs(pi) ** 2, axis=0)
-             + Q * np.abs(self.phi_pi) ** 2)
+             + self.alpha * np.sum(np.abs(pi) ** 2, axis=0)
+             + self.Q * np.abs(self.phi_pi) ** 2)
         U = (0.5 * site_dot(self.H, h.apply(self.H, self.sh))
-             + alpha * np.sum(np.abs(self.Dphi) ** 2, axis=(0, 1))
-             + Q * np.sum(np.abs(self.phi_Dphi) ** 2, axis=0)
+             + self.alpha * np.sum(np.abs(self.Dphi) ** 2, axis=(0, 1))
+             + self.Q * np.sum(np.abs(self.phi_Dphi) ** 2, axis=0)
              + self.V)
         return T, U
 

@@ -102,18 +102,6 @@ class KahlerFamily:
     def phi(self, r):
         return _poly_eval({k: c for k, c in enumerate(self.coefficients)}, r)
 
-    def phi_p(self, r):
-        poly = {k: c for k, c in enumerate(self.coefficients)}
-        return _poly_eval(_poly_shift(poly, lambda k: float(k), -1), r)
-
-    def phi_pp(self, r):
-        poly = {k: c for k, c in enumerate(self.coefficients)}
-        return _poly_eval(_poly_shift(poly, lambda k: float(k * (k - 1)), -2), r)
-
-    def phi_ppp(self, r):
-        poly = {k: c for k, c in enumerate(self.coefficients)}
-        return _poly_eval(_poly_shift(poly, lambda k: float(k * (k - 1) * (k - 2)), -3), r)
-
     def alpha(self, r):
         """Phi'/(2r), evaluated through its regular series at small r."""
         return _poly_eval(self._alpha_poly, r)
@@ -178,25 +166,6 @@ def kahler_metric_inverse(family: KahlerFamily, phi: Sequence[complex]) -> np.nd
     if a <= 0.0 or denom <= 0.0:
         raise DegenerateMetric(f"metric degenerate at r = {r:.6g}")
     return np.eye(v.size, dtype=complex) / a - (q / (a * denom)) * np.outer(v.conj(), v)
-
-
-def kahler_metric_holomorphic_derivative(family: KahlerFamily,
-                                         phi: Sequence[complex]) -> np.ndarray:
-    """d g[a, b] / d phi[c], returned with index order [c, a, b]."""
-    v = np.asarray(phi, dtype=complex)
-    r = _radius(v)
-    _check_radius(family, r)
-    n = v.size
-    q = float(family.q(r))
-    qp = float(family.q_prime_over_2r(r))
-    vb = v.conj()
-    eye = np.eye(n)
-    out = np.zeros((n, n, n), dtype=complex)
-    for c in range(n):
-        out[c] += q * vb[c] * eye      # delta_ab conj(phi)[c]
-        out[c, :, c] += q * vb         # delta_cb conj(phi)[a]
-    out += qp * vb[:, None, None] * vb[None, :, None] * v[None, None, :]
-    return out
 
 
 # -- finite-difference oracle ------------------------------------------------

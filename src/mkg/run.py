@@ -13,8 +13,7 @@ import numpy as np
 
 from . import bounds
 from .config import RunConfig
-from .diagnostics import (DEFAULT_MASS_M, DiagnosticsRecord, collect,
-                          stack_records)
+from .diagnostics import DiagnosticsRecord, collect, stack_records
 from .dynamics import step_rk4
 from .errors import (NonFinite, NonUniformSampling, ParseError, RadiusExceeded,
                      TraceTooShort)
@@ -72,8 +71,7 @@ def parse_trace(path: str) -> DiagnosticsRecord:
         t=col["t"], energy_E0=col["E0"], flat_J=col["J"],
         sobolev_E0=col["E0_sf"], sobolev_E1=col["E1_sf"],
         gauss_res_l2=col["gauss_l2"], gauss_res_linf=col["gauss_linf"],
-        bianchi_res_linf=col["bianchi_linf"], norm_snapshot=snap,
-        mass_m=np.full(len(data), DEFAULT_MASS_M))
+        bianchi_res_linf=col["bianchi_linf"], norm_snapshot=snap)
 
 
 # the estimate constants a run writes to run.json, by EstimateConstants field

@@ -175,15 +175,13 @@ def kirchhoff_residual_scan(u: AnalyticField, points, r0_list,
                             quad: SphereQuadrature):
     """Max |representation - exact| over a grid of points and radii.
 
-    Returns (max_residual, rows) with one (point, r0, residual) row each.
+    Returns (max_residual, rows) with one (point, r0, residual) row each;
+    max_residual is NaN when any residual is.
     """
     rows = []
-    worst = 0.0
     for p in points:
         for r0 in r0_list:
             approx = kirchhoff_lin(u, p, r0, quad)
             exact = u.value(float(p[0]), np.asarray(p[1], dtype=float))
-            res = abs(approx - exact)
-            rows.append((p, r0, res))
-            worst = max(worst, res)
-    return worst, rows
+            rows.append((p, r0, abs(approx - exact)))
+    return float(np.max([res for _, _, res in rows], initial=0.0)), rows

@@ -10,9 +10,8 @@ import os
 import numpy as np
 import pytest
 
-from mkg.bounds import (BUILDERS, EstimateConstants, audit_gronwall,
-                        eval_LMN, eval_SXUW, eval_YZP, eval_fast,
-                        eval_monomial)
+from mkg.bounds import (EstimateConstants, audit_gronwall, eval_LMNSXUW,
+                        eval_YZP)
 from mkg.cli import main
 from mkg.diagnostics import collect, energy_E0, stack_records
 from mkg.dynamics import Kinematics, ModelSpec, gauge_transform, step_rk4
@@ -25,6 +24,7 @@ from mkg.potentials import PotentialKind, polynomial
 from mkg.scenarios import SCENARIOS, build
 from mkg.spherical import (Constant, LinearTime, PlaneWave, SphereQuadrature,
                            kirchhoff_lin, kirchhoff_residual_scan)
+from monomial_oracle import BUILDERS, eval_fast, eval_monomial
 
 FAMILIES = {"flat": flat_family(), "quartic": quartic_family(),
             "sextic": sextic_family()}
@@ -287,8 +287,8 @@ def test_criterion_8_functional_oracle():
     zero = NormSnapshot(t=0.0, linf_phi=0, linf_dphi=0, linf_Dphi=0,
                         linf_F=0, linf_A=0, linf_dPsi=0, l2_E=0, l2_H=0,
                         l2_Dphi=0, l2_phi=0, l2_V=0)
-    Lz, Mz, Nz = eval_LMN(zero, zc)
-    _, Xz, _, _ = eval_SXUW(zero, zc)
+    Lz, Mz, Nz = eval_LMNSXUW(zero, zc)[:3]
+    _, Xz, _, _ = eval_LMNSXUW(zero, zc)[3:]
     Yz = eval_YZP(zero, zc, 0.0)[0]
     frozen = (Mz == 1.0 and Nz == 1.0 and Xz == 1.0 and Lz == 0.0
               and Yz == zc.C3)

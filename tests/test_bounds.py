@@ -10,16 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mkg.bounds import (BUILDERS, EstimateConstants, FittedConstants, Poly,
-                        _check_uniform, _ddt, _fit_line_cap, _ratio_sup,
-                        audit_gronwall, eval_fast, eval_G, eval_LMN,
-                        eval_monomial, eval_Q, eval_SXUW, eval_YZP,
-                        snapshot_env)
+from mkg.bounds import (EstimateConstants, FittedConstants, _check_uniform,
+                        _ddt, _fit_line_cap, _ratio_sup, audit_gronwall,
+                        eval_G, eval_LMNSXUW, eval_YZP, snapshot_env)
 from mkg.diagnostics import DiagnosticsRecord, stack_records
 from mkg.errors import NonUniformSampling, TraceTooShort
 from mkg.lattice import NormSnapshot
 from mkg.potentials import PotentialKind
 from mkg.run import _write_trace, parse_trace, trace_row
+from monomial_oracle import BUILDERS, Poly, eval_fast, eval_monomial, eval_Q
 
 
 def random_snapshot(rng, t=None):
@@ -58,11 +57,11 @@ def test_fast_matches_monomial_oracle():
 def test_zero_snapshot_frozen_constants():
     c = EstimateConstants(b_n=(0.3, 0.7), C1=0.5, C2=1.1, C3=0.9, N=2, J0=1.0)
     z = zero_snapshot()
-    L, M, N = eval_LMN(z, c)
+    L, M, N = eval_LMNSXUW(z, c)[:3]
     assert M == 1.0
     assert N == 1.0
     assert L == 0.0
-    Sg, Xg, Ug, Wg = eval_SXUW(z, c)
+    Sg, Xg, Ug, Wg = eval_LMNSXUW(z, c)[3:]
     assert Xg == 1.0
     Y = eval_YZP(z, c, 0.0)[0]
     assert Y == c.C3          # additive constant of the Y functional
@@ -118,7 +117,7 @@ def make_trace(n=21, dt=0.1, growth=0.05):
             t=t, energy_E0=2.0, flat_J=2.0 + 0.5 * t,
             sobolev_E0=1.0 + 0.1 * t, sobolev_E1=1.5 * math.exp(growth * t),
             gauss_res_l2=0.0, gauss_res_linf=0.0, bianchi_res_linf=0.0,
-            norm_snapshot=s, mass_m=1.0))
+            norm_snapshot=s))
     return recs
 
 
@@ -204,7 +203,7 @@ def records_st(draw):
             t=t, energy_E0=row[11], flat_J=0.01 + row[12],
             sobolev_E0=row[13] - 0.5, sobolev_E1=0.01 + row[14],
             gauss_res_l2=row[15], gauss_res_linf=row[16],
-            bianchi_res_linf=row[17], norm_snapshot=snap, mass_m=1.0))
+            bianchi_res_linf=row[17], norm_snapshot=snap))
     return recs
 
 
@@ -222,8 +221,7 @@ def test_column_evaluators_match_per_record(recs, c):
     cols = stack_records(recs)
     snap, E0 = cols.norm_snapshot, cols.sobolev_E0
     per_record = (
-        (eval_LMN(snap, c), [eval_LMN(r.norm_snapshot, c) for r in recs]),
-        (eval_SXUW(snap, c), [eval_SXUW(r.norm_snapshot, c) for r in recs]),
+        (eval_LMNSXUW(snap, c), [eval_LMNSXUW(r.norm_snapshot, c) for r in recs]),
         (eval_YZP(snap, c, E0),
          [eval_YZP(r.norm_snapshot, c, r.sobolev_E0) for r in recs]))
     for got, want in per_record:
@@ -237,9 +235,8 @@ def test_column_evaluators_match_per_record(recs, c):
 
 
 def reference_audit(trace, constants):
-    """audit_gronwall as a loop over per-record floats: Pcal through the
-    monomial list of every record, the other functionals through the scalar
-    fast evaluators."""
+    """audit_gronwall as a loop over per-record floats: every functional
+    through the scalar evaluators, one record at a time."""
     ts = np.array([r.t for r in trace])
     dt = _check_uniform(ts)
     n = len(trace)
@@ -252,11 +249,11 @@ def reference_audit(trace, constants):
 
     E0v = np.array([r.sobolev_E0 for r in trace])
     E1v = np.array([r.sobolev_E1 for r in trace])
-    Pcal = np.array([eval_monomial("Pcal", r.norm_snapshot, constants, r.sobolev_E0)
-                     for r in trace])
+    Pcal = np.zeros(n)
     XWPU = np.zeros(n)
     for i, r in enumerate(trace):
         y = eval_YZP(r.norm_snapshot, constants, r.sobolev_E0)
+        Pcal[i] = y[2]
         XWPU[i] = y[3] + y[4] + y[5] + y[6]
 
     def c0_fit_to(k):
@@ -288,8 +285,8 @@ def reference_audit(trace, constants):
 
     iF, iD, ip, idp, iA = (cumint(F4**2), cumint(Dp**2), cumint(p**2),
                            cumint(dp**2), cumint(A**2))
-    LMN = np.array([eval_LMN(r.norm_snapshot, constants) for r in trace])
-    SXUW = np.array([eval_SXUW(r.norm_snapshot, constants) for r in trace])
+    LMN = np.array([eval_LMNSXUW(r.norm_snapshot, constants)[:3] for r in trace])
+    SXUW = np.array([eval_LMNSXUW(r.norm_snapshot, constants)[3:] for r in trace])
     Xval = np.array([eval_YZP(r.norm_snapshot, constants, r.sobolev_E0)[3]
                      for r in trace])
     J0c = constants.J0
@@ -346,7 +343,7 @@ def test_trace_write_parse_roundtrip(v, c):
     recs = [DiagnosticsRecord(
         t=r[0], energy_E0=r[1], flat_J=r[2], sobolev_E0=r[3],
         sobolev_E1=r[4], gauss_res_l2=r[5], gauss_res_linf=r[6],
-        bianchi_res_linf=r[7], mass_m=1.0,
+        bianchi_res_linf=r[7],
         norm_snapshot=NormSnapshot(r[0], *r[8:])) for r in v]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")

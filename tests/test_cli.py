@@ -73,6 +73,30 @@ def test_bad_value_is_validation_error(tmp_path):
         load_config(write(tmp_path, bad2))
 
 
+NONFINITE_KEYS = [("lattice", "dx"), ("integrator", "dt"), ("integrator", "cfl"),
+                  ("initial_data", "amplitude"), ("initial_data", "width"),
+                  ("estimate_constants", "b_n"), ("estimate_constants", "C1"),
+                  ("estimate_constants", "C2"), ("estimate_constants", "C3"),
+                  ("estimate_constants", "c4"), ("estimate_constants", "J0")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", NONFINITE_KEYS)
+def test_nonfinite_number_is_config_error(tmp_path, capsys, section, key, value):
+    """Every float key rejects nan and +-inf as a config error (exit 2)
+    before anything runs or is written."""
+    sections = {"initial_data": "scenario = interacting_demo\n"}
+    sections[section] = sections.get(section, "") + f"{key} = {value}\n"
+    text = "".join(f"[{name}]\n{body}" for name, body in sections.items())
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text),
+                 "--out", str(out), "--steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}.{key}: expected a finite number")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_dt_cfl_exclusive(tmp_path):
     bad = MINIMAL + "\n[integrator]\ndt = 0.01\ncfl = 0.5\n"
     with pytest.raises(ValidationError):
@@ -232,10 +256,25 @@ def test_malformed_run_json_is_config_error(tmp_path, capsys, case):
     assert main(["check-bounds", "--trace", str(tmp_path / "trace.csv")]) == 0
 
 
-def test_kirchhoff_verify_cli():
+def test_kirchhoff_verify_cli(capsys):
     assert main(["kirchhoff-verify"]) == 0
     assert main(["kirchhoff-verify", "--order", "8", "--k", "1,0,0",
                  "--r0", "2.0"]) == 0
+    # finite k whose |k| overflows: every residual is NaN, which fails
+    with np.errstate(all="ignore"):
+        assert main(["kirchhoff-verify", "--k", "1e308,1e308,1e308"]) == 1
+    assert "max residual nan: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "nan,0,0"], ["--k", "0,inf,0"], ["--k", "1,2,x"], ["--k", "1,2"],
+    ["--order", "0"], ["--r0", "0"], ["--r0", "-1"], ["--r0", "nan"],
+    ["--r0", "inf"]])
+def test_kirchhoff_verify_bad_input_is_config_error(capsys, argv):
+    assert main(["kirchhoff-verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_config_error_exit_code(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coupling_matrices import matrix_prime, matrix_value
 from mkg.couplings import (_gauge_dot, constant_couplings, saturating_couplings,
                            site_dot)
 from mkg.errors import IndefiniteCoupling
@@ -27,18 +28,18 @@ def h_only(h_base, h_mod, amp):
 def test_constant_couplings_identity():
     fam = constant_couplings(3)
     psi = np.array([0.0, 1.0, 5.0])
-    h = fam.h.value(psi)
+    h = matrix_value(fam.h, psi)
     assert h == pytest.approx(np.broadcast_to(np.eye(3), (3, 3, 3))
                               .transpose(0, 1, 2))
-    assert fam.h.prime(psi) == pytest.approx(np.zeros((3, 3, 3)))
-    assert fam.k.value(psi) == pytest.approx(np.zeros((3, 3, 3)))
+    assert matrix_prime(fam.h, psi) == pytest.approx(np.zeros((3, 3, 3)))
+    assert matrix_value(fam.k, psi) == pytest.approx(np.zeros((3, 3, 3)))
 
 
 def test_saturating_values_and_symmetry():
     fam = demo_couplings()
     psi = np.linspace(0.0, 4.0, 7)
-    h = fam.h.value(psi)
-    k = fam.k.value(psi)
+    h = matrix_value(fam.h, psi)
+    k = matrix_value(fam.k, psi)
     assert h == pytest.approx(np.swapaxes(h, -1, -2))
     assert k == pytest.approx(np.swapaxes(k, -1, -2))
     # at psi = 0 the tanh modulation vanishes
@@ -49,7 +50,7 @@ def test_saturating_values_and_symmetry():
 def test_h_positive_definite_and_invertible():
     fam = demo_couplings()
     psi = np.linspace(0.0, 50.0, 21).reshape(21, 1, 1)
-    h = fam.h.value(psi)
+    h = matrix_value(fam.h, psi)
     eye = np.broadcast_to(np.eye(2)[:, :, None, None, None], (2, 2) + psi.shape)
     hinv_cols = fam.solve_h(eye, fam.h.s(psi))       # column j: h^-1 e_j
     for i in range(psi.shape[0]):
@@ -61,15 +62,15 @@ def test_prime_matches_finite_difference():
     fam = demo_couplings()
     psi = np.array([0.3, 1.7])
     d = 1e-6
-    fd_h = (fam.h.value(psi + d) - fam.h.value(psi - d)) / (2 * d)
-    fd_k = (fam.k.value(psi + d) - fam.k.value(psi - d)) / (2 * d)
-    assert fam.h.prime(psi) == pytest.approx(fd_h, abs=1e-8)
-    assert fam.k.prime(psi) == pytest.approx(fd_k, abs=1e-8)
+    fd_h = (matrix_value(fam.h, psi + d) - matrix_value(fam.h, psi - d)) / (2 * d)
+    fd_k = (matrix_value(fam.k, psi + d) - matrix_value(fam.k, psi - d)) / (2 * d)
+    assert matrix_prime(fam.h, psi) == pytest.approx(fd_h, abs=1e-8)
+    assert matrix_prime(fam.k, psi) == pytest.approx(fd_k, abs=1e-8)
 
 
 def test_saturation_bounded():
     fam = demo_couplings()
-    h_inf = fam.h.value(np.array([1e6]))[0]
+    h_inf = matrix_value(fam.h, np.array([1e6]))[0]
     expect = np.array([[2.0, 0.3], [0.3, 1.5]]) \
         + 0.5 * np.array([[0.2, 0.1], [0.1, 0.3]])
     assert h_inf == pytest.approx(expect, abs=1e-9)
@@ -88,7 +89,7 @@ def test_exact_certificate_accepts_definite_families():
     # h(psi) are 1 + 0.5 s and 10 - 5 s, both >= 1 for s in [0, 1)
     fam = h_only(np.diag([1.0, 10.0]), np.diag([0.5, -5.0]), 1.0)
     psi = np.linspace(0.0, 30.0, 61)
-    assert np.min(np.linalg.eigvalsh(fam.h.value(psi))) >= 1.0 - 1e-12
+    assert np.min(np.linalg.eigvalsh(matrix_value(fam.h, psi))) >= 1.0 - 1e-12
     # h = 0.1 + tanh(psi) >= 0.1 on psi >= 0
     h_only([[0.1]], [[1.0]], 1.0)
 
@@ -114,7 +115,7 @@ def test_asymmetric_input_symmetrized():
         2, h_base=[[2.0, 0.2], [0.4, 1.5]], h_mod=[[0.0, 0.0], [0.0, 0.0]],
         h_amplitude=0.0, k_base=[[0.0, 0.0], [0.0, 0.0]],
         k_mod=[[0.0, 0.0], [0.0, 0.0]], k_amplitude=0.0)
-    h = fam.h.value(np.array([0.0]))[0]
+    h = matrix_value(fam.h, np.array([0.0]))[0]
     assert h == pytest.approx(np.array([[2.0, 0.3], [0.3, 1.5]]))
 
 
@@ -153,14 +154,14 @@ def test_affine_algebra_matches_per_site_matrices(n, amp, psi_max, dims, vector,
     spec = "abcls,siabc->liabc" if vector else "abcls,sabc->labc"
 
     for m in (fam.h, fam.k):
-        value, prime = m.value(psi), m.prime(psi)
+        value, prime = matrix_value(m, psi), matrix_prime(m, psi)
         _rel_close(m.apply(v, m.s(psi)), np.einsum(spec, value, v))
         _rel_close(m.apply_mod(v, m.s_prime(psi)), np.einsum(spec, prime, v))
         pair = np.einsum(spec, value, v) * u
         _rel_close(site_dot(u, m.apply(v, m.s(psi))),
                    np.sum(pair, axis=tuple(range(u.ndim - 3))))
 
-    h = fam.h.value(psi)
+    h = matrix_value(fam.h, psi)
     rhs = np.moveaxis(v, 0, -1)[..., None]      # ([3,] grid, n, 1)
     want = np.moveaxis(np.linalg.solve(h, rhs)[..., 0], -1, 0)
     _rel_close(fam.solve_h(v, fam.h.s(psi)), want)

@@ -1,18 +1,35 @@
 """Energies, norms record collection, constraint residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mkg.diagnostics import (collect, energy_E0, energy_E0_potential_form,
-                             flat_energy_J, sobolev_energies)
+from mkg.diagnostics import collect, energy_E0, flat_energy_J, sobolev_energies
 from mkg.dynamics import (Kinematics, ModelSpec, eom_rhs, gauge_transform,
                           step_rk4)
-from mkg.lattice import FieldState, LatticeSpec, gradient, zero_state
+from mkg.lattice import (FieldState, LatticeSpec, gradient, pairwise_sum,
+                         zero_state)
 from mkg.scenarios import make_model
 from mkg.couplings import constant_couplings
 from mkg.kahler import flat_family
 from mkg.potentials import polynomial
 from test_dynamics import band_limited_state, interacting_model
+
+_R_FLOOR = 1e-12
+
+
+def energy_E0_potential_form(kin: Kinematics) -> float:
+    """Same energy with the target metric written out in radial-potential
+    derivatives, Phi'/(2r) and (Phi'' - Phi'/r)/(4 r^2).  Regression twin
+    of energy_E0; must agree to rounding."""
+    phi = np.polynomial.Polynomial(kin.model.kahler.coefficients)
+    phi_p, phi_pp = phi.deriv(1), phi.deriv(2)
+    r = np.maximum(kin.r, _R_FLOOR)
+    alpha = phi_p(r) / (2.0 * r)
+    Q = (phi_pp(r) - phi_p(r) / r) / (4.0 * r**2)
+    T, U = dataclasses.replace(kin, alpha=alpha, Q=Q).densities()
+    return pairwise_sum(T + U) * kin.lattice.cell_volume
 
 
 def test_energy_twin_forms_agree():
@@ -52,7 +69,7 @@ def test_sobolev_energies_positive_and_ordered():
     lat = LatticeSpec((32, 1, 1), 1.0 / 32)
     model = interacting_model()
     st = band_limited_state(lat)
-    e0, e1 = sobolev_energies(Kinematics.of(st, lat, model), 1.0)
+    e0, e1 = sobolev_energies(Kinematics.of(st, lat, model))
     assert e0 > 0 and e1 > 0
     # the per-axis sums against the stacked second-derivative tensors, on
     # data that varies along every axis
@@ -68,7 +85,7 @@ def test_sobolev_energies_positive_and_ordered():
         np.sum(dE**2, axis=(0, 1, 2)) + np.sum(g(dA) ** 2, axis=(0, 1, 2, 3))
         + np.sum(np.abs(dpi) ** 2, axis=(0, 1))
         + np.sum(np.abs(g(dphi)) ** 2, axis=(0, 1, 2)))
-    _, e1 = sobolev_energies(Kinematics.of(st3, lat3, model), 1.0)
+    _, e1 = sobolev_energies(Kinematics.of(st3, lat3, model))
     assert e1 == pytest.approx(ref, rel=1e-13)
 
 

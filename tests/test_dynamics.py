@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coupling_matrices import matrix_value
 from mkg.couplings import constant_couplings, saturating_couplings
 from mkg.dynamics import (Kinematics, ModelSpec, eom_rhs, gauge_transform,
                           gauss_residual, lagrangian_density, step_rk4)
@@ -60,8 +61,8 @@ def test_euler_lagrange_residual():
     def exact_pA(A, phi, Adot):
         st = FieldState(A, -Adot, phi, np.zeros_like(phi), 0.0)
         psi = np.sum(np.abs(phi) ** 2, axis=0)
-        h = model.couplings.h.value(psi)
-        k = model.couplings.k.value(psi)
+        h = matrix_value(model.couplings.h, psi)
+        k = matrix_value(model.couplings.k, psi)
         H = magnetic_field(st, lat, 2)
         mv = lambda m, v: np.einsum("abcls,siabc->liabc", m, v)
         return (mv(h, Adot) + mv(k, H)) * lat.cell_volume

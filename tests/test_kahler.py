@@ -5,14 +5,33 @@ import numpy as np
 import pytest
 
 from mkg.errors import DegenerateMetric, HypothesisViolated, RadiusExceeded
-from mkg.kahler import (KahlerFamily, KahlerKind, fit_bound_constants,
-                        flat_family, hessian_oracle, kahler_metric,
-                        kahler_metric_holomorphic_derivative,
-                        kahler_metric_inverse, radial_bound_check,
-                        quartic_family, resolve_q_normalization,
-                        sextic_family, upper_bound_rhs)
+from mkg.kahler import (KahlerFamily, KahlerKind, _check_radius, _radius,
+                        fit_bound_constants, flat_family, hessian_oracle,
+                        kahler_metric, kahler_metric_inverse,
+                        radial_bound_check, quartic_family,
+                        resolve_q_normalization, sextic_family,
+                        upper_bound_rhs)
 
 FAMILIES = [flat_family(), quartic_family(), sextic_family()]
+
+
+def kahler_metric_holomorphic_derivative(family, phi):
+    """d g[a, b] / d phi[c] from the closed-form q and q'/(2r), returned
+    with index order [c, a, b]."""
+    v = np.asarray(phi, dtype=complex)
+    r = _radius(v)
+    _check_radius(family, r)
+    n = v.size
+    q = float(family.q(r))
+    qp = float(family.q_prime_over_2r(r))
+    vb = v.conj()
+    eye = np.eye(n)
+    out = np.zeros((n, n, n), dtype=complex)
+    for c in range(n):
+        out[c] += q * vb[c] * eye      # delta_ab conj(phi)[c]
+        out[c, :, c] += q * vb         # delta_cb conj(phi)[a]
+    out += qp * vb[:, None, None] * vb[None, :, None] * v[None, None, :]
+    return out
 
 
 def random_points(n_points, n_comp, seed=0, scale=0.5):

@@ -90,6 +90,19 @@ def test_residual_scan_rows():
     assert worst < 1e-3
 
 
+def test_residual_scan_nan_is_worst():
+    """A NaN residual at any point makes the scan's maximum NaN, so a
+    `worst < tol` check fails instead of passing on 0."""
+    q = SphereQuadrature.build(4)
+    wave = PlaneWave([0.5, 0.5, 0.5])
+    blows_up = SampledField(
+        lambda t, x: wave.value(t, x) if t < 2.0 else float("nan"))
+    for points in ([P, (3.0, np.zeros(3))], [(3.0, np.zeros(3)), P]):
+        worst, rows = kirchhoff_residual_scan(blows_up, points, [1.0], q)
+        assert sum(np.isnan(r) for _, _, r in rows) == 1
+        assert np.isnan(worst) and not worst < 1e-3
+
+
 def test_sampled_field_adapter():
     q = SphereQuadrature.build(8)
     wave = PlaneWave([0.8, 0.3, -0.4])
