@@ -271,11 +271,12 @@ def _fit_line_cap(ts: np.ndarray, resid: np.ndarray) -> tuple[float, float]:
 
 
 def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
-    """sup num/den over the trace with 0/0 guarded to 0."""
+    """sup num/den over the trace with 0/0 guarded to 0, floored at 0 like
+    the other fitted constants (the bounds hold for nonnegative constants)."""
     mask = den > 1e-300
     if not np.any(mask):
         return 0.0
-    return float(np.max(num[mask] / den[mask]))
+    return float(max(np.max(num[mask] / den[mask]), 0.0))
 
 
 def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):

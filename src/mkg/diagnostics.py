@@ -137,11 +137,9 @@ def norms(kin: Kinematics) -> NormSnapshot:
     )
 
 
-def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
-            c1: float | None = None) -> DiagnosticsRecord:
+def collect(state: FieldState, lattice: LatticeSpec,
+            model: ModelSpec) -> DiagnosticsRecord:
     """One full diagnostics row for the current state, from one Kinematics."""
-    if c1 is None:
-        c1 = model.kahler.lower_c1 if model.kahler.lower_c1 is not None else 1.0
     kin = Kinematics.of(state, lattice, model)
     snap = norms(kin)
     _, g_l2, g_linf = gauss_residual(kin)
@@ -149,7 +147,7 @@ def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     return DiagnosticsRecord(
         t=state.t,
         energy_E0=energy_E0(kin),
-        flat_J=flat_energy_J(snap, c1),
+        flat_J=flat_energy_J(snap, model.kahler.lower_c1),
         sobolev_E0=e0_sf,
         sobolev_E1=e1_sf,
         gauss_res_l2=g_l2,

@@ -13,10 +13,6 @@ class DegenerateMetric(MkgError):
     """Target-space metric failed its positivity check."""
 
 
-class HypothesisViolated(MkgError):
-    """A bound-check hypothesis failed at a sampled radius."""
-
-
 class IndefiniteCoupling(MkgError):
     """Gauge-coupling matrix family cannot guarantee positive definiteness."""
 

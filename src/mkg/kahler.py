@@ -17,28 +17,19 @@ fixes the choice by direct comparison against a finite-difference Hessian of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateMetric, HypothesisViolated, RadiusExceeded
+from .errors import DegenerateMetric, RadiusExceeded
 
 DEFAULT_R_MAX = 10.0
 
 
-class KahlerKind(Enum):
-    FLAT = "flat"
-    POLYNOMIAL_RADIAL = "polynomial_radial"
-
-
 def _poly_eval(coeffs: dict[int, float], r: np.ndarray | float):
     """Evaluate sum_k coeffs[k] * r**k (integer powers >= 0 only)."""
-    out = np.zeros_like(np.asarray(r, dtype=float))
-    for k, c in coeffs.items():
-        if c != 0.0:
-            out = out + c * np.asarray(r, dtype=float) ** k
-    return out
+    r = np.asarray(r, dtype=float)
+    return sum((c * r**k for k, c in coeffs.items() if c != 0.0), np.zeros_like(r))
 
 
 def _poly_shift(coeffs: dict[int, float], factor, shift: int) -> dict[int, float]:
@@ -53,21 +44,16 @@ def _poly_shift(coeffs: dict[int, float], factor, shift: int) -> dict[int, float
 
 @dataclass
 class KahlerFamily:
-    """Radial Kahler potential with closed-form derivatives and bound constants.
+    """Radial Kahler potential with closed-form derivatives.
 
     ``coefficients[k]`` is the coefficient of ``r**k`` in ``Phi(r)``.  Odd
     powers are rejected: they would make the metric coefficients singular at
-    the origin.
+    the origin.  ``lower_c1`` is the constant of the lower bound
+    ``Phi >= (c1/2) r**2``, which also weights ||Dphi|| in the flat energy J.
     """
 
-    kind: KahlerKind = KahlerKind.FLAT
     coefficients: tuple[float, ...] = (0.0, 0.0, 1.0)  # Phi = r**2
-    bound_b: tuple[float, ...] = ()
-    bound_c1: float = 0.0
-    bound_c2: float = 0.0
-    bound_c3: float = 0.0
-    lower_c1: float | None = None
-    lower_c2: float | None = None
+    lower_c1: float = 2.0
     r_max: float = DEFAULT_R_MAX
     _alpha_poly: dict[int, float] = field(init=False, repr=False, default_factory=dict)
     _q_poly: dict[int, float] = field(init=False, repr=False, default_factory=dict)
@@ -76,12 +62,8 @@ class KahlerFamily:
     def __post_init__(self):
         if self.r_max <= 0:
             raise ValueError("r_max must be positive")
-        if any(b < 0 for b in self.bound_b):
-            raise ValueError("bound constants b_n must be nonnegative")
-        if min(self.bound_c1, self.bound_c2, self.bound_c3) < 0:
-            raise ValueError("bound constants C1..C3 must be nonnegative")
-        if self.kind is KahlerKind.FLAT:
-            self.coefficients = (0.0, 0.0, 1.0)
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValueError("potential coefficients must be finite")
         poly = {k: c for k, c in enumerate(self.coefficients) if c != 0.0}
         if any(k % 2 for k in poly):
             raise ValueError("odd powers of r are not smooth at the origin")
@@ -91,11 +73,8 @@ class KahlerFamily:
         self._q_poly = _poly_shift(poly, lambda k: k * (k - 2) / 4.0, -4)
         # q'/(2r): q coeff m -> m/2 * r**(m-2)
         self._qp2r_poly = _poly_shift(self._q_poly, lambda m: m / 2.0, -2)
-        # smoothness already guarantees no negative exponents survive for
-        # even polynomials; guard anyway for pathological inputs
-        for p in (self._alpha_poly, self._q_poly, self._qp2r_poly):
-            if any(k < 0 for k in p):
-                raise ValueError("potential leaves metric coefficients singular at r=0")
+        # finite even coefficients leave no negative power: each shift's
+        # factor vanishes on the terms it would move below r**0
 
     # -- scalar radial functions (vectorized over r) --
 
@@ -115,21 +94,19 @@ class KahlerFamily:
 
 
 def flat_family(**kw) -> KahlerFamily:
-    return KahlerFamily(kind=KahlerKind.FLAT, lower_c1=2.0, lower_c2=0.0, **kw)
+    """Phi = r**2."""
+    return KahlerFamily(**kw)
 
 
 def quartic_family(strength: float = 0.25, **kw) -> KahlerFamily:
     """Phi = r**2 + strength * r**4."""
-    return KahlerFamily(kind=KahlerKind.POLYNOMIAL_RADIAL,
-                        coefficients=(0.0, 0.0, 1.0, 0.0, strength),
-                        lower_c1=2.0, lower_c2=0.0, **kw)
+    return KahlerFamily(coefficients=(0.0, 0.0, 1.0, 0.0, strength), **kw)
 
 
 def sextic_family(strength: float = 0.1, **kw) -> KahlerFamily:
     """Phi = r**2 + strength * r**6."""
-    return KahlerFamily(kind=KahlerKind.POLYNOMIAL_RADIAL,
-                        coefficients=(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, strength),
-                        lower_c1=2.0, lower_c2=0.0, **kw)
+    return KahlerFamily(coefficients=(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, strength),
+                        **kw)
 
 
 def _radius(phi: np.ndarray) -> float:
@@ -153,19 +130,6 @@ def kahler_metric(family: KahlerFamily, phi: Sequence[complex]) -> np.ndarray:
         raise DegenerateMetric(
             f"metric not positive definite at r = {r:.6g} (alpha = {a:.6g})")
     return a * np.eye(v.size, dtype=complex) + q * np.outer(v.conj(), v)
-
-
-def kahler_metric_inverse(family: KahlerFamily, phi: Sequence[complex]) -> np.ndarray:
-    """Closed-form inverse metric (rank-one downdate of the diagonal)."""
-    v = np.asarray(phi, dtype=complex)
-    r = _radius(v)
-    _check_radius(family, r)
-    a = float(family.alpha(r))
-    q = float(family.q(r))
-    denom = a + q * r**2  # (Phi'' + Phi'/r)/4
-    if a <= 0.0 or denom <= 0.0:
-        raise DegenerateMetric(f"metric degenerate at r = {r:.6g}")
-    return np.eye(v.size, dtype=complex) / a - (q / (a * denom)) * np.outer(v.conj(), v)
 
 
 # -- finite-difference oracle ------------------------------------------------
@@ -218,7 +182,8 @@ def resolve_q_normalization(family: KahlerFamily, probes: Sequence[Sequence[comp
 
     Returns ``(winner, report)`` where winner is the string naming the
     prefactor whose metric matches the finite-difference Hessian at every
-    probe point.
+    probe point, or None when both fit equally (q = 0 on every probe, as
+    on a flat target, makes the two metrics identical).
     """
     errs = {"1/(4r)": 0.0, "1/(4r^2)": 0.0}
     for p in probes:
@@ -234,8 +199,9 @@ def resolve_q_normalization(family: KahlerFamily, probes: Sequence[Sequence[comp
             g = a * np.eye(v.size) + q * np.outer(v.conj(), v)
             scale = max(1.0, float(np.max(np.abs(h))))
             errs[name] = max(errs[name], float(np.max(np.abs(g - h))) / scale)
-    winner = min(errs, key=errs.get)
-    return winner, errs
+    if errs["1/(4r)"] == errs["1/(4r^2)"]:
+        return None, errs
+    return min(errs, key=errs.get), errs
 
 
 # -- Radial bound report ------------------------------------------------
@@ -243,24 +209,19 @@ def resolve_q_normalization(family: KahlerFamily, probes: Sequence[Sequence[comp
 @dataclass
 class BoundReport:
     radii: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
+    lhs: np.ndarray           # |Phi(r)|
+    rhs: np.ndarray           # upper bound from the fitted b_n chain
     holds: np.ndarray
-    lower_lhs: np.ndarray | None
-    lower_rhs: np.ndarray | None
-    lower_holds: np.ndarray | None
+    lower_rhs: np.ndarray     # (c1/2) r**2
+    lower_holds: np.ndarray
     b: tuple[float, ...]
     c1: float
     c2: float
     c3: float
-    fitted: bool
 
     @property
     def all_hold(self) -> bool:
-        ok = bool(np.all(self.holds))
-        if self.lower_holds is not None:
-            ok = ok and bool(np.all(self.lower_holds))
-        return ok
+        return bool(np.all(self.holds)) and bool(np.all(self.lower_holds))
 
 
 def upper_bound_rhs(r, b: Sequence[float], c1: float, c2: float, c3: float):
@@ -289,44 +250,21 @@ def fit_bound_constants(family: KahlerFamily, radii: Sequence[float]):
     return (b0,), c1, c2, 0.0
 
 
-def radial_bound_check(family: KahlerFamily, radii: Sequence[float],
-                       fit: bool = False) -> BoundReport:
-    """Check |Phi(r)| against the integrated b_n bound at the given radii.
+def radial_bound_check(family: KahlerFamily, radii: Sequence[float]) -> BoundReport:
+    """Check |Phi(r)| at the given radii against the integrated b_n bound,
+    with constants fitted on the same radii, and against the quadratic
+    lower bound (c1/2) r**2.
 
-    Raises :class:`HypothesisViolated` when |Q'/(2r)| exceeds sum b_n r**n at
-    a sampled radius.  When the family carries lower-bound constants, the
-    quadratic lower bound on |Phi| is checked as well.
+    The fitted b0 = max |Q'/(2r)| over the radii, so the hypothesis
+    |Q'/(2r)| <= b0 holds at every sampled radius by construction.
     """
     r = np.asarray(radii, dtype=float)
     if np.any(r <= 0) or np.any(r > family.r_max):
         raise ValueError("radii must lie in (0, r_max]")
-    unconfigured = (not family.bound_b and family.bound_c1 == 0.0
-                    and family.bound_c2 == 0.0 and family.bound_c3 == 0.0)
-    if fit or unconfigured:
-        b, c1, c2, c3 = fit_bound_constants(family, r)
-        fitted = True
-    else:
-        b, c1, c2, c3 = family.bound_b, family.bound_c1, family.bound_c2, family.bound_c3
-        fitted = False
-
-    hyp_lhs = np.abs(family.q_prime_over_2r(r))
-    hyp_rhs = np.zeros_like(r)
-    for n, bn in enumerate(b):
-        hyp_rhs = hyp_rhs + bn * r**n
-    bad = hyp_lhs > hyp_rhs * (1.0 + 1e-12) + 1e-300
-    if np.any(bad) and np.any(hyp_lhs[bad] > 0):
-        i = int(np.argmax(hyp_lhs - hyp_rhs))
-        raise HypothesisViolated(
-            f"|Q'/(2r)| = {hyp_lhs[i]:.6g} > {hyp_rhs[i]:.6g} at r = {r[i]:.6g}")
-
+    b, c1, c2, c3 = fit_bound_constants(family, r)
     lhs = np.abs(family.phi(r))
     rhs = upper_bound_rhs(r, b, c1, c2, c3)
-    holds = lhs <= rhs * (1.0 + 1e-12)
-
-    lo_lhs = lo_rhs = lo_holds = None
-    if family.lower_c1 is not None:
-        lo_lhs = lhs
-        lo_rhs = 0.5 * family.lower_c1 * r**2 + (family.lower_c2 or 0.0)
-        lo_holds = lo_lhs >= lo_rhs * (1.0 - 1e-12)
-    return BoundReport(r, lhs, rhs, holds, lo_lhs, lo_rhs, lo_holds,
-                       tuple(b), c1, c2, c3, fitted)
+    lower_rhs = 0.5 * family.lower_c1 * r**2
+    return BoundReport(r, lhs, rhs, lhs <= rhs * (1.0 + 1e-12),
+                       lower_rhs, lhs >= lower_rhs * (1.0 - 1e-12),
+                       b, c1, c2, c3)

@@ -70,21 +70,6 @@ class PotentialFamily:
             out = out - a * l * np.exp(-l * psi)
         return out
 
-    def second(self, psi):
-        psi = np.asarray(psi, dtype=float)
-        if self.kind is PotentialKind.POLYNOMIAL:
-            out = np.zeros_like(psi)
-            for n, a in enumerate(self.coefficients):
-                if n > 1 and a != 0.0:
-                    out = out + n * (n - 1) * a * psi ** (n - 2)
-            return out
-        if self.kind is PotentialKind.SINE_GORDON:
-            return self.v0 * self.lam**2 * np.cos(self.lam * psi)
-        out = np.zeros_like(psi)
-        for a, l in self.toda_pairs:
-            out = out + a * l**2 * np.exp(-l * psi)
-        return out
-
     @property
     def polynomial_degree(self) -> int:
         if self.kind is not PotentialKind.POLYNOMIAL:

@@ -108,7 +108,7 @@ def test_criterion_2_radial_bounds():
     ok = True
     detail = []
     for name, fam in FAMILIES.items():
-        rep = radial_bound_check(fam, radii, fit=True)
+        rep = radial_bound_check(fam, radii)
         upper = int(np.sum(~rep.holds))
         lower = int(np.sum(~rep.lower_holds))
         ok = ok and upper == 0 and lower == 0

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mkg.config import load_config
 from mkg.errors import ParseError, ValidationError
 from mkg.lattice import read_snapshot
 from mkg.run import CSV_COLUMNS, parse_trace
+from mkg.scenarios import SCENARIOS
 
 MINIMAL = """\
 [initial_data]
@@ -161,9 +163,36 @@ def test_determinism_across_workers(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_check_geometry_cli(tmp_path):
-    cfg = write(tmp_path, DEMO)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_check_geometry_cli(tmp_path, capsys, scenario):
+    cfg = write(tmp_path, f"[initial_data]\nscenario = {scenario}\n")
     assert main(["check-geometry", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("check-geometry: PASS\n")
+    # a flat target has q = 0, so the two prefactors tie and neither wins
+    flat = scenario != "interacting_demo"
+    assert ("rank-one prefactor undetermined" in out) == flat
+    assert ("rank-one prefactor resolved to 1/(4r^2)" in out) == (not flat)
+
+
+def test_falling_sobolev_energy_gives_zero_C0(tmp_path, capsys):
+    """E0_sf falls over this short gaussian_pulse run, so every ratio
+    dE0_sf/dt / (Pcal E0_sf) is negative; C0 is floored at 0 like the
+    other fits, and the full and half-trace fits then agree."""
+    cfg = write(tmp_path, "[lattice]\ndims = 16 1 1\ndx = 0.0625\n"
+                          "[initial_data]\nscenario = gaussian_pulse\n"
+                          "[integrator]\nsteps = 3\n[outputs]\nplots = false\n")
+    out = str(tmp_path / "pulse")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    trace = parse_trace(os.path.join(out, "trace.csv"))
+    assert trace.sobolev_E0[-1] < trace.sobolev_E0[0]
+    capsys.readouterr()
+    main(["check-bounds", "--trace", os.path.join(out, "trace.csv")])
+    printed = capsys.readouterr().out
+    assert " C0_fit=0 " in printed
+    assert "fit stabilization: C0 0 -> 0," in printed
+    assert printed.split("fit stabilization:")[1].split("\n")[0].endswith(
+        "(stabilized=True)")
 
 
 def test_check_bounds_cli(tmp_path):
@@ -256,14 +285,23 @@ def test_malformed_run_json_is_config_error(tmp_path, capsys, case):
     assert main(["check-bounds", "--trace", str(tmp_path / "trace.csv")]) == 0
 
 
-def test_kirchhoff_verify_cli(capsys):
+def test_kirchhoff_verify_cli():
     assert main(["kirchhoff-verify"]) == 0
     assert main(["kirchhoff-verify", "--order", "8", "--k", "1,0,0",
                  "--r0", "2.0"]) == 0
-    # finite k whose |k| overflows: every residual is NaN, which fails
-    with np.errstate(all="ignore"):
-        assert main(["kirchhoff-verify", "--k", "1e308,1e308,1e308"]) == 1
-    assert "max residual nan: FAIL" in capsys.readouterr().out
+
+
+def test_kirchhoff_verify_overflowing_k_is_config_error(capsys):
+    # every component is finite but |k| overflows: a config error naming k,
+    # raised before any arithmetic can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kirchhoff-verify", "--k", "1e308,1e308,1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --k expects three")
+    assert "finite norm |k|" in captured.err
+    assert "1e308,1e308,1e308" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

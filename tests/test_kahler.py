@@ -4,11 +4,10 @@ rank-one prefactor resolution, and the integrated potential bounds."""
 import numpy as np
 import pytest
 
-from mkg.errors import DegenerateMetric, HypothesisViolated, RadiusExceeded
-from mkg.kahler import (KahlerFamily, KahlerKind, _check_radius, _radius,
+from mkg.errors import DegenerateMetric, RadiusExceeded
+from mkg.kahler import (KahlerFamily, _check_radius, _radius,
                         fit_bound_constants, flat_family, hessian_oracle,
-                        kahler_metric, kahler_metric_inverse,
-                        radial_bound_check, quartic_family,
+                        kahler_metric, radial_bound_check, quartic_family,
                         resolve_q_normalization, sextic_family,
                         upper_bound_rhs)
 
@@ -34,6 +33,16 @@ def kahler_metric_holomorphic_derivative(family, phi):
     return out
 
 
+def sherman_morrison_inverse(family, phi):
+    """Closed-form inverse of g = alpha I + q conj(phi) phi^T, the rank-one
+    downdate eom_rhs applies inline to solve g dpi/dt = R."""
+    v = np.asarray(phi, dtype=complex)
+    r = _radius(v)
+    a, q = float(family.alpha(r)), float(family.q(r))
+    return (np.eye(v.size) / a
+            - (q / (a * (a + q * r**2))) * np.outer(v.conj(), v))
+
+
 def random_points(n_points, n_comp, seed=0, scale=0.5):
     rng = np.random.default_rng(seed)
     return [rng.normal(scale=scale, size=n_comp)
@@ -52,7 +61,7 @@ def test_frozen_metric_values():
     fam = quartic_family()
     v = [1.0 + 0.0j]
     assert kahler_metric(fam, v) == pytest.approx(np.array([[2.0]]))
-    assert kahler_metric_inverse(fam, v) == pytest.approx(
+    assert sherman_morrison_inverse(fam, v) == pytest.approx(
         np.array([[0.5]]))
 
 
@@ -80,7 +89,7 @@ def test_metric_matches_hessian_oracle(fam):
 def test_metric_inverse_roundtrip(fam):
     for v in random_points(10, 3, seed=5):
         g = kahler_metric(fam, v)
-        ginv = kahler_metric_inverse(fam, v)
+        ginv = sherman_morrison_inverse(fam, v)
         assert g @ ginv == pytest.approx(np.eye(3), abs=1e-10)
 
 
@@ -109,6 +118,14 @@ def test_q_normalization_resolution():
     assert errs["1/(4r)"] > 1e-3
 
 
+def test_q_normalization_undetermined_on_flat_target():
+    # q = 0 everywhere, so the two candidate metrics are the same matrix
+    winner, errs = resolve_q_normalization(flat_family(),
+                                           random_points(8, 2, seed=3))
+    assert winner is None
+    assert errs["1/(4r)"] == errs["1/(4r^2)"] < 1e-8
+
+
 def test_metric_positive_definite():
     fam = quartic_family()
     for v in random_points(10, 2, seed=11):
@@ -124,10 +141,19 @@ def test_radius_guard():
 
 def test_degenerate_metric_raises():
     # a family whose alpha vanishes at finite radius is rejected at solve time
-    fam = KahlerFamily(kind=KahlerKind.POLYNOMIAL_RADIAL,
-                       coefficients=(0.0, 0.0, 1.0, 0.0, -0.5))
+    fam = KahlerFamily(coefficients=(0.0, 0.0, 1.0, 0.0, -0.5))
     with pytest.raises(DegenerateMetric):
-        kahler_metric_inverse(fam, [1.0 + 0.0j])
+        kahler_metric(fam, [1.0 + 0.0j])
+
+
+@pytest.mark.parametrize("coefficients", [(np.nan, 0.0, 1.0),
+                                          (0.0, 0.0, np.inf),
+                                          (0.0, 1.0, 1.0)])
+def test_bad_coefficients_rejected(coefficients):
+    # a non-finite constant term would survive the zero factor of the
+    # alpha and q shifts as a negative power; an odd power is singular
+    with pytest.raises(ValueError):
+        KahlerFamily(coefficients=coefficients)
 
 
 def test_flat_family_bound_equality():
@@ -135,7 +161,7 @@ def test_flat_family_bound_equality():
     # the bound with equality: |Phi| = C2 r^2 / 2 at the largest radius
     fam = flat_family()
     radii = np.linspace(0.002, 2.0, 1000)
-    report = radial_bound_check(fam, radii, fit=True)
+    report = radial_bound_check(fam, radii)
     assert report.all_hold
     assert report.c2 == pytest.approx(2.0, rel=1e-9)
     assert report.b == (0.0,)
@@ -144,24 +170,37 @@ def test_flat_family_bound_equality():
 @pytest.mark.parametrize("fam", FAMILIES, ids=["flat", "quartic", "sextic"])
 def test_radial_bound_holds_with_fitted_constants(fam):
     radii = np.linspace(0.002, 2.0, 1000)
-    report = radial_bound_check(fam, radii, fit=True)
+    report = radial_bound_check(fam, radii)
     assert report.all_hold
 
 
 def test_lower_bound_checked():
     fam = quartic_family()
-    assert fam.lower_c1 is not None
-    report = radial_bound_check(fam, np.linspace(0.01, 2.0, 200), fit=True)
-    assert report.lower_holds is not None
+    assert fam.lower_c1 == 2.0
+    report = radial_bound_check(fam, np.linspace(0.01, 2.0, 200))
     assert np.all(report.lower_holds)
 
 
-def test_hypothesis_violation_detected():
-    # configured b_n too small for the sextic family's curvature
-    fam = sextic_family(bound_b=(1e-8,), bound_c1=1.0, bound_c2=1.0,
-                        bound_c3=1.0)
-    with pytest.raises(HypothesisViolated):
-        radial_bound_check(fam, np.linspace(0.5, 2.0, 50))
+def test_lower_bound_violation_detected():
+    # Phi = r^2 - 0.01 r^4 falls below r^2 = (c1/2) r^2 at every r > 0,
+    # while the upper bound still closes with the fitted constants
+    fam = KahlerFamily(coefficients=(0.0, 0.0, 1.0, 0.0, -0.01))
+    radii = np.linspace(0.002, 2.0, 1000)
+    report = radial_bound_check(fam, radii)
+    assert np.all(report.holds)
+    assert not np.all(report.lower_holds)     # every radius is <= 2
+    assert not report.all_hold
+
+
+def test_fitted_b0_caps_the_hypothesis():
+    # b0 is fitted as max |Q'/(2r)| on the scan, so the hypothesis
+    # |Q'/(2r)| <= b0 holds at every scanned radius with equality at one
+    fam = sextic_family()
+    radii = np.linspace(0.5, 2.0, 50)
+    report = radial_bound_check(fam, radii)
+    lhs = np.abs(fam.q_prime_over_2r(radii))
+    assert np.all(lhs <= report.b[0])
+    assert np.max(lhs) == report.b[0]
 
 
 def test_upper_bound_rhs_monotone():

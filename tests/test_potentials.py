@@ -11,7 +11,6 @@ def test_polynomial_values():
     psi = np.array([0.0, 1.0, 2.0])
     assert fam.value(psi) == pytest.approx([1.0, 3.5, 7.0])
     assert fam.prime(psi) == pytest.approx([2.0, 3.0, 4.0])
-    assert fam.second(psi) == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_polynomial_degree():
@@ -43,15 +42,6 @@ def test_toda_values():
 def test_toda_requires_positive_rate():
     with pytest.raises(Exception):
         toda((1.0, -0.5))
-
-
-def test_prime_second_consistency():
-    for fam in (polynomial(0.0, 1.0, 0.25, 0.1), sine_gordon(1.0, 2.0),
-                toda((0.5, 1.0))):
-        psi = np.linspace(0.0, 3.0, 11)
-        d = 1e-5
-        fd = (fam.prime(psi + d) - fam.prime(psi - d)) / (2 * d)
-        assert fam.second(psi) == pytest.approx(fd, abs=1e-5)
 
 
 def test_kinds():
