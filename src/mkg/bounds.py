@@ -57,17 +57,25 @@ class EstimateConstants:
         return self.b_n[n] if n < len(self.b_n) else self.b_n[-1]
 
 
-@dataclass
-class FittedConstants:
-    """Empirical suprema extracted from a trace."""
+@dataclass(frozen=True)
+class GronwallAudit:
+    """The constants audit_gronwall fits on a trace, and how they settle."""
 
     C_N_fit: float
     C0_fit: float
     gronwall_fit: float
-    c0: float
+    c0: float                  # cap c0 + c1 t on |F.F|^(1/2)
     c1: float
-    k0: float
+    k0: float                  # cap k0 + k1 t on |D phi|
     k1: float
+    stabilized: bool           # final-quarter sup of J/(J0(1+t)) settled
+    half_sup: float
+    final_quarter_sup: float
+    C0_half: float             # C0_fit and gronwall_fit on the first half
+    gronwall_half: float
+    fits_stabilized: bool
+    records: int
+    dt: float
 
 
 def _pw(x, k: int):
@@ -270,6 +278,13 @@ def _fit_line_cap(ts: np.ndarray, resid: np.ndarray) -> tuple[float, float]:
     return a0, max(a1, 0.0)
 
 
+def _cumtrapz(f: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative trapezoid integral of samples dt apart, 0 at the first."""
+    out = np.zeros(len(f))
+    out[1:] = np.cumsum(0.5 * (f[1:] + f[:-1]) * dt)
+    return out
+
+
 def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
     """sup num/den over the trace with 0/0 guarded to 0, floored at 0 like
     the other fitted constants (the bounds hold for nonnegative constants)."""
@@ -281,7 +296,7 @@ def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
 
 def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     """Fit the smallest constants closing the three Gronwall-type bounds on
-    a diagnostics trace; returns (FittedConstants, report dict).
+    a diagnostics trace; returns one GronwallAudit.
 
     (a) J(t) <= C_N J(0) (1+t)
     (b) dE0_sf/dt <= C0 Pcal(t) E0_sf
@@ -296,7 +311,7 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
 
     `trace` is columnar (run.parse_trace, diagnostics.stack_records): every
     field an array over the records.  Each functional is evaluated once over
-    the whole trace, through the same evaluators trace_row calls per record.
+    the whole trace, through the same evaluators run.write_trace calls.
     """
     ts = np.asarray(trace.t, dtype=float)
     dt = _check_uniform(ts)
@@ -312,13 +327,11 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     E0v = trace.sobolev_E0
     E1v = trace.sobolev_E1
     _, _, Pcal, X, W, P, U, *_ = eval_YZP(snap, constants, E0v)
-    XWPU = X + W + P + U
 
     def c0_fit_to(k):
         return _ratio_sup(_ddt(E0v[:k], dt), (Pcal * E0v)[:k])
 
-    cum_XWPU = np.zeros(n)
-    cum_XWPU[1:] = np.cumsum(0.5 * (XWPU[1:] + XWPU[:-1]) * dt)
+    cum_XWPU = _cumtrapz(X + W + P + U, dt)
 
     def e1_fit_to(k):
         if E1v[0] <= 1e-300:
@@ -334,23 +347,16 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     F4, Dp, p = snap.linf_F, snap.linf_Dphi, snap.linf_phi
     dp, A = snap.linf_dphi, snap.linf_A
 
-    def cumint(f2):
-        out = np.zeros(n)
-        out[1:] = np.cumsum(0.5 * (f2[1:] + f2[:-1]) * dt)
-        return np.sqrt(out)
-
-    iF, iD, ip, idp, iA = (cumint(F4**2), cumint(Dp**2), cumint(p**2),
-                           cumint(dp**2), cumint(A**2))
+    iF, iD, ip, idp, iA = (np.sqrt(_cumtrapz(f**2, dt))
+                           for f in (F4, Dp, p, dp, A))
     L, M, N, Sg, _, Ug, Wg = eval_LMNSXUW(snap, constants)
     J0c = constants.J0
     bound_F = J0c**2 * (1.0 + ts) * (L * iF + M * iD + N * ip)
-    resid_F = F4 - bound_F
-    c0, c1 = _fit_line_cap(ts, resid_F)
+    c0, c1 = _fit_line_cap(ts, F4 - bound_F)
     bound_D = (J0c * iD * Sg + J0c**2 * (1.0 + ts) * iF * X
                + J0c * ip * p * (1.0 + dp) + J0c * iA * Ug
                + J0c * idp * Wg)
-    resid_D = Dp - bound_D
-    k0, k1 = _fit_line_cap(ts, resid_D)
+    k0, k1 = _fit_line_cap(ts, Dp - bound_D)
 
     # stabilization: final-quarter supremum vs half-trace supremum
     half = float(np.max(ratios[: max(n // 2, 2)]))
@@ -364,21 +370,9 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     fits_stabilized = (C0_fit <= 1.05 * C0_half + 1e-300
                        and gronwall_fit <= 1.05 * gronwall_half + 1e-300)
 
-    fitted = FittedConstants(C_N_fit=C_N_fit, C0_fit=C0_fit,
-                             gronwall_fit=gronwall_fit,
-                             c0=c0, c1=c1, k0=k0, k1=k1)
-    report = {
-        "C_N_fit": C_N_fit,
-        "C0_fit": C0_fit,
-        "gronwall_fit": gronwall_fit,
-        "caps": (c0, c1, k0, k1),
-        "stabilized": stabilized,
-        "half_sup": half,
-        "final_quarter_sup": quarter,
-        "C0_half": C0_half,
-        "gronwall_half": gronwall_half,
-        "fits_stabilized": fits_stabilized,
-        "records": n,
-        "dt": dt,
-    }
-    return fitted, report
+    return GronwallAudit(
+        C_N_fit=C_N_fit, C0_fit=C0_fit, gronwall_fit=gronwall_fit,
+        c0=c0, c1=c1, k0=k0, k1=k1, stabilized=stabilized,
+        half_sup=half, final_quarter_sup=quarter, C0_half=C0_half,
+        gronwall_half=gronwall_half, fits_stabilized=fits_stabilized,
+        records=n, dt=dt)

@@ -68,17 +68,17 @@ def cmd_check_bounds(args) -> int:
     else:
         J0 = float(trace.flat_J[0]) if len(trace.flat_J) else 0.0
         constants = bounds.EstimateConstants(J0=J0 or 1.0)
-    fitted, report = bounds.audit_gronwall(trace, constants)
-    print(f"C_N_fit={fitted.C_N_fit:.6g} C0_fit={fitted.C0_fit:.6g} "
-          f"gronwall_fit={fitted.gronwall_fit:.6g}")
-    print(f"caps: c0={fitted.c0:.6g} c1={fitted.c1:.6g} "
-          f"k0={fitted.k0:.6g} k1={fitted.k1:.6g}")
-    print(f"stabilized={report['stabilized']} over {report['records']} records")
-    print(f"fit stabilization: C0 {report['C0_half']:.6g} -> "
-          f"{fitted.C0_fit:.6g}, E1 exponent {report['gronwall_half']:.6g} -> "
-          f"{fitted.gronwall_fit:.6g} (stabilized={report['fits_stabilized']})")
-    ok = (np.isfinite([fitted.C_N_fit, fitted.C0_fit, fitted.gronwall_fit]).all()
-          and report["stabilized"])
+    audit = bounds.audit_gronwall(trace, constants)
+    print(f"C_N_fit={audit.C_N_fit:.6g} C0_fit={audit.C0_fit:.6g} "
+          f"gronwall_fit={audit.gronwall_fit:.6g}")
+    print(f"caps: c0={audit.c0:.6g} c1={audit.c1:.6g} "
+          f"k0={audit.k0:.6g} k1={audit.k1:.6g}")
+    print(f"stabilized={audit.stabilized} over {audit.records} records")
+    print(f"fit stabilization: C0 {audit.C0_half:.6g} -> {audit.C0_fit:.6g}, "
+          f"E1 exponent {audit.gronwall_half:.6g} -> {audit.gronwall_fit:.6g} "
+          f"(stabilized={audit.fits_stabilized})")
+    ok = (np.isfinite([audit.C_N_fit, audit.C0_fit, audit.gronwall_fit]).all()
+          and audit.stabilized)
     print("check-bounds:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -16,7 +16,7 @@ fixes the choice by direct comparison against a finite-difference Hessian of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ def _poly_shift(coeffs: dict[int, float], factor, shift: int) -> dict[int, float
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class KahlerFamily:
     """Radial Kahler potential with closed-form derivatives.
 
@@ -50,14 +50,13 @@ class KahlerFamily:
     powers are rejected: they would make the metric coefficients singular at
     the origin.  ``lower_c1`` is the constant of the lower bound
     ``Phi >= (c1/2) r**2``, which also weights ||Dphi|| in the flat energy J.
+    Frozen, since the metric series are built once: ``dataclasses.replace``
+    makes a changed family.
     """
 
     coefficients: tuple[float, ...] = (0.0, 0.0, 1.0)  # Phi = r**2
     lower_c1: float = 2.0
     r_max: float = DEFAULT_R_MAX
-    _alpha_poly: dict[int, float] = field(init=False, repr=False, default_factory=dict)
-    _q_poly: dict[int, float] = field(init=False, repr=False, default_factory=dict)
-    _qp2r_poly: dict[int, float] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.r_max <= 0:
@@ -68,11 +67,14 @@ class KahlerFamily:
         if any(k % 2 for k in poly):
             raise ValueError("odd powers of r are not smooth at the origin")
         # alpha = Phi'/(2r): coeff k -> k/2 * r**(k-2)
-        self._alpha_poly = _poly_shift(poly, lambda k: k / 2.0, -2)
+        alpha = _poly_shift(poly, lambda k: k / 2.0, -2)
         # q = (Phi'' - Phi'/r)/(4 r**2): coeff k -> k(k-2)/4 * r**(k-4)
-        self._q_poly = _poly_shift(poly, lambda k: k * (k - 2) / 4.0, -4)
+        q = _poly_shift(poly, lambda k: k * (k - 2) / 4.0, -4)
         # q'/(2r): q coeff m -> m/2 * r**(m-2)
-        self._qp2r_poly = _poly_shift(self._q_poly, lambda m: m / 2.0, -2)
+        qp2r = _poly_shift(q, lambda m: m / 2.0, -2)
+        object.__setattr__(self, "_alpha_poly", alpha)
+        object.__setattr__(self, "_q_poly", q)
+        object.__setattr__(self, "_qp2r_poly", qp2r)
         # finite even coefficients leave no negative power: each shift's
         # factor vanishes on the terms it would move below r**0
 

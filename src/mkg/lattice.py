@@ -255,71 +255,63 @@ class NormSnapshot:
 # binary snapshot IO
 
 
-def _pack_real(arr: np.ndarray) -> bytes:
-    """Grid arrays are stored x-fastest: transpose the trailing grid axes
-    to (z, y, x) order before serializing little-endian f64."""
-    grid = arr.ndim
-    perm = tuple(range(grid - 3)) + (grid - 1, grid - 2, grid - 3)
-    return np.ascontiguousarray(arr.transpose(perm)).astype("<f8").tobytes()
+_HEADER = "<IIIIIIdd"    # version, nx, ny, nz, N_V, N_C, dx, t
+_HEADER_BYTES = len(SNAPSHOT_MAGIC) + struct.calcsize(_HEADER)
 
 
-def _unpack_real(buf: memoryview, offset: int, shape: tuple) -> tuple[np.ndarray, int]:
-    count = int(np.prod(shape))
-    arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-    lead = shape[:-3]
-    zyx = lead + (shape[-1], shape[-2], shape[-3])
-    arr = arr.reshape(zyx)
-    n = arr.ndim
-    perm = tuple(range(n - 3)) + (n - 1, n - 2, n - 3)
-    return arr.transpose(perm).astype(float), offset + 8 * count
+def _zyx(ndim: int) -> tuple:
+    """The axis order that swaps the grid axes (x, y, z) in front of one
+    trailing value axis to (z, y, x); it is its own inverse."""
+    return tuple(range(ndim - 4)) + (ndim - 2, ndim - 3, ndim - 4, ndim - 1)
+
+
+def _pack(arr: np.ndarray) -> bytes:
+    """Little-endian f64 with the grid stored x-fastest; a complex array as
+    interleaved re, im."""
+    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
+    vals = np.stack(parts, axis=-1)
+    return np.ascontiguousarray(vals.transpose(_zyx(vals.ndim)), "<f8").tobytes()
+
+
+def _unpack(buf: bytes, offset: int, shape: tuple, k: int) -> tuple[np.ndarray, int]:
+    """The array of `shape` that _pack stored at `offset`, k = 1 real or
+    2 complex, and the offset after it."""
+    count = int(np.prod(shape)) * k
+    vals = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
+    vals = vals.reshape(shape[:-3] + shape[:-4:-1] + (k,))
+    vals = np.array(vals.transpose(_zyx(vals.ndim)), dtype=float)   # a copy
+    return (vals.view(complex) if k == 2 else vals)[..., 0], offset + 8 * count
 
 
 def write_snapshot(path, state: FieldState, lattice: LatticeSpec) -> None:
-    nv, nc = state.n_gauge, state.n_scalar
     nx, ny, nz = state.dims
     header = SNAPSHOT_MAGIC + struct.pack(
-        "<IIIIIIdd", SNAPSHOT_VERSION, nx, ny, nz, nv, nc, lattice.dx, state.t)
-    # complex fields as re,im interleaved f64, grid x-fastest
-    phi_ri = np.stack([state.phi.real, state.phi.imag], axis=-1)
-    pi_ri = np.stack([state.pi.real, state.pi.imag], axis=-1)
-
-    def pack_complex(a):
-        # a has trailing axes (nx, ny, nz, 2); reorder grid to z,y,x
-        perm = tuple(range(a.ndim - 4)) + (a.ndim - 2, a.ndim - 3, a.ndim - 4, a.ndim - 1)
-        return np.ascontiguousarray(a.transpose(perm)).astype("<f8").tobytes()
-
+        _HEADER, SNAPSHOT_VERSION, nx, ny, nz, state.n_gauge, state.n_scalar,
+        lattice.dx, state.t)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(_pack_real(state.A))
-        fh.write(_pack_real(state.E))
-        fh.write(pack_complex(phi_ri))
-        fh.write(pack_complex(pi_ri))
+        for arr in (state.A, state.E, state.phi, state.pi):
+            fh.write(_pack(arr))
 
 
 def read_snapshot(path) -> tuple[FieldState, LatticeSpec]:
+    """The state and lattice of a snapshot file; ParseError if it is not a
+    snapshot of this version or its length does not match its header."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != SNAPSHOT_MAGIC:
-        raise ParseError("not a field snapshot (bad magic)")
-    version, nx, ny, nz, nv, nc, dx, t = struct.unpack_from("<IIIIIIdd", raw, 4)
+    if len(raw) < _HEADER_BYTES or raw[:4] != SNAPSHOT_MAGIC:
+        raise ParseError("not a field snapshot (bad magic or short header)")
+    version, nx, ny, nz, nv, nc, dx, t = struct.unpack_from(_HEADER, raw, 4)
     if version != SNAPSHOT_VERSION:
         raise ParseError(f"unsupported snapshot version {version}")
-    buf = memoryview(raw)
-    off = 4 + struct.calcsize("<IIIIIIdd")
     grid = (nx, ny, nz)
-    A, off = _unpack_real(buf, off, (nv, 3) + grid)
-    E, off = _unpack_real(buf, off, (nv, 3) + grid)
-
-    def unpack_complex(offset, lead):
-        count = int(np.prod(lead)) * nx * ny * nz * 2
-        arr = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-        arr = arr.reshape(lead + (nz, ny, nx, 2))
-        n = arr.ndim
-        perm = tuple(range(n - 4)) + (n - 2, n - 3, n - 4, n - 1)
-        arr = arr.transpose(perm)
-        return (arr[..., 0] + 1j * arr[..., 1]).astype(complex), offset + 8 * count
-
-    phi, off = unpack_complex(off, (nc,))
-    pi, off = unpack_complex(off, (nc,))
-    lattice = LatticeSpec((nx, ny, nz), dx)
-    return FieldState(A=A, E=E, phi=phi, pi=pi, t=t), lattice
+    size = _HEADER_BYTES + 8 * 2 * (3 * nv + 2 * nc) * nx * ny * nz
+    if len(raw) != size:
+        raise ParseError(f"snapshot has {len(raw)} bytes, its header "
+                         f"({nv} gauge, {nc} scalar fields on {grid}) needs {size}")
+    off = _HEADER_BYTES
+    A, off = _unpack(raw, off, (nv, 3) + grid, 1)
+    E, off = _unpack(raw, off, (nv, 3) + grid, 1)
+    phi, off = _unpack(raw, off, (nc,) + grid, 2)
+    pi, off = _unpack(raw, off, (nc,) + grid, 2)
+    return FieldState(A=A, E=E, phi=phi, pi=pi, t=t), LatticeSpec(grid, dx)

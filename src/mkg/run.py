@@ -4,6 +4,7 @@ trace."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -27,22 +28,31 @@ CSV_COLUMNS = (
     + ("L", "M", "N", "S", "X", "U", "W", "G")
 )
 
+# the trace columns stored from a DiagnosticsRecord field, by column name;
+# the other stored columns are the NormSnapshot fields under their own names
+RECORD_COLUMNS = {"t": "t", "E0": "energy_E0", "J": "flat_J",
+                  "E0_sf": "sobolev_E0", "E1_sf": "sobolev_E1",
+                  "gauss_l2": "gauss_res_l2", "gauss_linf": "gauss_res_linf",
+                  "bianchi_linf": "bianchi_res_linf"}
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
-
-def trace_row(record: DiagnosticsRecord, constants: bounds.EstimateConstants) -> str:
-    snap = record.norm_snapshot
-    L, M, N, Sg, Xg, Ug, Wg = bounds.eval_LMNSXUW(snap, constants)
-    vals = ((record.t, record.energy_E0, record.flat_J,
-             constants.J0 * (1.0 + record.t),
-             record.sobolev_E0, record.sobolev_E1,
-             record.gauss_res_l2, record.gauss_res_linf,
-             record.bianchi_res_linf)
-            + snap.as_tuple()[1:]
-            + (L, M, N, Sg, Xg, Ug, Wg, bounds.eval_G(snap)))
-    return ",".join(_fmt(v) for v in vals)
+def write_trace(path: str, trace: DiagnosticsRecord,
+                constants: bounds.EstimateConstants):
+    """Write a columnar trace (diagnostics.stack_records) as a trace CSV: the
+    envelope J0(1+t), L..W and G are evaluated once over the columns, every
+    cell has 17 significant digits, and one that overflows reads inf or nan."""
+    snap = trace.norm_snapshot
+    col = {name: getattr(trace, field) for name, field in RECORD_COLUMNS.items()}
+    col.update((name, getattr(snap, name)) for name in NormSnapshot.FIELDS[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        col["J_envelope"] = constants.J0 * (1.0 + trace.t)
+        col.update(zip(("L", "M", "N", "S", "X", "U", "W"),
+                       bounds.eval_LMNSXUW(snap, constants)))
+        col["G"] = bounds.eval_G(snap)
+    table = np.column_stack([col[name] for name in CSV_COLUMNS])
+    with open(path, "w", newline="\n") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",",
+                   header=",".join(CSV_COLUMNS), comments="")
 
 
 def parse_trace(path: str) -> DiagnosticsRecord:
@@ -67,22 +77,18 @@ def parse_trace(path: str) -> DiagnosticsRecord:
                          f"expected {len(CSV_COLUMNS)}")
     col = dict(zip(CSV_COLUMNS, data.T))
     snap = NormSnapshot(**{name: col[name] for name in NormSnapshot.FIELDS})
-    return DiagnosticsRecord(
-        t=col["t"], energy_E0=col["E0"], flat_J=col["J"],
-        sobolev_E0=col["E0_sf"], sobolev_E1=col["E1_sf"],
-        gauss_res_l2=col["gauss_l2"], gauss_res_linf=col["gauss_linf"],
-        bianchi_res_linf=col["bianchi_linf"], norm_snapshot=snap)
+    return DiagnosticsRecord(norm_snapshot=snap, **{
+        field: col[name] for name, field in RECORD_COLUMNS.items()})
 
 
-# the estimate constants a run writes to run.json, by EstimateConstants field
-_RUN_CONSTANTS = ("b_n", "C1", "C2", "C3", "c4", "N", "J0", "potential_kind")
+# the estimate constants a run writes to run.json: every EstimateConstants field
+_RUN_CONSTANTS = tuple(f.name for f in dataclasses.fields(bounds.EstimateConstants))
 
 
 def write_run_json(path: str, constants: bounds.EstimateConstants):
     """The run's manifest: the resolved estimate constants, so that
     check-bounds audits the run's trace with the constants the run used."""
     raw = {name: getattr(constants, name) for name in _RUN_CONSTANTS}
-    raw["b_n"] = list(constants.b_n)
     raw["potential_kind"] = constants.potential_kind.value
     with open(path, "w", newline="\n") as fh:
         json.dump({"estimate_constants": raw}, fh, indent=2)
@@ -172,31 +178,31 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
     records = [collect(state, lattice, model)]
     constants = cfg.estimate_constants(records[0].flat_J or 1.0)
     write_run_json(os.path.join(out, "run.json"), constants)
-    rows = [trace_row(records[0], constants)]
 
     if cfg.snapshot_cadence:
         write_snapshot(os.path.join(out, "snap_000000.mkg"), state, lattice)
+    aborted = None
     try:
         for i in range(1, n_steps + 1):
             state = step_rk4(state, lattice, model, dt)
             if i % cfg.csv_cadence == 0:
-                rec = collect(state, lattice, model)
-                records.append(rec)
-                rows.append(trace_row(rec, constants))
+                records.append(collect(state, lattice, model))
             if cfg.snapshot_cadence and i % cfg.snapshot_cadence == 0:
                 write_snapshot(os.path.join(out, f"snap_{i:06d}.mkg"),
                                state, lattice)
     except (NonFinite, RadiusExceeded) as exc:
-        write_snapshot(os.path.join(out, "postmortem.mkg"), state, lattice)
-        _write_trace(os.path.join(out, "trace.csv"), rows)
-        reason = "radius exceeded" if isinstance(exc, RadiusExceeded) else "numerical abort"
-        printer(f"{reason}: {exc}; post-mortem snapshot written")
+        aborted = exc
+
+    last = "postmortem.mkg" if aborted else "snap_final.mkg"
+    write_snapshot(os.path.join(out, last), state, lattice)
+    trace = stack_records(records)
+    write_trace(os.path.join(out, "trace.csv"), trace, constants)
+    if aborted:
+        reason = ("radius exceeded" if isinstance(aborted, RadiusExceeded)
+                  else "numerical abort")
+        printer(f"{reason}: {aborted}; post-mortem snapshot written")
         return 3
 
-    write_snapshot(os.path.join(out, "snap_final.mkg"), state, lattice)
-    _write_trace(os.path.join(out, "trace.csv"), rows)
-
-    trace = stack_records(records)
     if cfg.plots:
         ts = trace.t
         svg_line_plot(os.path.join(out, "energy.svg"), "energies",
@@ -214,17 +220,10 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
                       log_y=True)
 
     try:
-        fitted, report = bounds.audit_gronwall(trace, constants)
-        printer(f"fitted constants: C_N={fitted.C_N_fit:.6g} "
-                f"C0={fitted.C0_fit:.6g} gronwall={fitted.gronwall_fit:.6g} "
-                f"(stabilized={report['stabilized']})")
+        audit = bounds.audit_gronwall(trace, constants)
+        printer(f"fitted constants: C_N={audit.C_N_fit:.6g} "
+                f"C0={audit.C0_fit:.6g} gronwall={audit.gronwall_fit:.6g} "
+                f"(stabilized={audit.stabilized})")
     except (TraceTooShort, NonUniformSampling) as exc:   # audit is advisory
         printer(f"audit skipped: {exc}")
     return 0
-
-
-def _write_trace(path: str, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(row + "\n")

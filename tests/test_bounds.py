@@ -1,5 +1,6 @@
 """Estimate functionals: dual-evaluation oracle, frozen zero values, audits,
-and the columnar audit against its per-record reference."""
+and the columnar audit and trace writer against their per-record
+references."""
 
 import math
 import os
@@ -10,14 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mkg.bounds import (EstimateConstants, FittedConstants, _check_uniform,
+from mkg.bounds import (EstimateConstants, GronwallAudit, _check_uniform,
                         _ddt, _fit_line_cap, _ratio_sup, audit_gronwall,
                         eval_G, eval_LMNSXUW, eval_YZP, snapshot_env)
 from mkg.diagnostics import DiagnosticsRecord, stack_records
 from mkg.errors import NonUniformSampling, TraceTooShort
 from mkg.lattice import NormSnapshot
 from mkg.potentials import PotentialKind
-from mkg.run import _write_trace, parse_trace, trace_row
+from mkg.run import CSV_COLUMNS, parse_trace, write_trace
 from monomial_oracle import BUILDERS, Poly, eval_fast, eval_monomial, eval_Q
 
 
@@ -123,12 +124,12 @@ def make_trace(n=21, dt=0.1, growth=0.05):
 
 def test_audit_fits_finite_and_stabilized():
     c = EstimateConstants(b_n=(1.0, 1.0), N=2, J0=2.0)
-    fitted, report = audit_gronwall(stack_records(make_trace()), c)
-    for v in (fitted.C_N_fit, fitted.C0_fit, fitted.gronwall_fit,
-              fitted.c0, fitted.c1, fitted.k0, fitted.k1):
+    audit = audit_gronwall(stack_records(make_trace()), c)
+    for v in (audit.C_N_fit, audit.C0_fit, audit.gronwall_fit,
+              audit.c0, audit.c1, audit.k0, audit.k1):
         assert np.isfinite(v)
-    assert fitted.C_N_fit == pytest.approx(1.0)
-    assert report["stabilized"]
+    assert audit.C_N_fit == pytest.approx(1.0)
+    assert audit.stabilized
 
 
 def test_audit_trace_too_short():
@@ -142,10 +143,10 @@ def test_audit_short_traces(n):
     """The shortest auditable traces fit finite constants; the half-trace
     refit keeps the three samples its derivative stencil needs."""
     c = EstimateConstants(b_n=(1.0, 1.0), N=2, J0=2.0)
-    fitted, report = audit_gronwall(stack_records(make_trace(n=n)), c)
-    assert report["records"] == n
-    for v in (fitted.C_N_fit, fitted.C0_fit, fitted.gronwall_fit,
-              report["C0_half"], report["gronwall_half"]):
+    audit = audit_gronwall(stack_records(make_trace(n=n)), c)
+    assert audit.records == n
+    for v in (audit.C_N_fit, audit.C0_fit, audit.gronwall_fit,
+              audit.C0_half, audit.gronwall_half):
         assert np.isfinite(v)
 
 
@@ -161,8 +162,8 @@ def test_audit_subsample_stability():
     """Fits from every-other-record subsampling stay within 10%."""
     c = EstimateConstants(b_n=(1.0, 1.0), N=2, J0=2.0)
     trace = make_trace(n=41, dt=0.05)
-    f_full, _ = audit_gronwall(stack_records(trace), c)
-    f_half, _ = audit_gronwall(stack_records(trace[::2]), c)
+    f_full = audit_gronwall(stack_records(trace), c)
+    f_half = audit_gronwall(stack_records(trace[::2]), c)
     for a, b in ((f_full.C_N_fit, f_half.C_N_fit),
                  (f_full.gronwall_fit, f_half.gronwall_fit)):
         assert abs(a - b) <= 0.10 * max(abs(a), abs(b), 1e-12)
@@ -302,30 +303,25 @@ def reference_audit(trace, constants):
     nh = max(n // 2, 3)
     C0_half = c0_fit_to(nh)
     gronwall_half = e1_fit_to(nh)
-    fitted = FittedConstants(C_N_fit=C_N_fit, C0_fit=C0_fit,
-                             gronwall_fit=gronwall_fit,
-                             c0=c0, c1=c1, k0=k0, k1=k1)
-    report = {
-        "C_N_fit": C_N_fit, "C0_fit": C0_fit, "gronwall_fit": gronwall_fit,
-        "caps": (c0, c1, k0, k1),
-        "stabilized": quarter <= 1.05 * half + 1e-300,
-        "half_sup": half, "final_quarter_sup": quarter,
-        "C0_half": C0_half, "gronwall_half": gronwall_half,
-        "fits_stabilized": (C0_fit <= 1.05 * C0_half + 1e-300
-                            and gronwall_fit <= 1.05 * gronwall_half + 1e-300),
-        "records": n, "dt": dt,
-    }
-    return fitted, report
+    return GronwallAudit(
+        C_N_fit=C_N_fit, C0_fit=C0_fit, gronwall_fit=gronwall_fit,
+        c0=c0, c1=c1, k0=k0, k1=k1,
+        stabilized=quarter <= 1.05 * half + 1e-300,
+        half_sup=half, final_quarter_sup=quarter,
+        C0_half=C0_half, gronwall_half=gronwall_half,
+        fits_stabilized=(C0_fit <= 1.05 * C0_half + 1e-300
+                         and gronwall_fit <= 1.05 * gronwall_half + 1e-300),
+        records=n, dt=dt)
 
 
 @settings(max_examples=40, deadline=None)
 @given(recs=records_st(), c=constants_st)
 def test_columnar_audit_matches_per_record_reference(recs, c):
-    """A trace written by trace_row and read back by parse_trace audits to
-    the same fitted constants and report as the per-record loop."""
+    """A trace written by write_trace and read back by parse_trace audits to
+    the same result as the per-record loop."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")
-        _write_trace(path, [trace_row(r, c) for r in recs])
+        write_trace(path, stack_records(recs), c)
         trace = parse_trace(path)
     assert audit_gronwall(trace, c) == reference_audit(recs, c)
 
@@ -338,7 +334,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
                             *[finite] * 5), max_size=6),
        c=constants_st)
 def test_trace_write_parse_roundtrip(v, c):
-    """_write_trace then parse_trace gives back every record field exactly,
+    """write_trace then parse_trace gives back every record field exactly,
     from subnormals and -0.0 to the largest finite floats."""
     recs = [DiagnosticsRecord(
         t=r[0], energy_E0=r[1], flat_J=r[2], sobolev_E0=r[3],
@@ -347,7 +343,7 @@ def test_trace_write_parse_roundtrip(v, c):
         norm_snapshot=NormSnapshot(r[0], *r[8:])) for r in v]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.csv")
-        _write_trace(path, [trace_row(r, c) for r in recs])
+        write_trace(path, stack_records(recs), c)
         trace = parse_trace(path)
     for name in ("t", "energy_E0", "flat_J", "sobolev_E0", "sobolev_E1",
                  "gauss_res_l2", "gauss_res_linf", "bianchi_res_linf"):
@@ -356,3 +352,32 @@ def test_trace_write_parse_roundtrip(v, c):
     for name in NormSnapshot.FIELDS:
         assert same_bits(getattr(trace.norm_snapshot, name),
                          [getattr(r.norm_snapshot, name) for r in recs]), name
+
+
+def trace_row(record, constants):
+    """One trace CSV row from one record's floats, each functional through
+    the scalar evaluators: the per-record form of write_trace."""
+    snap = record.norm_snapshot
+    vals = ((record.t, record.energy_E0, record.flat_J,
+             constants.J0 * (1.0 + record.t),
+             record.sobolev_E0, record.sobolev_E1,
+             record.gauss_res_l2, record.gauss_res_linf,
+             record.bianchi_res_linf)
+            + snap.as_tuple()[1:]
+            + eval_LMNSXUW(snap, constants) + (eval_G(snap),))
+    return ",".join(f"{v:.17g}" for v in vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(recs=records_st(), c=constants_st)
+def test_write_trace_matches_per_record_rows(recs, c):
+    """write_trace, evaluating every functional once over the columns,
+    writes byte for byte the rows formatted record by record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace(path, stack_records(recs), c)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    want = "".join(line + "\n" for line in
+                   [",".join(CSV_COLUMNS)] + [trace_row(r, c) for r in recs])
+    assert written == want.encode()

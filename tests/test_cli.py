@@ -357,3 +357,20 @@ def test_radius_exceeded_is_postmortem_exit(tmp_path, capsys):
     assert "np.int64" not in printed
     assert (out / "postmortem.mkg").exists()
     assert len(parse_trace(str(out / "trace.csv")).t) >= 1
+
+
+def test_aborted_run_writes_the_rows_before_the_abort(tmp_path, capsys):
+    """A run that exits 3 after several rows writes the same trace.csv, byte
+    for byte, as the same run stopped by --steps before the abort."""
+    cfg = write(tmp_path, MINIMAL.replace(
+        "vacuum\n", "interacting_demo\namplitude = 2\n")
+        + "[integrator]\ncfl = 3\nsteps = 200\n")
+    aborted, short = tmp_path / "aborted", tmp_path / "short"
+    assert main(["run", "--config", cfg, "--out", str(aborted)]) == 3
+    assert main(["run", "--config", cfg, "--out", str(short),
+                 "--steps", "5"]) == 0
+    assert "radius exceeded" in capsys.readouterr().out
+    assert (aborted / "postmortem.mkg").exists()
+    assert len(parse_trace(str(aborted / "trace.csv")).t) == 6
+    assert ((aborted / "trace.csv").read_bytes()
+            == (short / "trace.csv").read_bytes())

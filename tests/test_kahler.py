@@ -1,6 +1,8 @@
 """Target-space geometry: closed-form metric vs finite-difference oracle,
 rank-one prefactor resolution, and the integrated potential bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,22 @@ def test_lower_bound_checked():
     assert fam.lower_c1 == 2.0
     report = radial_bound_check(fam, np.linspace(0.01, 2.0, 200))
     assert np.all(report.lower_holds)
+
+
+def test_family_is_frozen():
+    """A family's metric series are built once, so its fields cannot be
+    assigned; dataclasses.replace builds a family whose metric follows its
+    new coefficients."""
+    fam = quartic_family()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.coefficients = (0.0, 0.0, 1.0)
+    flat = dataclasses.replace(fam, coefficients=(0.0, 0.0, 1.0))
+    r = np.linspace(0.0, 2.0, 9)
+    assert flat == flat_family()
+    assert np.array_equal(flat.phi(r), r**2)
+    assert np.array_equal(flat.alpha(r), np.ones_like(r))
+    assert np.array_equal(flat.q(r), np.zeros_like(r))
+    assert np.array_equal(flat.q_prime_over_2r(r), np.zeros_like(r))
 
 
 def test_lower_bound_violation_detected():

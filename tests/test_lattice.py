@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mkg.couplings import constant_couplings
 from mkg.diagnostics import norms
 from mkg.dynamics import Kinematics, ModelSpec
+from mkg.errors import ParseError
 from mkg.kahler import flat_family
 from mkg.lattice import (LatticeSpec, central_diff, curl, divergence,
                          gradient, pairwise_sum, read_snapshot,
@@ -221,6 +222,20 @@ def test_snapshot_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(st2.pi, st.pi)
 
 
+def test_snapshot_roundtrip_signed_zero_and_inf(tmp_path):
+    """Complex fields are read back from their stored re, im pairs as they
+    are, a -0.0 real part and an infinite imaginary part included."""
+    lat = LatticeSpec((2, 1, 1), 0.5)
+    st = zero_state(lat, 1, 1)
+    st.phi[0, 0, 0, 0] = complex(-0.0, 1.0)
+    st.pi[0, 0, 0, 0] = complex(1.0, np.inf)
+    path = str(tmp_path / "state.mkg")
+    write_snapshot(path, st, lat)
+    st2, _ = read_snapshot(path)
+    for a, b in ((st2.phi, st.phi), (st2.pi, st.pi)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_snapshot_magic(tmp_path):
     lat = LatticeSpec((4, 1, 1), 0.25)
     st = zero_state(lat, 1, 1)
@@ -228,6 +243,23 @@ def test_snapshot_magic(tmp_path):
     write_snapshot(path, st, lat)
     with open(path, "rb") as fh:
         assert fh.read(4) == b"MKG1"
+
+
+@pytest.mark.parametrize("cut", ["truncated", "header_only", "20_bytes",
+                                 "over_long"])
+def test_malformed_snapshot_is_parse_error(tmp_path, cut):
+    """A file whose length is not the header size plus the fields its
+    header declares is rejected as a ParseError, not read in part."""
+    lat = LatticeSpec((4, 3, 2), 0.25)
+    path = tmp_path / "state.mkg"
+    write_snapshot(str(path), random_state(lat, n_gauge=2, n_scalar=3, seed=9),
+                   lat)
+    raw = path.read_bytes()
+    assert len(raw) == 44 + 8 * 2 * (3 * 2 + 2 * 3) * 24
+    path.write_bytes({"truncated": raw[:-8], "header_only": raw[:44],
+                      "20_bytes": raw[:20], "over_long": raw + bytes(8)}[cut])
+    with pytest.raises(ParseError):
+        read_snapshot(str(path))
 
 
 def test_is_finite_guard():
