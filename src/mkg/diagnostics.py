@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import Kinematics, ModelSpec, gauss_residual
+from .dynamics import Kinematics, ModelSpec, _kinematics, gauss_residual
 from .lattice import (FieldState, LatticeSpec, NormSnapshot, central_diff,
                       divergence, gradient, pairwise_sum)
 
@@ -137,10 +137,11 @@ def norms(kin: Kinematics) -> NormSnapshot:
     )
 
 
-def collect(state: FieldState, lattice: LatticeSpec,
-            model: ModelSpec) -> DiagnosticsRecord:
-    """One full diagnostics row for the current state, from one Kinematics."""
-    kin = Kinematics.of(state, lattice, model)
+def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
+            kin: Kinematics | None = None) -> DiagnosticsRecord:
+    """One full diagnostics row for the current state, from one Kinematics:
+    kin when given (it must be Kinematics.of(state, ...)), else a new one."""
+    kin = _kinematics(state, lattice, model, kin)
     snap = norms(kin)
     _, g_l2, g_linf = gauss_residual(kin)
     e0_sf, e1_sf = sobolev_energies(kin)

@@ -10,6 +10,18 @@ with H = curl A (central differences) and Adot = -E, so that the discrete
 energy E0 is the exact Hamiltonian of the semidiscrete flow and is conserved
 up to the integrator's O(dt^4) error.  A numerical action-variation test
 certifies the assembled right-hand sides against this Lagrangian directly.
+
+eom_rhs assembles the equations in a collapsed form that makes fewer passes
+over the lattice than the term-by-term one (tests/reference_rhs.py, which
+the tests hold it to within rounding):
+
+  * gauge sector, one curl: curl is linear and commutes with the constant
+    k_base, so curl(hH) + curl(kE) - k curl E = curl(hH + sk k_mod E)
+    - sk k_mod curl E, and psidot (k'H - h'E) is one product;
+  * scalar sector: with psidot = 2 Re u, the -(d_t g) pi terms reduce to
+    -2 Q u pi and the trace terms to -Q |Dphi|^2 phi, so g dpi/dt is a sum
+    of per-site coefficients times pi, phi and each D_i phi, plus the
+    difference d_i of g D_i phi, built one axis at a time.
 """
 
 from __future__ import annotations
@@ -67,9 +79,12 @@ class Kinematics:
     """The field kinematics of one state, computed once by `of`.
 
     eom_rhs and every diagnostic read psi = |phi|^2, r = |phi|, the metric
-    scalars alpha(r) and Q(r), the coupling scale sh = h.s(psi), H = curl A,
-    the gradient dphi and the covariant derivative
-    Dphi = dphi - i (q.A) phi from here instead of rebuilding them.
+    scalars alpha(r) and Q(r), the coupling scale sh = h.s(psi), H = curl A
+    and the covariant derivative Dphi = grad phi - i (q.A) phi from here
+    instead of rebuilding them.  Dphi is built in the gradient's buffer;
+    the plain gradient dphi, which only the diagnostics read, is computed
+    on first use.  One Kinematics may serve both the trace record of a
+    state and the first RK4 stage from it (step_rk4's `kin`).
     """
 
     state: FieldState
@@ -82,7 +97,6 @@ class Kinematics:
     sh: np.ndarray          # h.s(psi), [grid]
     H: np.ndarray           # [N_V, 3, grid]
     qa: np.ndarray          # q.A_i, [3, grid]
-    dphi: np.ndarray        # [N_C, 3, grid]
     Dphi: np.ndarray        # [N_C, 3, grid]
     phi_pi: np.ndarray      # conj(phi).pi, [grid]
     phi_Dphi: np.ndarray    # conj(phi).D_i phi, [3, grid]
@@ -95,14 +109,19 @@ class Kinematics:
         psi = np.sum(np.abs(phi) ** 2, axis=0)
         r = np.sqrt(psi)
         qa = _gauge_dot(model.charges, state.A)
-        dphi = gradient(phi, lattice.dx, order)
-        Dphi = dphi - 1j * qa[np.newaxis] * phi[:, np.newaxis]
+        Dphi = gradient(phi, lattice.dx, order)
+        Dphi -= 1j * qa[np.newaxis] * phi[:, np.newaxis]
         return cls(state, lattice, model, psi, r,
                    alpha=model.kahler.alpha(r), Q=model.kahler.q(r),
                    sh=model.couplings.h.s(psi),
                    H=magnetic_field(state, lattice, order), qa=qa,
-                   dphi=dphi, Dphi=Dphi, phi_pi=_cdot(phi, state.pi),
+                   Dphi=Dphi, phi_pi=_cdot(phi, state.pi),
                    phi_Dphi=_cdot(phi[:, np.newaxis], Dphi))
+
+    @cached_property
+    def dphi(self) -> np.ndarray:
+        """The gradient of phi, [N_C, 3, grid]; only the diagnostics read it."""
+        return gradient(self.state.phi, self.lattice.dx, self.model.stencil_order)
 
     @cached_property
     def V(self) -> np.ndarray:
@@ -128,8 +147,21 @@ class Kinematics:
         return T, U
 
 
-def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateDerivative:
-    kin = Kinematics.of(state, lattice, model)
+def _kinematics(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
+                kin: Kinematics | None) -> Kinematics:
+    """kin when it was built from this very state object, or a new one."""
+    if kin is None:
+        return Kinematics.of(state, lattice, model)
+    if kin.state is not state:
+        raise ValueError("kin is the Kinematics of another state")
+    return kin
+
+
+def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
+            kin: Kinematics | None = None) -> StateDerivative:
+    """The time derivative of (A, E, phi, pi); kin, when given, must be
+    Kinematics.of(state, ...) and is read, never changed."""
+    kin = _kinematics(state, lattice, model, kin)
     rmax = float(np.max(kin.r))
     if rmax > model.kahler.r_max:
         site = tuple(int(i) for i in np.unravel_index(int(np.argmax(kin.r)), kin.r.shape))
@@ -148,80 +180,111 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec) -> StateD
     hf, kf = model.couplings.h, model.couplings.k
     sk = kf.s(psi)
     psidot = 2.0 * np.real(u)
+    denom = alpha + Q * psi                         # eigenvalue of g along phi
 
-    # ---- gauge sector:  h dE/dt = curl(hH) + curl(kE) - k curl E
-    #                              - h' psidot E + k' psidot H - 2 q Im X
     sph = hf.s_prime(psi)
     hpE = hf.apply_mod(E, sph)                      # h' E
     kpH = kf.apply_mod(H, kf.s_prime(psi))          # k' H
-    rhs_E = curl(hf.apply(H, sh), dx, order)
-    rhs_E += curl(kf.apply(E, sk), dx, order)
-    rhs_E -= kf.apply(curl(E, dx, order), sk)
-    rhs_E -= psidot * hpE
-    rhs_E += psidot * kpH
-    # X_i = g_ab D_i phi^a conj(phi^b) = (alpha + Q psi)(conj(phi).Dphi)
-    X = (alpha + Q * psi)[np.newaxis] * pD
-    rhs_E -= 2.0 * q[:, np.newaxis, np.newaxis, np.newaxis, np.newaxis] * X.imag[np.newaxis]
-    dE = model.couplings.solve_h(rhs_E, sh)
-
-    # ---- scalar sector:  g dpi/dt = R, solved by Sherman-Morrison
-    pi2 = np.real(_cdot(pi, pi))
-
-    # -(d_t g) pi
-    R = -(Q * psidot * pi + Q * u * pi
-          + (Q * pi2 + W * psidot * u) * phi)
-
-    # sum_i Cov_i(g D_i phi), Cov_i = d_i - i (q.A_i); d_i of a size-1 axis
-    # is zero and skipped
-    gD = alpha[np.newaxis] * Dphi + Q[np.newaxis] * pD * phi[:, np.newaxis]
-    for i in range(3):
-        if state.dims[i] > 1:
-            R = R + central_diff(gD[:, i], i, dx, order)
-        R = R - 1j * kin.qa[i] * gD[:, i]
-
-    # curvature term: dbar_b g_ac (pi pi - Dphi Dphi) contractions
-    trK = pi2 - np.real(np.sum(np.abs(Dphi) ** 2, axis=(0, 1)))
-    # (K phi)_b = pi_b (phi.conj(pi)) - sum_i D_i phi_b (phi.conj(D_i phi))
-    Kphi = pi * u.conj() - np.sum(Dphi * pD.conj()[np.newaxis], axis=1)
-    phiKphi = np.abs(u) ** 2 - np.sum(np.abs(pD) ** 2, axis=0)
-    R = R + Q * (trK * phi + Kphi) + W * phiKphi * phi
-
     # scalar source from the Psi-dependence of h, k and the potential
     S = (0.5 * site_dot(E, hpE)
          - 0.5 * site_dot(H, hf.apply_mod(H, sph))
          - site_dot(E, kpH) - model.potential.prime(psi))
-    R = R + S * phi
 
-    # solve (alpha I + Q phi conj(phi)^T) dpi = R
-    denom = alpha + Q * psi
-    dpi = R / alpha - (Q * _cdot(phi, R) / (alpha * denom)) * phi
+    # ---- gauge sector:  h dE/dt = curl(hH + kE) - k curl E
+    #                              + psidot (k'H - h'E) - 2 q Im X
+    # curl is linear and commutes with the constant k_base, so only the
+    # psi-dependent part k - k_base = sk k_mod of k enters
+    hk = hf.apply(H, sh)
+    hk += kf.apply_mod(E, sk)
+    rhs_E = curl(hk, dx, order)
+    del hk
+    rhs_E -= kf.apply_mod(curl(E, dx, order), sk)
+    kpH -= hpE                                      # psidot (k'H - h'E)
+    kpH *= psidot
+    rhs_E += kpH
+    del hpE, kpH
+    # X_i = g_ab D_i phi^a conj(phi^b) = denom (conj(phi).D_i phi), denom real
+    rhs_E -= np.multiply.outer(2.0 * q, denom * pD.imag)
+    dE = model.couplings.solve_h(rhs_E, sh)
+    del rhs_E
 
-    return StateDerivative(dA=-E.copy(), dE=dE, dphi=pi.copy(), dpi=dpi)
+    # ---- scalar sector:  g dpi/dt = R, solved by Sherman-Morrison.  With
+    # gD_i = alpha D_i phi + Q pD_i phi, pD_i = conj(phi).D_i phi, u =
+    # conj(phi).pi, psidot = 2 Re u and Cov_i = d_i - i (q.A_i), the
+    # Euler-Lagrange form -(d_t g) pi + sum_i Cov_i(gD_i) + curvature + S phi
+    # collapses to per-site coefficients of pi, phi and each D_i phi:
+    #   R = -2 Q u pi + c phi - sum_i a_i D_i phi + sum_i d_i gD_i,
+    #   c   = W (|u|^2 - |pD|^2 - psidot u) + S - Q |Dphi|^2
+    #         - i Q sum_i (q.A_i) pD_i,
+    #   a_i = Q conj(pD_i) + i (q.A_i) alpha,
+    # and d_i of a size-1 axis is zero and skipped.
+    Dphi2 = np.sum(np.abs(Dphi) ** 2, axis=(0, 1))
+    pD2 = np.sum(np.abs(pD) ** 2, axis=0)
+    c = W * (np.abs(u) ** 2 - pD2 - psidot * u) + S - Q * Dphi2
+    c -= 1j * Q * np.sum(kin.qa * pD, axis=0)
+    R = (-2.0 * Q * u) * pi
+    R += c * phi
+    for i in range(3):
+        Di = Dphi[:, i]
+        R -= (Q * pD[i].conj() + 1j * kin.qa[i] * alpha) * Di
+        if state.dims[i] > 1:
+            gD = alpha * Di
+            gD += (Q * pD[i]) * phi
+            R += central_diff(gD, i, dx, order)
+
+    # solve (alpha I + Q phi conj(phi)^T) dpi = R, in R's buffer
+    w = Q * _cdot(phi, R) / (alpha * denom)
+    R /= alpha
+    R -= w * phi
+
+    return StateDerivative(dA=-E, dE=dE, dphi=pi.copy(), dpi=R)
+
+
+def _fields(s: FieldState) -> tuple:
+    return s.A, s.E, s.phi, s.pi
+
+
+def _rates(d: StateDerivative) -> tuple:
+    return d.dA, d.dE, d.dphi, d.dpi
+
+
+def _stage(state: FieldState, d: StateDerivative, c: float) -> FieldState:
+    """state + c d, in new arrays."""
+    new = [np.multiply(v, c) for v in _rates(d)]
+    for x, f in zip(new, _fields(state)):
+        x += f
+    return FieldState(*new, t=state.t + c)
 
 
 def step_rk4(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
-             dt: float) -> FieldState:
-    """Classical explicit 4-stage update of (A, E, phi, pi)."""
-
-    def add(s: FieldState, d: StateDerivative, c: float) -> FieldState:
-        return FieldState(s.A + c * d.dA, s.E + c * d.dE,
-                          s.phi + c * d.dphi, s.pi + c * d.dpi, s.t + c)
-
+             dt: float, kin: Kinematics | None = None) -> FieldState:
+    """Classical explicit 4-stage update of (A, E, phi, pi):
+    state + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order in place in
+    new arrays, so the bits are those of the textbook expression.  kin, when
+    given, is Kinematics.of(state, ...) and serves stage k1."""
     if not state.is_finite():
         raise NonFinite(f"non-finite field entering step at t = {state.t:.6g}")
-    k1 = eom_rhs(state, lattice, model)
-    k2 = eom_rhs(add(state, k1, 0.5 * dt), lattice, model)
-    k3 = eom_rhs(add(state, k2, 0.5 * dt), lattice, model)
-    k4 = eom_rhs(add(state, k3, dt), lattice, model)
-
+    k1 = eom_rhs(state, lattice, model, kin)
+    k2 = eom_rhs(_stage(state, k1, 0.5 * dt), lattice, model)
+    acc = [np.multiply(v, 2) for v in _rates(k2)]
+    for a, v in zip(acc, _rates(k1)):
+        a += v
+    del k1
+    k3 = eom_rhs(_stage(state, k2, 0.5 * dt), lattice, model)
+    del k2
+    stage4 = _stage(state, k3, dt)          # before k3 is doubled in place
+    for a, v in zip(acc, _rates(k3)):
+        v *= 2
+        a += v
+    del k3
+    k4 = eom_rhs(stage4, lattice, model)
+    del stage4
     sixth = dt / 6.0
-    new = FieldState(
-        A=state.A + sixth * (k1.dA + 2 * k2.dA + 2 * k3.dA + k4.dA),
-        E=state.E + sixth * (k1.dE + 2 * k2.dE + 2 * k3.dE + k4.dE),
-        phi=state.phi + sixth * (k1.dphi + 2 * k2.dphi + 2 * k3.dphi + k4.dphi),
-        pi=state.pi + sixth * (k1.dpi + 2 * k2.dpi + 2 * k3.dpi + k4.dpi),
-        t=state.t + dt,
-    )
+    for a, v, f in zip(acc, _rates(k4), _fields(state)):
+        a += v
+        a *= sixth
+        a += f
+    new = FieldState(*acc, t=state.t + dt)
     if not new.is_finite():
         raise NonFinite(f"non-finite field after step to t = {new.t:.6g}")
     return new

@@ -44,8 +44,8 @@ class LatticeSpec:
     def __post_init__(self):
         if any(d < 1 for d in self.dims):
             raise ValidationError("lattice dims must be >= 1")
-        if self.dx <= 0:
-            raise ValidationError("lattice dx must be positive")
+        if not (np.isfinite(self.dx) and self.dx > 0):
+            raise ValidationError(f"lattice dx must be positive and finite, got {self.dx!r}")
 
     @property
     def n_sites(self) -> int:
@@ -296,7 +296,9 @@ def write_snapshot(path, state: FieldState, lattice: LatticeSpec) -> None:
 
 def read_snapshot(path) -> tuple[FieldState, LatticeSpec]:
     """The state and lattice of a snapshot file; ParseError if it is not a
-    snapshot of this version or its length does not match its header."""
+    snapshot of this version, its header has a dim < 1, a dx that is not
+    positive and finite or a t that is not finite, or its length does not
+    match its header."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER_BYTES or raw[:4] != SNAPSHOT_MAGIC:
@@ -305,6 +307,10 @@ def read_snapshot(path) -> tuple[FieldState, LatticeSpec]:
     if version != SNAPSHOT_VERSION:
         raise ParseError(f"unsupported snapshot version {version}")
     grid = (nx, ny, nz)
+    if min(grid) < 1 or not (np.isfinite(dx) and dx > 0) or not np.isfinite(t):
+        raise ParseError(f"snapshot header has dims {grid}, dx = {dx!r}, "
+                         f"t = {t!r}: dims must be >= 1, dx positive and "
+                         f"finite, t finite")
     size = _HEADER_BYTES + 8 * 2 * (3 * nv + 2 * nc) * nx * ny * nz
     if len(raw) != size:
         raise ParseError(f"snapshot has {len(raw)} bytes, its header "

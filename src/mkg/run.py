@@ -15,7 +15,7 @@ import numpy as np
 from . import bounds
 from .config import RunConfig
 from .diagnostics import DiagnosticsRecord, collect, stack_records
-from .dynamics import step_rk4
+from .dynamics import Kinematics, step_rk4
 from .errors import (NonFinite, NonUniformSampling, ParseError, RadiusExceeded,
                      TraceTooShort)
 from .lattice import NormSnapshot, write_snapshot
@@ -175,7 +175,9 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
     model, state = cfg.build()
     dt = cfg.dt_value
 
-    records = [collect(state, lattice, model)]
+    # a recorded state's Kinematics also serves stage k1 of the next step
+    kin = Kinematics.of(state, lattice, model)
+    records = [collect(state, lattice, model, kin)]
     constants = cfg.estimate_constants(records[0].flat_J or 1.0)
     write_run_json(os.path.join(out, "run.json"), constants)
 
@@ -184,9 +186,11 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
     aborted = None
     try:
         for i in range(1, n_steps + 1):
-            state = step_rk4(state, lattice, model, dt)
+            state = step_rk4(state, lattice, model, dt, kin)
+            kin = None
             if i % cfg.csv_cadence == 0:
-                records.append(collect(state, lattice, model))
+                kin = Kinematics.of(state, lattice, model)
+                records.append(collect(state, lattice, model, kin))
             if cfg.snapshot_cadence and i % cfg.snapshot_cadence == 0:
                 write_snapshot(os.path.join(out, f"snap_{i:06d}.mkg"),
                                state, lattice)

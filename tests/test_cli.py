@@ -12,7 +12,9 @@ from mkg.cli import main
 from mkg.config import load_config
 from mkg.errors import ParseError, ValidationError
 from mkg.lattice import read_snapshot
-from mkg.run import CSV_COLUMNS, parse_trace
+from mkg.diagnostics import collect, stack_records
+from mkg.dynamics import step_rk4
+from mkg.run import CSV_COLUMNS, parse_trace, write_trace
 from mkg.scenarios import SCENARIOS
 
 MINIMAL = """\
@@ -374,3 +376,26 @@ def test_aborted_run_writes_the_rows_before_the_abort(tmp_path, capsys):
     assert len(parse_trace(str(aborted / "trace.csv")).t) == 6
     assert ((aborted / "trace.csv").read_bytes()
             == (short / "trace.csv").read_bytes())
+
+
+@pytest.mark.parametrize("dims, cadence", [("64 1 1", 1), ("64 1 1", 3),
+                                           ("6 5 4", 1)])
+def test_run_trace_equals_unshared_loop(tmp_path, dims, cadence):
+    """`run` shares one Kinematics between a trace record and the next RK4
+    stage k1; its trace.csv is, byte for byte, the one written from a loop
+    of plain collect and step_rk4 calls, each building its own."""
+    cfg_path = write(tmp_path, DEMO.replace("64 1 1", dims).replace(
+        "steps = 40", "steps = 7").replace("csv_cadence = 4",
+                                           f"csv_cadence = {cadence}"))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    cfg = load_config(cfg_path)
+    model, state = cfg.build()
+    records = [collect(state, cfg.lattice, model)]
+    for i in range(1, cfg.steps + 1):
+        state = step_rk4(state, cfg.lattice, model, cfg.dt_value)
+        if i % cadence == 0:
+            records.append(collect(state, cfg.lattice, model))
+    loop = tmp_path / "loop.csv"
+    write_trace(str(loop), stack_records(records),
+                cfg.estimate_constants(records[0].flat_J or 1.0))
+    assert (tmp_path / "out" / "trace.csv").read_bytes() == loop.read_bytes()

@@ -1,17 +1,22 @@
 """Evolution equations: variational certification, conservation, covariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coupling_matrices import matrix_value
+from reference_rhs import reference_rhs
 from mkg.couplings import constant_couplings, saturating_couplings
 from mkg.dynamics import (Kinematics, ModelSpec, eom_rhs, gauge_transform,
                           gauss_residual, lagrangian_density, step_rk4)
 from mkg.errors import NonFinite, RadiusExceeded
 from mkg.diagnostics import energy_E0
-from mkg.kahler import flat_family, quartic_family
+from mkg.kahler import flat_family, quartic_family, sextic_family
 from mkg.lattice import FieldState, LatticeSpec, magnetic_field, zero_state
 from mkg.potentials import polynomial
+from mkg.scenarios import build
 
 
 def interacting_model():
@@ -319,3 +324,149 @@ def test_rk4_order_on_linear_problem():
     e1 = phase_err(1.0 / 128)
     e2 = phase_err(1.0 / 256)
     assert e1 / e2 > 8.0
+
+
+# ---------------------------------------------------------------------------
+# the collapsed right-hand side and the in-place RK4 sum against their
+# textbook forms; aliasing and memory guards
+
+_DERIVS = ("dA", "dE", "dphi", "dpi")
+_FIELDS = ("A", "E", "phi", "pi")
+
+
+def random_model(seed, interacting, order):
+    """A seeded model: random charges, saturating h and k, a quartic or
+    sextic target and a polynomial potential; or, when not interacting,
+    zero charges, constant random couplings and the flat target."""
+    rng = np.random.default_rng(seed)
+    nv, nc = (int(n) for n in rng.integers(1, 4, size=2))
+
+    def sym(scale):
+        m = scale * rng.standard_normal((nv, nv))
+        return 0.5 * (m + m.T)
+
+    b = rng.standard_normal((nv, nv))
+    h_base = b @ b.T / nv + np.eye(nv)
+    if not interacting:
+        return ModelSpec(charges=np.zeros(nv),
+                         couplings=constant_couplings(nv, h_base, sym(0.3)),
+                         kahler=flat_family(), potential=polynomial(0.0),
+                         n_gauge=nv, n_scalar=nc, stencil_order=order)
+    family = quartic_family if rng.random() < 0.5 else sextic_family
+    return ModelSpec(
+        charges=rng.uniform(-1.0, 1.0, nv),
+        couplings=saturating_couplings(
+            nv, h_base=h_base, h_mod=sym(0.2), h_amplitude=rng.uniform(-0.5, 0.5),
+            k_base=sym(0.3), k_mod=sym(0.2), k_amplitude=rng.uniform(-0.5, 0.5)),
+        kahler=family(rng.uniform(0.0, 0.3)),
+        potential=polynomial(0.0, *rng.uniform(0.0, 1.0, 2)),
+        n_gauge=nv, n_scalar=nc, stencil_order=order)
+
+
+def _close(a, b, rtol):
+    return np.max(np.abs(a - b), initial=0.0) <= rtol * np.max(np.abs(b), initial=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), interacting=st.booleans(),
+       order=st.sampled_from((2, 4)),
+       dims=st.tuples(*[st.integers(1, 8)] * 3))
+def test_eom_rhs_matches_uncollapsed_reference(seed, interacting, order, dims):
+    """The collapsed scalar sector and the one-curl gauge sector agree with
+    the term-by-term Euler-Lagrange assembly to 1e-13 relative."""
+    model = random_model(seed, interacting, order)
+    lat = LatticeSpec(dims, 0.25)
+    state = random_state(lat, model.n_gauge, model.n_scalar, seed=seed % 1000)
+    got, ref = eom_rhs(state, lat, model), reference_rhs(state, lat, model)
+    for name in _DERIVS:
+        assert _close(getattr(got, name), getattr(ref, name), 1e-13), name
+
+
+def _textbook_rk4(state, lat, model, dt):
+    """state + dt/6 (k1 + 2 k2 + 2 k3 + k4), each stage a new state."""
+    def add(s, d, c):
+        return FieldState(s.A + c * d.dA, s.E + c * d.dE,
+                          s.phi + c * d.dphi, s.pi + c * d.dpi, s.t + c)
+
+    k1 = eom_rhs(state, lat, model)
+    k2 = eom_rhs(add(state, k1, 0.5 * dt), lat, model)
+    k3 = eom_rhs(add(state, k2, 0.5 * dt), lat, model)
+    k4 = eom_rhs(add(state, k3, dt), lat, model)
+    sixth = dt / 6.0
+    return FieldState(*[
+        getattr(state, f) + sixth * (getattr(k1, d) + 2 * getattr(k2, d)
+                                     + 2 * getattr(k3, d) + getattr(k4, d))
+        for f, d in zip(_FIELDS, _DERIVS)], t=state.t + dt)
+
+
+def _state_bytes(state):
+    return [getattr(state, f).tobytes() for f in _FIELDS] + [state.t]
+
+
+@pytest.mark.parametrize("dims", [(16, 1, 1), (4, 3, 5)])
+def test_step_rk4_is_textbook_sum_bit_for_bit(dims):
+    lat = LatticeSpec(dims, 0.2)
+    model = interacting_model()
+    state = random_state(lat, 2, 2, seed=11)
+    want = _state_bytes(_textbook_rk4(state, lat, model, 0.05))
+    assert _state_bytes(step_rk4(state, lat, model, 0.05)) == want
+    kin = Kinematics.of(state, lat, model)
+    assert _state_bytes(step_rk4(state, lat, model, 0.05, kin)) == want
+
+
+def _all_arrays(obj, names):
+    return [getattr(obj, n) for n in names]
+
+
+@pytest.mark.parametrize("dims", [(16, 1, 1), (4, 3, 5)])
+def test_rhs_and_step_leave_input_alone(dims):
+    """eom_rhs and step_rk4 change no byte of their input state or of a
+    shared Kinematics, and return arrays that share no memory with it."""
+    lat = LatticeSpec(dims, 0.2)
+    model = interacting_model()
+    state = random_state(lat, 2, 2, seed=12)
+    before = _state_bytes(state)
+    kin = Kinematics.of(state, lat, model)
+    kin_names = ("psi", "r", "alpha", "Q", "sh", "H", "qa", "Dphi",
+                 "phi_pi", "phi_Dphi")
+    kin_before = [a.tobytes() for a in _all_arrays(kin, kin_names)]
+    inputs = _all_arrays(state, _FIELDS) + _all_arrays(kin, kin_names)
+    for k in (None, kin):
+        d = eom_rhs(state, lat, model, k)
+        new = step_rk4(state, lat, model, 0.05, k)
+        assert _state_bytes(state) == before
+        assert [a.tobytes() for a in _all_arrays(kin, kin_names)] == kin_before
+        for out in _all_arrays(d, _DERIVS) + _all_arrays(new, _FIELDS):
+            assert not any(np.shares_memory(out, x) for x in inputs)
+
+
+def test_kinematics_of_another_state_is_refused():
+    lat = LatticeSpec((8, 1, 1), 0.2)
+    model = interacting_model()
+    state = random_state(lat, 2, 2, seed=13)
+    kin = Kinematics.of(state.copy(), lat, model)
+    with pytest.raises(ValueError):
+        eom_rhs(state, lat, model, kin)
+    with pytest.raises(ValueError):
+        step_rk4(state, lat, model, 0.05, kin)
+
+
+# tracemalloc peak of one eom_rhs over the bytes of its input state, on a
+# 16^3 interacting_demo state: 3.63 with the collapsed scalar sector and
+# one curl, 6.11 with the term-by-term assembly (tests/reference_rhs.py
+# form).  One more (N_C, 3, grid) complex temporary adds 0.6.
+RHS_PEAK_OVER_STATE = 4.0
+
+
+def test_rhs_memory_peak():
+    lat = LatticeSpec((16, 16, 16), 1.0 / 16)
+    model, state = build("interacting_demo", lat)
+    state_bytes = sum(a.nbytes for a in _all_arrays(state, _FIELDS))
+    eom_rhs(state, lat, model)
+    tracemalloc.start()
+    try:
+        eom_rhs(state, lat, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= RHS_PEAK_OVER_STATE * state_bytes, peak / state_bytes

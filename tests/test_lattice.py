@@ -1,5 +1,7 @@
 """Grid geometry, stencils, covariant derivatives, norms, snapshots."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mkg.couplings import constant_couplings
 from mkg.diagnostics import norms
 from mkg.dynamics import Kinematics, ModelSpec
-from mkg.errors import ParseError
+from mkg.errors import ParseError, ValidationError
 from mkg.kahler import flat_family
 from mkg.lattice import (LatticeSpec, central_diff, curl, divergence,
                          gradient, pairwise_sum, read_snapshot,
@@ -260,6 +262,34 @@ def test_malformed_snapshot_is_parse_error(tmp_path, cut):
                       "20_bytes": raw[:20], "over_long": raw + bytes(8)}[cut])
     with pytest.raises(ParseError):
         read_snapshot(str(path))
+
+
+@pytest.mark.parametrize("dims, dx, t", [
+    ((1, 1, 1), float("nan"), 0.0), ((1, 1, 1), float("inf"), 0.0),
+    ((1, 1, 1), 0.0, 0.0), ((1, 1, 1), -0.5, 0.0),
+    ((1, 1, 1), 0.5, float("nan")), ((1, 1, 1), 0.5, float("-inf")),
+    ((0, 1, 1), 0.5, 0.0)])
+def test_snapshot_header_out_of_range_is_parse_error(tmp_path, dims, dx, t):
+    """A hand-built header with no fields (N_V = N_C = 0), so that its
+    length matches, but a dim < 1, a dx that is not positive and finite or
+    a t that is not finite, is rejected as a ParseError."""
+    path = tmp_path / "state.mkg"
+    path.write_bytes(b"MKG1" + struct.pack("<IIIIIIdd", 1, *dims, 0, 0, dx, t))
+    with pytest.raises(ParseError):
+        read_snapshot(str(path))
+
+
+def test_snapshot_header_in_range_loads(tmp_path):
+    path = tmp_path / "state.mkg"
+    path.write_bytes(b"MKG1" + struct.pack("<IIIIIIdd", 1, 1, 1, 1, 0, 0, 0.5, 2.0))
+    st, lat = read_snapshot(str(path))
+    assert lat == LatticeSpec((1, 1, 1), 0.5) and st.t == 2.0
+
+
+@pytest.mark.parametrize("dx", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_lattice_spec_rejects_bad_dx(dx):
+    with pytest.raises(ValidationError):
+        LatticeSpec((4, 1, 1), dx)
 
 
 def test_is_finite_guard():
