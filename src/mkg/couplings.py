@@ -67,11 +67,20 @@ class MatrixFamily:
     mod: np.ndarray
     amplitude: float = 0.0
 
-    def s(self, psi):
-        return self.amplitude * np.tanh(psi)
+    def s(self, psi, tanh=None):
+        """amp * tanh(psi); tanh, when given, is tanh(psi) computed once
+        for both families (Kinematics.tanh_psi)."""
+        return self.amplitude * (np.tanh(psi) if tanh is None else tanh)
 
-    def s_prime(self, psi):
-        return self.amplitude / np.cosh(psi) ** 2
+    def s_prime(self, psi, cosh2=None):
+        """amp * sech(psi)**2; cosh2, when given, is cosh(psi)**2
+        (Kinematics.cosh2_psi)."""
+        return self.amplitude / (np.cosh(psi) ** 2 if cosh2 is None else cosh2)
+
+    @property
+    def varies(self) -> bool:
+        """Whether m depends on psi at all: amp != 0 and mod != 0."""
+        return self.amplitude != 0.0 and bool(np.any(self.mod))
 
     def apply(self, v: np.ndarray, s) -> np.ndarray:
         """m(psi).v, with s = self.s(psi)."""

@@ -4,6 +4,19 @@ Everything here is a pure function of one state's Kinematics: the
 geometric energy E0, the flat energy J, the two Sobolev-type energies, the
 norms, and the Gauss/Bianchi constraint summaries, bundled into a
 DiagnosticsRecord per instant by `collect`.
+
+The per-site squares |pi|^2, |grad phi|^2, |D phi|^2, |E|^2, |H|^2 and
+|A|^2 are computed once per Kinematics and shared by the norms, E0 and
+E0_sf; every per-site density whose sum is reported is reduced by
+`pairwise_sum`.  E1_sf takes its second differences by periodic summation
+by parts (Strand, J. Comput. Phys. 110, 1994): the central differences
+d_i of either order are circulant, commute and are antisymmetric, so
+
+    sum_x sum_ij |d_i d_j f|^2 = sum_x |sum_i d_i d_i f|^2
+
+exactly, one difference of each gradient component along its own axis.
+E0 skips the Q and V terms of a model whose sectors switch them off
+(ModelSpec.sectors).
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import Kinematics, ModelSpec, _kinematics, gauss_residual
-from .lattice import (FieldState, LatticeSpec, NormSnapshot, central_diff,
+from .lattice import (FieldState, LatticeSpec, NormSnapshot, _diff_into,
                       divergence, gradient, pairwise_sum)
 
 
@@ -54,13 +67,24 @@ def flat_energy_J(snapshot: NormSnapshot, c1: float) -> float:
             + snapshot.l2_phi + snapshot.l2_V)
 
 
-def _grad_sq(f: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """Per-site sum of |d_i f|^2 over i and every leading axis of f, one
-    spatial axis of size > 1 at a time, accumulated from zero."""
-    lead = tuple(range(f.ndim - 3))
-    return sum((np.sum(np.abs(central_diff(f, i, dx, order)) ** 2, axis=lead)
-                for i in range(3) if f.shape[f.ndim - 3 + i] > 1),
-               np.zeros(f.shape[-3:]))
+def _sum_sq(x: np.ndarray) -> float:
+    """The sum of |x|^2 over every entry of a C-contiguous real or complex
+    array (a complex one viewed as its interleaved re, im)."""
+    v = x.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", v, v))
+
+
+def _grad_sum_sq(f: np.ndarray, dx: float, order: int) -> float:
+    """The sum over sites, i and every leading axis of f of |d_i f|^2, each
+    d_i f differenced into one buffer, along the axes of size > 1."""
+    buf = np.empty(f.shape, np.result_type(f, 1.0))
+    total = 0.0
+    for i in range(3):
+        ax = f.ndim - 3 + i
+        if f.shape[ax] > 1:
+            _diff_into(buf, f, ax, dx, order)
+            total += _sum_sq(buf)
+    return total
 
 
 def sobolev_energies(kin: Kinematics) -> tuple[float, float]:
@@ -68,22 +92,24 @@ def sobolev_energies(kin: Kinematics) -> tuple[float, float]:
 
     E0_sf = 1/2 sum(E.E + dA.dA + A.A + |pi|^2 + |dphi|^2 + |phi|^2) dx^3
     E1_sf = 1/2 sum(dE.dE + ddA.ddA + |dpi|^2 + |ddphi|^2) dx^3
+
+    By summation by parts (module docstring) the ddA and ddphi terms are
+    the squares of the divergences of the gradients dA and dphi.
     """
     st = kin.state
     dx = kin.lattice.dx
     order = kin.model.stencil_order
 
     dA = gradient(st.A, dx, order)
-    dens0 = (np.sum(st.E**2, axis=(0, 1)) + np.sum(dA**2, axis=(0, 1, 2))
-             + np.sum(st.A**2, axis=(0, 1))
-             + np.sum(np.abs(st.pi) ** 2, axis=0)
-             + np.sum(np.abs(kin.dphi) ** 2, axis=(0, 1))
-             + kin.psi)
-    dens1 = (_grad_sq(st.E, dx, order) + _grad_sq(dA, dx, order)
-             + _grad_sq(st.pi, dx, order) + _grad_sq(kin.dphi, dx, order))
+    e1 = (_grad_sum_sq(st.E, dx, order) + _sum_sq(divergence(dA, dx, order))
+          + _grad_sum_sq(st.pi, dx, order)
+          + _sum_sq(divergence(kin.dphi, dx, order)))
+    np.square(dA, out=dA)
+    dens0 = (kin.E2 + np.sum(dA, axis=(0, 1, 2)) + kin.A2 + kin.pi2
+             + kin.dphi2 + kin.psi)
 
     vol = kin.lattice.cell_volume
-    return (0.5 * pairwise_sum(dens0) * vol, 0.5 * pairwise_sum(dens1) * vol)
+    return 0.5 * pairwise_sum(dens0) * vol, 0.5 * e1 * vol
 
 
 def bianchi_residual(kin: Kinematics) -> float:
@@ -105,14 +131,8 @@ def norms(kin: Kinematics) -> NormSnapshot:
     vol = kin.lattice.cell_volume
     H = kin.H
 
-    # pointwise squared magnitudes, summed over field and component axes
-    phi2 = kin.psi
-    pi2 = np.sum(np.abs(st.pi) ** 2, axis=0)
-    dphi2 = np.sum(np.abs(kin.dphi) ** 2, axis=(0, 1))
-    Dphi2 = np.sum(np.abs(kin.Dphi) ** 2, axis=(0, 1))
-    E2 = np.sum(st.E**2, axis=(0, 1))
-    H2 = np.sum(H**2, axis=(0, 1))
-    A2 = np.sum(st.A**2, axis=(0, 1))
+    phi2, pi2 = kin.psi, kin.pi2
+    pDphi2 = pi2 + kin.Dphi2
 
     # dPsi: d_mu Psi = 2 Re(sum_a d_mu phi^a conj(phi^a)); time part uses pi
     dpsi_t = 2.0 * np.real(kin.phi_pi)
@@ -124,14 +144,14 @@ def norms(kin: Kinematics) -> NormSnapshot:
     return NormSnapshot(
         t=st.t,
         linf_phi=float(np.sqrt(np.max(phi2))),
-        linf_dphi=float(np.sqrt(np.max(pi2 + dphi2))),
-        linf_Dphi=float(np.sqrt(np.max(pi2 + Dphi2))),
+        linf_dphi=float(np.sqrt(np.max(pi2 + kin.dphi2))),
+        linf_Dphi=float(np.sqrt(np.max(pDphi2))),
         linf_F=float(np.sqrt(np.max(np.abs(ff)))),
-        linf_A=float(np.sqrt(np.max(A2))),
+        linf_A=float(np.sqrt(np.max(kin.A2))),
         linf_dPsi=float(np.sqrt(np.max(dpsi2))),
-        l2_E=_l2(E2, vol),
-        l2_H=_l2(H2, vol),
-        l2_Dphi=_l2(pi2 + Dphi2, vol),
+        l2_E=_l2(kin.E2, vol),
+        l2_H=_l2(kin.H2, vol),
+        l2_Dphi=_l2(pDphi2, vol),
         l2_phi=_l2(phi2, vol),
         l2_V=_l2(kin.V**2, vol),
     )

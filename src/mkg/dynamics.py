@@ -22,11 +22,19 @@ the tests hold it to within rounding):
     -2 Q u pi and the trace terms to -Q |Dphi|^2 phi, so g dpi/dt is a sum
     of per-site coefficients times pi, phi and each D_i phi, plus the
     difference d_i of g D_i phi, built one axis at a time.
+
+A model switches some blocks off identically, and ModelSpec.sectors says
+which, once, on construction: W = Q'/(2r) on a flat or quartic target, Q on
+a flat one, the k' and k_mod terms when k is constant, h' when h is
+constant, q.A and the 2 q Im X source when the charges are zero, and V'
+when the potential is zero.  eom_rhs, Kinematics, gauss_residual and the
+energy densities read these flags and skip the blocks that are off; the
+blocks that are on are computed as before, to the bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,9 +47,23 @@ from .lattice import (FieldState, LatticeSpec, central_diff, curl, divergence,
 from .potentials import PotentialFamily
 
 
+@dataclass(frozen=True)
+class Sectors:
+    """Which blocks of the field equations a model can make nonzero.  A
+    block that is off vanishes identically for every state."""
+
+    charged: bool      # q != 0: q.A in D phi and the 2 q Im X source
+    h_prime: bool      # h varies with Psi: every h' term
+    k: bool            # k varies with Psi: the k' terms, curl E, k_mod E
+    q: bool            # Q != 0 (not a flat target): the rank-one metric terms
+    w: bool            # W = Q'/(2r) != 0: its term in the scalar equation
+    potential: bool    # V != 0: V' in the scalar source, V in the energy
+
+
 @dataclass
 class ModelSpec:
-    """Full physical model: charges plus the three constitutive families."""
+    """Full physical model: charges plus the three constitutive families.
+    `sectors` is worked out from them on construction."""
 
     charges: np.ndarray            # q per gauge index, shared by all scalars
     couplings: CouplingFamily
@@ -50,6 +72,7 @@ class ModelSpec:
     n_gauge: int
     n_scalar: int
     stencil_order: int = 2
+    sectors: Sectors = field(init=False, repr=False)
 
     def __post_init__(self):
         self.charges = np.asarray(self.charges, dtype=float)
@@ -59,6 +82,11 @@ class ModelSpec:
             raise ValueError("one charge per gauge index")
         if self.couplings.n_gauge != self.n_gauge:
             raise ValueError("coupling family has wrong gauge rank")
+        self.sectors = Sectors(
+            charged=bool(np.any(self.charges)),
+            h_prime=self.couplings.h.varies, k=self.couplings.k.varies,
+            q=bool(self.kahler._q_poly), w=bool(self.kahler._qp2r_poly),
+            potential=not self.potential.vanishes)
 
 
 @dataclass
@@ -76,15 +104,17 @@ def _cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class Kinematics:
-    """The field kinematics of one state, computed once by `of`.
+    """The field kinematics of one state.
 
     eom_rhs and every diagnostic read psi = |phi|^2, r = |phi|, the metric
-    scalars alpha(r) and Q(r), the coupling scale sh = h.s(psi), H = curl A
-    and the covariant derivative Dphi = grad phi - i (q.A) phi from here
-    instead of rebuilding them.  Dphi is built in the gradient's buffer;
-    the plain gradient dphi, which only the diagnostics read, is computed
-    on first use.  One Kinematics may serve both the trace record of a
-    state and the first RK4 stage from it (step_rk4's `kin`).
+    scalars alpha(r) and Q(r), H = curl A and the covariant derivative
+    Dphi = grad phi - i (q.A) phi from here instead of rebuilding them; `of`
+    builds these, Dphi in the gradient's buffer.  Everything else is
+    computed on first use and then kept: tanh(psi) and cosh(psi)^2, from
+    which h and k form s and s', the contractions with phi, and the
+    per-site squares that the RHS, the energy densities and the norms
+    share.  One Kinematics may serve both the trace record of a state and
+    the first RK4 stage from it (step_rk4's `kin`).
     """
 
     state: FieldState
@@ -94,12 +124,8 @@ class Kinematics:
     r: np.ndarray           # [grid]
     alpha: np.ndarray       # [grid]
     Q: np.ndarray           # [grid]
-    sh: np.ndarray          # h.s(psi), [grid]
     H: np.ndarray           # [N_V, 3, grid]
-    qa: np.ndarray          # q.A_i, [3, grid]
     Dphi: np.ndarray        # [N_C, 3, grid]
-    phi_pi: np.ndarray      # conj(phi).pi, [grid]
-    phi_Dphi: np.ndarray    # conj(phi).D_i phi, [3, grid]
 
     @classmethod
     def of(cls, state: FieldState, lattice: LatticeSpec,
@@ -108,15 +134,47 @@ class Kinematics:
         phi = state.phi
         psi = np.sum(np.abs(phi) ** 2, axis=0)
         r = np.sqrt(psi)
-        qa = _gauge_dot(model.charges, state.A)
-        Dphi = gradient(phi, lattice.dx, order)
-        Dphi -= 1j * qa[np.newaxis] * phi[:, np.newaxis]
-        return cls(state, lattice, model, psi, r,
-                   alpha=model.kahler.alpha(r), Q=model.kahler.q(r),
-                   sh=model.couplings.h.s(psi),
-                   H=magnetic_field(state, lattice, order), qa=qa,
-                   Dphi=Dphi, phi_pi=_cdot(phi, state.pi),
-                   phi_Dphi=_cdot(phi[:, np.newaxis], Dphi))
+        kin = cls(state, lattice, model, psi, r,
+                  alpha=model.kahler.alpha(r), Q=model.kahler.q(r),
+                  H=magnetic_field(state, lattice, order),
+                  Dphi=gradient(phi, lattice.dx, order))
+        if model.sectors.charged:
+            # one (field, axis) slab at a time, the same products: with the
+            # broadcast form's (N_C, 3, grid) complex temporary this took
+            # 5.0 ms against 1.2 ms at 32^3
+            iqa = 1j * kin.qa
+            for a in range(phi.shape[0]):
+                for i in range(3):
+                    kin.Dphi[a, i] -= iqa[i] * phi[a]
+        return kin
+
+    @cached_property
+    def tanh_psi(self) -> np.ndarray:
+        return np.tanh(self.psi)
+
+    @cached_property
+    def cosh2_psi(self) -> np.ndarray:
+        return np.cosh(self.psi) ** 2
+
+    @cached_property
+    def sh(self) -> np.ndarray:
+        """h.s(psi), [grid]."""
+        return self.model.couplings.h.s(self.psi, self.tanh_psi)
+
+    @cached_property
+    def qa(self) -> np.ndarray:
+        """q.A_i, [3, grid]."""
+        return _gauge_dot(self.model.charges, self.state.A)
+
+    @cached_property
+    def phi_pi(self) -> np.ndarray:
+        """conj(phi).pi, [grid]."""
+        return _cdot(self.state.phi, self.state.pi)
+
+    @cached_property
+    def phi_Dphi(self) -> np.ndarray:
+        """conj(phi).D_i phi, [3, grid]."""
+        return _cdot(self.state.phi[:, np.newaxis], self.Dphi)
 
     @cached_property
     def dphi(self) -> np.ndarray:
@@ -128,6 +186,32 @@ class Kinematics:
         """Potential V(psi); only the diagnostics read it."""
         return self.model.potential.value(self.psi)
 
+    # per-site squares, summed over every field and component axis
+
+    @cached_property
+    def pi2(self) -> np.ndarray:
+        return np.sum(np.abs(self.state.pi) ** 2, axis=0)
+
+    @cached_property
+    def Dphi2(self) -> np.ndarray:
+        return np.sum(np.abs(self.Dphi) ** 2, axis=(0, 1))
+
+    @cached_property
+    def dphi2(self) -> np.ndarray:
+        return np.sum(np.abs(self.dphi) ** 2, axis=(0, 1))
+
+    @cached_property
+    def E2(self) -> np.ndarray:
+        return np.sum(self.state.E**2, axis=(0, 1))
+
+    @cached_property
+    def H2(self) -> np.ndarray:
+        return np.sum(self.H**2, axis=(0, 1))
+
+    @cached_property
+    def A2(self) -> np.ndarray:
+        return np.sum(self.state.A**2, axis=(0, 1))
+
     def densities(self) -> tuple[np.ndarray, np.ndarray]:
         """Kinetic and static densities (T, U), pointwise:
 
@@ -136,14 +220,15 @@ class Kinematics:
 
         E0 integrates T + U; the Lagrangian density is T - U - E.kH.
         """
-        E, pi, h = self.state.E, self.state.pi, self.model.couplings.h
-        T = (0.5 * site_dot(E, h.apply(E, self.sh))
-             + self.alpha * np.sum(np.abs(pi) ** 2, axis=0)
-             + self.Q * np.abs(self.phi_pi) ** 2)
+        E, h, sec = self.state.E, self.model.couplings.h, self.model.sectors
+        T = 0.5 * site_dot(E, h.apply(E, self.sh)) + self.alpha * self.pi2
         U = (0.5 * site_dot(self.H, h.apply(self.H, self.sh))
-             + self.alpha * np.sum(np.abs(self.Dphi) ** 2, axis=(0, 1))
-             + self.Q * np.sum(np.abs(self.phi_Dphi) ** 2, axis=0)
-             + self.V)
+             + self.alpha * self.Dphi2)
+        if sec.q:
+            T += self.Q * np.abs(self.phi_pi) ** 2
+            U += self.Q * np.sum(np.abs(self.phi_Dphi) ** 2, axis=0)
+        if sec.potential:
+            U += self.V
         return T, U
 
 
@@ -160,7 +245,8 @@ def _kinematics(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
 def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             kin: Kinematics | None = None) -> StateDerivative:
     """The time derivative of (A, E, phi, pi); kin, when given, must be
-    Kinematics.of(state, ...) and is read, never changed."""
+    Kinematics.of(state, ...) and is read, never changed (except that it
+    keeps what it computes on first use)."""
     kin = _kinematics(state, lattice, model, kin)
     rmax = float(np.max(kin.r))
     if rmax > model.kahler.r_max:
@@ -169,42 +255,54 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             f"|phi| = {rmax:.6g} exceeds validity radius "
             f"{model.kahler.r_max:.6g} at site {site}")
 
+    sec = model.sectors
     dx = lattice.dx
     order = model.stencil_order
-    q = model.charges
     phi, pi, E = state.phi, state.pi, state.E
-    psi, alpha, Q, sh, H = kin.psi, kin.alpha, kin.Q, kin.sh, kin.H
-    Dphi, pD, u = kin.Dphi, kin.phi_Dphi, kin.phi_pi
-    W = model.kahler.q_prime_over_2r(kin.r)
-
+    psi, alpha, Q, sh, H, Dphi = kin.psi, kin.alpha, kin.Q, kin.sh, kin.H, kin.Dphi
     hf, kf = model.couplings.h, model.couplings.k
-    sk = kf.s(psi)
-    psidot = 2.0 * np.real(u)
-    denom = alpha + Q * psi                         # eigenvalue of g along phi
+    if sec.h_prime or sec.k or sec.w:
+        psidot = 2.0 * np.real(kin.phi_pi)
+    if sec.q or sec.charged:
+        pD = kin.phi_Dphi
+    denom = alpha + Q * psi if sec.q else alpha     # eigenvalue of g along phi
 
-    sph = hf.s_prime(psi)
-    hpE = hf.apply_mod(E, sph)                      # h' E
-    kpH = kf.apply_mod(H, kf.s_prime(psi))          # k' H
     # scalar source from the Psi-dependence of h, k and the potential
-    S = (0.5 * site_dot(E, hpE)
-         - 0.5 * site_dot(H, hf.apply_mod(H, sph))
-         - site_dot(E, kpH) - model.potential.prime(psi))
+    S = np.zeros(psi.shape)
+    if sec.h_prime:
+        sph = hf.s_prime(psi, kin.cosh2_psi)
+        hpE = hf.apply_mod(E, sph)                  # h' E
+        S += 0.5 * site_dot(E, hpE)
+        S -= 0.5 * site_dot(H, hf.apply_mod(H, sph))
+    if sec.k:
+        sk = kf.s(psi, kin.tanh_psi)
+        kpH = kf.apply_mod(H, kf.s_prime(psi, kin.cosh2_psi))   # k' H
+        S -= site_dot(E, kpH)
+    if sec.potential:
+        S -= model.potential.prime(psi)
 
     # ---- gauge sector:  h dE/dt = curl(hH + kE) - k curl E
     #                              + psidot (k'H - h'E) - 2 q Im X
     # curl is linear and commutes with the constant k_base, so only the
     # psi-dependent part k - k_base = sk k_mod of k enters
     hk = hf.apply(H, sh)
-    hk += kf.apply_mod(E, sk)
+    if sec.k:
+        hk += kf.apply_mod(E, sk)
     rhs_E = curl(hk, dx, order)
     del hk
-    rhs_E -= kf.apply_mod(curl(E, dx, order), sk)
-    kpH -= hpE                                      # psidot (k'H - h'E)
-    kpH *= psidot
-    rhs_E += kpH
-    del hpE, kpH
+    if sec.k:
+        rhs_E -= kf.apply_mod(curl(E, dx, order), sk)
+        if sec.h_prime:
+            kpH -= hpE                              # psidot (k'H - h'E)
+        kpH *= psidot
+        rhs_E += kpH
+    elif sec.h_prime:
+        hpE *= psidot                               # psidot (-h'E)
+        rhs_E -= hpE
+    hpE = kpH = None
     # X_i = g_ab D_i phi^a conj(phi^b) = denom (conj(phi).D_i phi), denom real
-    rhs_E -= np.multiply.outer(2.0 * q, denom * pD.imag)
+    if sec.charged:
+        rhs_E -= np.multiply.outer(2.0 * model.charges, denom * pD.imag)
     dE = model.couplings.solve_h(rhs_E, sh)
     del rhs_E
 
@@ -218,24 +316,39 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     #         - i Q sum_i (q.A_i) pD_i,
     #   a_i = Q conj(pD_i) + i (q.A_i) alpha,
     # and d_i of a size-1 axis is zero and skipped.
-    Dphi2 = np.sum(np.abs(Dphi) ** 2, axis=(0, 1))
-    pD2 = np.sum(np.abs(pD) ** 2, axis=0)
-    c = W * (np.abs(u) ** 2 - pD2 - psidot * u) + S - Q * Dphi2
-    c -= 1j * Q * np.sum(kin.qa * pD, axis=0)
-    R = (-2.0 * Q * u) * pi
-    R += c * phi
+    c = S
+    if sec.w:
+        u = kin.phi_pi
+        pD2 = np.sum(np.abs(pD) ** 2, axis=0)
+        W = model.kahler.q_prime_over_2r(kin.r)
+        c = W * (np.abs(u) ** 2 - pD2 - psidot * u) + c
+    if sec.q:
+        c = c - Q * kin.Dphi2
+        if sec.charged:
+            c = c - 1j * Q * np.sum(kin.qa * pD, axis=0)
+        R = (-2.0 * Q * kin.phi_pi) * pi
+        R += c * phi
+    else:
+        R = c * phi
     for i in range(3):
         Di = Dphi[:, i]
-        R -= (Q * pD[i].conj() + 1j * kin.qa[i] * alpha) * Di
+        if sec.q or sec.charged:
+            a = Q * pD[i].conj() if sec.q else 0.0
+            if sec.charged:
+                a = a + 1j * kin.qa[i] * alpha
+            R -= a * Di
         if state.dims[i] > 1:
             gD = alpha * Di
-            gD += (Q * pD[i]) * phi
+            if sec.q:
+                gD += (Q * pD[i]) * phi
             R += central_diff(gD, i, dx, order)
 
     # solve (alpha I + Q phi conj(phi)^T) dpi = R, in R's buffer
-    w = Q * _cdot(phi, R) / (alpha * denom)
+    if sec.q:
+        w = Q * _cdot(phi, R) / (alpha * denom)
     R /= alpha
-    R -= w * phi
+    if sec.q:
+        R -= w * phi
 
     return StateDerivative(dA=-E, dE=dE, dphi=pi.copy(), dpi=R)
 
@@ -300,20 +413,31 @@ def gauss_residual(kin: Kinematics) -> tuple[np.ndarray, float, float]:
     constraint surface.
     """
     model, E, psi = kin.model, kin.state.E, kin.psi
+    sec = model.sectors
     dx = kin.lattice.dx
     order = model.stencil_order
     hf, kf = model.couplings.h, model.couplings.k
-    dpsi = gradient(psi, dx, order)                         # (3, grid)
 
-    X0 = (kin.alpha + kin.Q * psi) * kin.phi_pi
-    src = -2.0 * model.charges[:, np.newaxis, np.newaxis, np.newaxis] \
-        * X0.imag[np.newaxis]
-    # dPsi.E^G and dPsi.H^G over the vector index, then h', k' and h^-1
-    src -= hf.apply_mod(np.sum(dpsi * E, axis=1), hf.s_prime(psi))
-    src += kf.apply_mod(np.sum(dpsi * kin.H, axis=1), kf.s_prime(psi))
-    src = model.couplings.solve_h(src, kin.sh)
-
-    res = divergence(E, dx, order) - src
+    res = divergence(E, dx, order)
+    if not (sec.charged or sec.h_prime or sec.k):
+        src = None
+    elif sec.charged:
+        X0 = (kin.alpha + kin.Q * psi) * kin.phi_pi
+        src = -2.0 * model.charges[:, np.newaxis, np.newaxis, np.newaxis] \
+            * X0.imag[np.newaxis]
+    else:
+        src = np.zeros(E.shape[:1] + E.shape[2:])
+    if sec.h_prime or sec.k:
+        # dPsi.E^G and dPsi.H^G over the vector index, then h', k' and h^-1
+        dpsi = gradient(psi, dx, order)                     # (3, grid)
+        if sec.h_prime:
+            src -= hf.apply_mod(np.sum(dpsi * E, axis=1),
+                                hf.s_prime(psi, kin.cosh2_psi))
+        if sec.k:
+            src += kf.apply_mod(np.sum(dpsi * kin.H, axis=1),
+                                kf.s_prime(psi, kin.cosh2_psi))
+    if src is not None:
+        res -= model.couplings.solve_h(src, kin.sh)
     l2 = float(np.sqrt(np.sum(res**2) * kin.lattice.cell_volume))
     linf = float(np.max(np.abs(res)))
     return res, l2, linf
@@ -347,4 +471,4 @@ def lagrangian_density(kin: Kinematics) -> np.ndarray:
     """
     T, U = kin.densities()
     kf = kin.model.couplings.k
-    return T - U - site_dot(kin.state.E, kf.apply(kin.H, kf.s(kin.psi)))
+    return T - U - site_dot(kin.state.E, kf.apply(kin.H, kf.s(kin.psi, kin.tanh_psi)))

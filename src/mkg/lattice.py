@@ -260,27 +260,28 @@ _HEADER_BYTES = len(SNAPSHOT_MAGIC) + struct.calcsize(_HEADER)
 
 
 def _zyx(ndim: int) -> tuple:
-    """The axis order that swaps the grid axes (x, y, z) in front of one
-    trailing value axis to (z, y, x); it is its own inverse."""
-    return tuple(range(ndim - 4)) + (ndim - 2, ndim - 3, ndim - 4, ndim - 1)
+    """The axis order that reverses the three trailing grid axes (x, y, z)
+    to (z, y, x); it is its own inverse."""
+    return tuple(range(ndim - 3)) + (ndim - 1, ndim - 2, ndim - 3)
 
 
-def _pack(arr: np.ndarray) -> bytes:
-    """Little-endian f64 with the grid stored x-fastest; a complex array as
-    interleaved re, im."""
-    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
-    vals = np.stack(parts, axis=-1)
-    return np.ascontiguousarray(vals.transpose(_zyx(vals.ndim)), "<f8").tobytes()
+def _pack(arr: np.ndarray) -> np.ndarray:
+    """The array as stored, in one copy: little-endian f64 with the grid
+    stored x-fastest, a complex array as interleaved re, im, which are the
+    bytes of little-endian complex128.  A file's write takes it as a
+    buffer."""
+    return np.ascontiguousarray(arr.transpose(_zyx(arr.ndim)),
+                                "<c16" if np.iscomplexobj(arr) else "<f8")
 
 
 def _unpack(buf: bytes, offset: int, shape: tuple, k: int) -> tuple[np.ndarray, int]:
     """The array of `shape` that _pack stored at `offset`, k = 1 real or
     2 complex, and the offset after it."""
-    count = int(np.prod(shape)) * k
-    vals = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-    vals = vals.reshape(shape[:-3] + shape[:-4:-1] + (k,))
-    vals = np.array(vals.transpose(_zyx(vals.ndim)), dtype=float)   # a copy
-    return (vals.view(complex) if k == 2 else vals)[..., 0], offset + 8 * count
+    count = int(np.prod(shape))
+    vals = np.frombuffer(buf, "<c16" if k == 2 else "<f8", count, offset)
+    vals = vals.reshape(shape[:-3] + shape[:-4:-1]).transpose(_zyx(len(shape)))
+    return (np.ascontiguousarray(vals, complex if k == 2 else float),
+            offset + 8 * k * count)
 
 
 def write_snapshot(path, state: FieldState, lattice: LatticeSpec) -> None:

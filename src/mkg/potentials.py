@@ -71,6 +71,15 @@ class PotentialFamily:
         return out
 
     @property
+    def vanishes(self) -> bool:
+        """V = 0 identically, and so V' = 0 too."""
+        if self.kind is PotentialKind.POLYNOMIAL:
+            return not any(self.coefficients)
+        if self.kind is PotentialKind.SINE_GORDON:
+            return self.v0 == 0.0 or self.lam == 0.0
+        return not any(a for a, _ in self.toda_pairs)
+
+    @property
     def polynomial_degree(self) -> int:
         if self.kind is not PotentialKind.POLYNOMIAL:
             return 1

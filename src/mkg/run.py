@@ -17,7 +17,7 @@ from .config import RunConfig
 from .diagnostics import DiagnosticsRecord, collect, stack_records
 from .dynamics import Kinematics, step_rk4
 from .errors import (NonFinite, NonUniformSampling, ParseError, RadiusExceeded,
-                     TraceTooShort)
+                     TraceTooShort, ValidationError)
 from .lattice import NormSnapshot, write_snapshot
 from .potentials import PotentialKind
 
@@ -169,7 +169,11 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
         printer=print) -> int:
     """Evolve the configured scenario; returns a process exit code."""
     out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:          # an existing file, or a path under one
+        raise ValidationError(f"output directory {out!r} cannot be created: "
+                              f"{exc.strerror}") from None
     n_steps = steps if steps is not None else cfg.steps
     lattice = cfg.lattice
     model, state = cfg.build()

@@ -238,11 +238,23 @@ def test_check_bounds_uses_run_constants(tmp_path, capsys):
 
 HEADER = ",".join(CSV_COLUMNS)
 ROW = ",".join(["0.0"] * len(CSV_COLUMNS))
+
+
+def _row_with(column, cell):
+    """ROW with `cell` in place of the named column's value."""
+    cells = ["0.0"] * len(CSV_COLUMNS)
+    cells[CSV_COLUMNS.index(column)] = cell
+    return ",".join(cells)
+
+
 GOOD_TRACE = HEADER + "\n" + "".join(f"{t}{ROW[3:]}\n" for t in (0.0, 0.1, 0.2))
 MALFORMED_TRACES = {
     "missing": None,
     "header": HEADER.replace("E0_sf", "E0sf") + "\n" + ROW + "\n",
     "cell": HEADER + "\n" + ROW + "\n" + ROW.replace("0.0", "abc", 1) + "\n",
+    # columns the audit never reads are validated too
+    "cell_l2_V": HEADER + "\n" + ROW + "\n" + _row_with("l2_V", "abc") + "\n",
+    "cell_G": HEADER + "\n" + ROW + "\n" + _row_with("G", "abc") + "\n",
     "ragged": HEADER + "\n" + ROW + "\n" + ROW[:-len(",0.0")] + "\n",
     "width": HEADER + "\n" + (ROW[:-len(",0.0")] + "\n") * 3,
 }
@@ -250,9 +262,9 @@ MALFORMED_TRACES = {
 
 @pytest.mark.parametrize("case", MALFORMED_TRACES)
 def test_malformed_trace_is_config_error(tmp_path, capsys, case):
-    """A missing file, a wrong header, a cell that is not a number, a short
-    row and rows one column short each print one config-error line and
-    exit 2."""
+    """A missing file, a wrong header, a cell that is not a number (in t,
+    and in l2_V and G, which the audit never reads), a short row and rows
+    one column short each print one config-error line and exit 2."""
     path = tmp_path / "trace.csv"
     if MALFORMED_TRACES[case] is not None:
         path.write_text(MALFORMED_TRACES[case])
@@ -315,6 +327,20 @@ def test_kirchhoff_verify_bad_input_is_config_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: --")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_uncreatable_out_is_config_error(tmp_path, capsys, under_file):
+    """--out at an existing file, or at a path under one, prints one
+    config-error line and exits 2."""
+    cfg = write(tmp_path, MINIMAL)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "out" if under_file else taken
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert taken.read_text() == ""
 
 
 def test_config_error_exit_code(tmp_path):

@@ -1,5 +1,7 @@
 """Evolution equations: variational certification, conservation, covariance."""
 
+import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from coupling_matrices import matrix_value
 from reference_rhs import reference_rhs
 from mkg.couplings import constant_couplings, saturating_couplings
-from mkg.dynamics import (Kinematics, ModelSpec, eom_rhs, gauge_transform,
-                          gauss_residual, lagrangian_density, step_rk4)
+from mkg.dynamics import (Kinematics, ModelSpec, Sectors, eom_rhs,
+                          gauge_transform, gauss_residual, lagrangian_density,
+                          step_rk4)
 from mkg.errors import NonFinite, RadiusExceeded
 from mkg.diagnostics import energy_E0
 from mkg.kahler import flat_family, quartic_family, sextic_family
 from mkg.lattice import FieldState, LatticeSpec, magnetic_field, zero_state
 from mkg.potentials import polynomial
-from mkg.scenarios import build
+from mkg.scenarios import SCENARIOS, build
 
 
 def interacting_model():
@@ -452,8 +455,9 @@ def test_kinematics_of_another_state_is_refused():
 
 
 # tracemalloc peak of one eom_rhs over the bytes of its input state, on a
-# 16^3 interacting_demo state: 3.63 with the collapsed scalar sector and
-# one curl, 6.11 with the term-by-term assembly (tests/reference_rhs.py
+# 16^3 interacting_demo state: 3.73 with the collapsed scalar sector, one
+# curl and tanh psi, cosh^2 psi and |D phi|^2 kept on the Kinematics (3.63
+# without them), 6.11 with the term-by-term assembly (tests/reference_rhs.py
 # form).  One more (N_C, 3, grid) complex temporary adds 0.6.
 RHS_PEAK_OVER_STATE = 4.0
 
@@ -470,3 +474,91 @@ def test_rhs_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= RHS_PEAK_OVER_STATE * state_bytes, peak / state_bytes
+
+
+def test_sectors_of_the_shipped_models():
+    """interacting_demo switches off only W (quartic target); the free
+    scenarios switch off every sector."""
+    lat = LatticeSpec((8, 1, 1), 1.0 / 8)
+    assert build("interacting_demo", lat)[0].sectors == Sectors(
+        charged=True, h_prime=True, k=True, q=True, w=False, potential=True)
+    for name in SCENARIOS[:-1]:
+        assert not any(dataclasses.astuple(build(name, lat)[0].sectors)), name
+
+
+def _all_sectors_on(model):
+    forced = copy.copy(model)
+    forced.sectors = Sectors(*[True] * len(dataclasses.fields(Sectors)))
+    return forced
+
+
+def _sector_outputs(state, lat, model):
+    d = eom_rhs(state, lat, model)
+    res, l2, linf = gauss_residual(Kinematics.of(state, lat, model))
+    e0 = energy_E0(Kinematics.of(state, lat, model))
+    return _all_arrays(d, _DERIVS) + [res, np.array([l2, linf, e0])]
+
+
+def switched_model(seed, order):
+    """A random model whose charges, h', k', target (flat, quartic or
+    sextic) and potential are each switched on or off at random."""
+    rng = np.random.default_rng(seed)
+    nv, nc = (int(n) for n in rng.integers(1, 4, size=2))
+    on = rng.random(4) < 0.5
+    target = int(rng.integers(0, 3))
+
+    def sym(scale):
+        m = scale * rng.standard_normal((nv, nv))
+        return 0.5 * (m + m.T)
+
+    b = rng.standard_normal((nv, nv))
+    kahler = (flat_family(), quartic_family(rng.uniform(0.0, 0.3)),
+              sextic_family(rng.uniform(0.0, 0.3)))[target]
+    return ModelSpec(
+        charges=rng.uniform(-1.0, 1.0, nv) if on[0] else np.zeros(nv),
+        couplings=saturating_couplings(
+            nv, h_base=b @ b.T / nv + np.eye(nv),
+            h_mod=sym(0.2) if on[1] else None,
+            h_amplitude=rng.uniform(-0.5, 0.5), k_base=sym(0.3),
+            k_mod=sym(0.2), k_amplitude=rng.uniform(-0.5, 0.5) if on[2] else 0.0),
+        kahler=kahler,
+        potential=(polynomial(0.0, *rng.uniform(0.0, 1.0, 2)) if on[3]
+                   else polynomial(0.0)),
+        n_gauge=nv, n_scalar=nc, stencil_order=order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.sampled_from((2, 4)),
+       dims=st.tuples(*[st.integers(1, 6)] * 3))
+def test_sector_flags_skip_only_zeros_on_random_models(seed, order, dims):
+    """On models with any mix of sectors switched off, skipping the blocks
+    that are off changes eom_rhs, gauss_residual and energy_E0 at most in
+    the sign of a zero."""
+    model = switched_model(seed, order)
+    lat = LatticeSpec(dims, 0.25)
+    state = random_state(lat, model.n_gauge, model.n_scalar, seed=seed % 1000)
+    got = _sector_outputs(state, lat, model)
+    want = _sector_outputs(state, lat, _all_sectors_on(model))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dims", [(64, 1, 1), (4, 3, 5)])
+@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("data", ["scenario", "random"])
+def test_sector_flags_skip_only_zeros(name, dims, data):
+    """eom_rhs, gauss_residual and energy_E0 with every sector flag forced
+    on equal those with the model's own flags: byte for byte on
+    interacting_demo, and up to the sign of zeros on the free scenarios,
+    on the scenario's initial data and on random data."""
+    lat = LatticeSpec(dims, 1.0 / dims[0])
+    model, state = build(name, lat)
+    if data == "random":
+        state = random_state(lat, model.n_gauge, model.n_scalar, seed=21)
+    got = _sector_outputs(state, lat, model)
+    want = _sector_outputs(state, lat, _all_sectors_on(model))
+    for a, b in zip(got, want):
+        if name == "interacting_demo":
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -11,7 +11,7 @@ from mkg.diagnostics import norms
 from mkg.dynamics import Kinematics, ModelSpec
 from mkg.errors import ParseError, ValidationError
 from mkg.kahler import flat_family
-from mkg.lattice import (LatticeSpec, central_diff, curl, divergence,
+from mkg.lattice import (LatticeSpec, _pack, central_diff, curl, divergence,
                          gradient, pairwise_sum, read_snapshot,
                          write_snapshot, zero_state)
 from mkg.potentials import polynomial
@@ -236,6 +236,35 @@ def test_snapshot_roundtrip_signed_zero_and_inf(tmp_path):
     st2, _ = read_snapshot(path)
     for a, b in ((st2.phi, st.phi), (st2.pi, st.pi)):
         assert a.tobytes() == b.tobytes()
+
+
+def reference_pack(arr):
+    """The snapshot packing of the earlier code, three copies deep, kept as
+    the byte reference: re, im stacked on a trailing axis, the grid axes
+    swapped to (z, y, x), then tobytes."""
+    vals = np.stack((arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,),
+                    axis=-1)
+    n = vals.ndim
+    order = tuple(range(n - 4)) + (n - 2, n - 3, n - 4, n - 1)
+    return np.ascontiguousarray(vals.transpose(order), "<f8").tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 3, 2), (1, 3, 1, 1, 5),
+                                   (3, 1, 6, 1), (2, 2, 2, 7)])
+def test_pack_matches_reference_bytes(shape):
+    """One copy per field gives the bytes of the reference packing, for real
+    and complex arrays holding -0, +-inf and nan."""
+    rng = np.random.default_rng(len(shape))
+    special = [-0.0, np.inf, -np.inf, np.nan]
+    real = rng.standard_normal(shape)
+    real.flat[:4] = special
+    cplx = np.empty(shape, complex)
+    cplx.real = rng.standard_normal(shape)
+    cplx.imag = rng.standard_normal(shape)
+    cplx.real.flat[:4] = special
+    cplx.imag.flat[-4:] = special
+    for arr in (real, cplx):
+        assert _pack(arr).tobytes() == reference_pack(arr)
 
 
 def test_snapshot_magic(tmp_path):
