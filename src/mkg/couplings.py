@@ -67,15 +67,15 @@ class MatrixFamily:
     mod: np.ndarray
     amplitude: float = 0.0
 
-    def s(self, psi, tanh=None):
-        """amp * tanh(psi); tanh, when given, is tanh(psi) computed once
-        for both families (Kinematics.tanh_psi)."""
-        return self.amplitude * (np.tanh(psi) if tanh is None else tanh)
+    def s(self, tanh):
+        """s = amp * tanh(psi), from tanh = tanh(psi), which h and k share
+        (Kinematics.tanh_psi)."""
+        return self.amplitude * tanh
 
-    def s_prime(self, psi, cosh2=None):
-        """amp * sech(psi)**2; cosh2, when given, is cosh(psi)**2
+    def s_prime(self, cosh2):
+        """s' = amp * sech(psi)**2, from cosh2 = cosh(psi)**2
         (Kinematics.cosh2_psi)."""
-        return self.amplitude / (np.cosh(psi) ** 2 if cosh2 is None else cosh2)
+        return self.amplitude / cosh2
 
     @property
     def varies(self) -> bool:
@@ -83,13 +83,13 @@ class MatrixFamily:
         return self.amplitude != 0.0 and bool(np.any(self.mod))
 
     def apply(self, v: np.ndarray, s) -> np.ndarray:
-        """m(psi).v, with s = self.s(psi)."""
+        """m(psi).v, with s = self.s(tanh(psi))."""
         out = _gauge_dot(self.base, v)
         out += self.apply_mod(v, s)
         return out
 
     def apply_mod(self, v: np.ndarray, s) -> np.ndarray:
-        """s * (mod.v); with s = self.s_prime(psi) this is m'(psi).v."""
+        """s * (mod.v); with s = self.s_prime(cosh(psi)**2) this is m'(psi).v."""
         out = _gauge_dot(self.mod, v)
         out *= s
         return out
@@ -129,7 +129,7 @@ class CouplingFamily:
                 f"{np.min(lower):.6g} for amp = {amp:.6g}")
 
     def solve_h(self, v: np.ndarray, s) -> np.ndarray:
-        """h(psi)^-1 v, with s = self.h.s(psi), by the pencil's eigenbasis."""
+        """h(psi)^-1 v, with s = self.h.s(tanh(psi)), by the pencil's eigenbasis."""
         d = self._d.reshape((-1,) + (1,) * (v.ndim - 1))
         w = _gauge_dot(self._P.T, v)
         w /= 1.0 + d * s

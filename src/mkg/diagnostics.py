@@ -150,7 +150,7 @@ def norms(kin: Kinematics) -> NormSnapshot:
         linf_A=float(np.sqrt(np.max(kin.A2))),
         linf_dPsi=float(np.sqrt(np.max(dpsi2))),
         l2_E=_l2(kin.E2, vol),
-        l2_H=_l2(kin.H2, vol),
+        l2_H=_l2(np.sum(H**2, axis=(0, 1)), vol),
         l2_Dphi=_l2(pDphi2, vol),
         l2_phi=_l2(phi2, vol),
         l2_V=_l2(kin.V**2, vol),

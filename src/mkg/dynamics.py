@@ -85,7 +85,7 @@ class ModelSpec:
         self.sectors = Sectors(
             charged=bool(np.any(self.charges)),
             h_prime=self.couplings.h.varies, k=self.couplings.k.varies,
-            q=bool(self.kahler._q_poly), w=bool(self.kahler._qp2r_poly),
+            q=self.kahler.has_q, w=self.kahler.has_w,
             potential=not self.potential.vanishes)
 
 
@@ -159,7 +159,7 @@ class Kinematics:
     @cached_property
     def sh(self) -> np.ndarray:
         """h.s(psi), [grid]."""
-        return self.model.couplings.h.s(self.psi, self.tanh_psi)
+        return self.model.couplings.h.s(self.tanh_psi)
 
     @cached_property
     def qa(self) -> np.ndarray:
@@ -203,10 +203,6 @@ class Kinematics:
     @cached_property
     def E2(self) -> np.ndarray:
         return np.sum(self.state.E**2, axis=(0, 1))
-
-    @cached_property
-    def H2(self) -> np.ndarray:
-        return np.sum(self.H**2, axis=(0, 1))
 
     @cached_property
     def A2(self) -> np.ndarray:
@@ -270,13 +266,13 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     # scalar source from the Psi-dependence of h, k and the potential
     S = np.zeros(psi.shape)
     if sec.h_prime:
-        sph = hf.s_prime(psi, kin.cosh2_psi)
+        sph = hf.s_prime(kin.cosh2_psi)
         hpE = hf.apply_mod(E, sph)                  # h' E
         S += 0.5 * site_dot(E, hpE)
         S -= 0.5 * site_dot(H, hf.apply_mod(H, sph))
     if sec.k:
-        sk = kf.s(psi, kin.tanh_psi)
-        kpH = kf.apply_mod(H, kf.s_prime(psi, kin.cosh2_psi))   # k' H
+        sk = kf.s(kin.tanh_psi)
+        kpH = kf.apply_mod(H, kf.s_prime(kin.cosh2_psi))   # k' H
         S -= site_dot(E, kpH)
     if sec.potential:
         S -= model.potential.prime(psi)
@@ -432,10 +428,10 @@ def gauss_residual(kin: Kinematics) -> tuple[np.ndarray, float, float]:
         dpsi = gradient(psi, dx, order)                     # (3, grid)
         if sec.h_prime:
             src -= hf.apply_mod(np.sum(dpsi * E, axis=1),
-                                hf.s_prime(psi, kin.cosh2_psi))
+                                hf.s_prime(kin.cosh2_psi))
         if sec.k:
             src += kf.apply_mod(np.sum(dpsi * kin.H, axis=1),
-                                kf.s_prime(psi, kin.cosh2_psi))
+                                kf.s_prime(kin.cosh2_psi))
     if src is not None:
         res -= model.couplings.solve_h(src, kin.sh)
     l2 = float(np.sqrt(np.sum(res**2) * kin.lattice.cell_volume))
@@ -471,4 +467,4 @@ def lagrangian_density(kin: Kinematics) -> np.ndarray:
     """
     T, U = kin.densities()
     kf = kin.model.couplings.k
-    return T - U - site_dot(kin.state.E, kf.apply(kin.H, kf.s(kin.psi, kin.tanh_psi)))
+    return T - U - site_dot(kin.state.E, kf.apply(kin.H, kf.s(kin.tanh_psi)))

@@ -94,6 +94,17 @@ class KahlerFamily:
     def q_prime_over_2r(self, r):
         return _poly_eval(self._qp2r_poly, r)
 
+    @property
+    def has_q(self) -> bool:
+        """Whether q has a nonzero term: False on the flat target."""
+        return bool(self._q_poly)
+
+    @property
+    def has_w(self) -> bool:
+        """Whether q'/(2r) has a nonzero term: False on the flat and
+        quartic targets."""
+        return bool(self._qp2r_poly)
+
 
 def flat_family(**kw) -> KahlerFamily:
     """Phi = r**2."""

@@ -280,7 +280,8 @@ def _unpack(buf: bytes, offset: int, shape: tuple, k: int) -> tuple[np.ndarray, 
     count = int(np.prod(shape))
     vals = np.frombuffer(buf, "<c16" if k == 2 else "<f8", count, offset)
     vals = vals.reshape(shape[:-3] + shape[:-4:-1]).transpose(_zyx(len(shape)))
-    return (np.ascontiguousarray(vals, complex if k == 2 else float),
+    # always one copy: a view of buf would be read-only and unaligned
+    return (np.array(vals, complex if k == 2 else float, order="C"),
             offset + 8 * k * count)
 
 

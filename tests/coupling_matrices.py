@@ -6,9 +6,9 @@ import numpy as np
 
 def matrix_value(m, psi):
     """m(psi) = base + s(psi) mod as a grid of matrices, shape psi.shape + (n, n)."""
-    return m.base + np.multiply.outer(m.s(psi), m.mod)
+    return m.base + np.multiply.outer(m.s(np.tanh(psi)), m.mod)
 
 
 def matrix_prime(m, psi):
     """m'(psi) = s'(psi) mod as a grid of matrices, shape psi.shape + (n, n)."""
-    return np.multiply.outer(m.s_prime(psi), m.mod)
+    return np.multiply.outer(m.s_prime(np.cosh(psi) ** 2), m.mod)

@@ -26,14 +26,14 @@ def reference_rhs(state, lattice, model) -> StateDerivative:
     W = model.kahler.q_prime_over_2r(kin.r)
 
     hf, kf = model.couplings.h, model.couplings.k
-    sk = kf.s(psi)
+    sk = kf.s(np.tanh(psi))
     psidot = 2.0 * np.real(u)
 
     # ---- gauge sector:  h dE/dt = curl(hH) + curl(kE) - k curl E
     #                              - h' psidot E + k' psidot H - 2 q Im X
-    sph = hf.s_prime(psi)
+    sph = hf.s_prime(np.cosh(psi) ** 2)
     hpE = hf.apply_mod(E, sph)                      # h' E
-    kpH = kf.apply_mod(H, kf.s_prime(psi))          # k' H
+    kpH = kf.apply_mod(H, kf.s_prime(np.cosh(psi) ** 2))   # k' H
     rhs_E = curl(hf.apply(H, sh), dx, order)
     rhs_E += curl(kf.apply(E, sk), dx, order)
     rhs_E -= kf.apply(curl(E, dx, order), sk)

@@ -52,7 +52,7 @@ def test_h_positive_definite_and_invertible():
     psi = np.linspace(0.0, 50.0, 21).reshape(21, 1, 1)
     h = matrix_value(fam.h, psi)
     eye = np.broadcast_to(np.eye(2)[:, :, None, None, None], (2, 2) + psi.shape)
-    hinv_cols = fam.solve_h(eye, fam.h.s(psi))       # column j: h^-1 e_j
+    hinv_cols = fam.solve_h(eye, fam.h.s(np.tanh(psi)))   # column j: h^-1 e_j
     for i in range(psi.shape[0]):
         assert np.min(np.linalg.eigvalsh(h[i, 0, 0])) > 0
         assert h[i, 0, 0] @ hinv_cols[:, :, i, 0, 0] == pytest.approx(np.eye(2), abs=1e-12)
@@ -153,18 +153,19 @@ def test_affine_algebra_matches_per_site_matrices(n, amp, psi_max, dims, vector,
     v = rng.standard_normal(shape)
     spec = "abcls,siabc->liabc" if vector else "abcls,sabc->labc"
 
+    tanh, cosh2 = np.tanh(psi), np.cosh(psi) ** 2
     for m in (fam.h, fam.k):
         value, prime = matrix_value(m, psi), matrix_prime(m, psi)
-        _rel_close(m.apply(v, m.s(psi)), np.einsum(spec, value, v))
-        _rel_close(m.apply_mod(v, m.s_prime(psi)), np.einsum(spec, prime, v))
+        _rel_close(m.apply(v, m.s(tanh)), np.einsum(spec, value, v))
+        _rel_close(m.apply_mod(v, m.s_prime(cosh2)), np.einsum(spec, prime, v))
         pair = np.einsum(spec, value, v) * u
-        _rel_close(site_dot(u, m.apply(v, m.s(psi))),
+        _rel_close(site_dot(u, m.apply(v, m.s(tanh))),
                    np.sum(pair, axis=tuple(range(u.ndim - 3))))
 
     h = matrix_value(fam.h, psi)
     rhs = np.moveaxis(v, 0, -1)[..., None]      # ([3,] grid, n, 1)
     want = np.moveaxis(np.linalg.solve(h, rhs)[..., 0], -1, 0)
-    _rel_close(fam.solve_h(v, fam.h.s(psi)), want)
+    _rel_close(fam.solve_h(v, fam.h.s(tanh)), want)
 
 
 # Reference contractions: the np.tensordot forms the products replaced.
@@ -218,9 +219,10 @@ def test_gauge_products_match_tensordot(n, dims, layout, seed):
     def same(got, want):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    tanh, cosh2 = np.tanh(psi), np.cosh(psi) ** 2
     for m in (fam.h, fam.k):
-        same(m.apply(v, m.s(psi)), tensordot_apply(m, v, m.s(psi)))
-        same(m.apply_mod(v, m.s_prime(psi)),
-             tensordot_apply_mod(m, v, m.s_prime(psi)))
-    same(fam.solve_h(v, fam.h.s(psi)), tensordot_solve_h(fam, v, fam.h.s(psi)))
+        same(m.apply(v, m.s(tanh)), tensordot_apply(m, v, m.s(tanh)))
+        same(m.apply_mod(v, m.s_prime(cosh2)),
+             tensordot_apply_mod(m, v, m.s_prime(cosh2)))
+    same(fam.solve_h(v, fam.h.s(tanh)), tensordot_solve_h(fam, v, fam.h.s(tanh)))
     same(_gauge_dot(q, v), np.tensordot(q, v, axes=(0, 0)))

@@ -238,6 +238,23 @@ def test_snapshot_roundtrip_signed_zero_and_inf(tmp_path):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("dims", [(16, 1, 1), (1, 1, 1), (1, 5, 1), (3, 2, 2)])
+def test_snapshot_fields_load_as_own_writeable_arrays(tmp_path, dims):
+    """Each loaded field is an aligned, writeable C array of its own, also
+    where the stored order already is the field's (one axis longer than 1)."""
+    lat = LatticeSpec(dims, 0.5)
+    path = str(tmp_path / "state.mkg")
+    write_snapshot(path, random_state(lat, n_gauge=2, n_scalar=1, seed=3), lat)
+    st, _ = read_snapshot(path)
+    fields = (st.A, st.E, st.phi, st.pi)
+    for i, f in enumerate(fields):
+        assert f.flags.writeable and f.flags.aligned and f.flags.c_contiguous
+        assert f.flags.owndata
+        f += 1.0
+        for g in fields[i + 1:]:
+            assert not np.shares_memory(f, g)
+
+
 def reference_pack(arr):
     """The snapshot packing of the earlier code, three copies deep, kept as
     the byte reference: re, im stacked on a trailing axis, the grid axes
