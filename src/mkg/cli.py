@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds, run as runmod
 from .config import load_config
-from .errors import MkgError, NonFinite, ParseError, ValidationError
+from .errors import MkgError, ParseError, ValidationError
 from .kahler import (hessian_oracle, kahler_metric, radial_bound_check,
                      resolve_q_normalization)
 from .spherical import PlaneWave, SphereQuadrature, kirchhoff_residual_scan
@@ -147,9 +147,6 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NonFinite as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 3
     except MkgError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

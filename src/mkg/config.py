@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from .bounds import EstimateConstants
 from .errors import ParseError, ValidationError
 from .lattice import LatticeSpec
-from .potentials import PotentialKind
-from .scenarios import SCENARIOS, build as build_scenario, make_model
+from .potentials import PotentialFamily, PotentialKind
+from .scenarios import SCENARIOS, build as build_scenario
 
 _SCHEMA = {
     "lattice": {"dims", "dx"},
@@ -54,18 +54,21 @@ class RunConfig:
         return build_scenario(self.scenario, self.lattice, self.scenario_params,
                               self.seed, self.stencil_order)
 
-    def estimate_constants(self, J0: float) -> EstimateConstants:
+    def estimate_constants(self, J0: float,
+                           potential: PotentialFamily) -> EstimateConstants:
+        """The configured estimate constants.  N defaults to the degree
+        (at least 1) of the built model's potential when it is polynomial,
+        else to 1, and J0 "auto" to the given J0."""
         raw = self.constants_raw
-        model = make_model(self.scenario, self.stencil_order)
-        default_N = max(model.potential.polynomial_degree, 1) \
-            if model.potential.kind is PotentialKind.POLYNOMIAL else 1
+        default_N = max(potential.polynomial_degree, 1) \
+            if potential.kind is PotentialKind.POLYNOMIAL else 1
         j0 = raw.get("J0", "auto")
         return EstimateConstants(
             b_n=tuple(raw.get("b_n", (1.0, 1.0))),
             C1=raw.get("C1", 0.0), C2=raw.get("C2", 0.0), C3=raw.get("C3", 0.0),
             c4=raw.get("c4", 1.0), N=int(raw.get("N", default_N)),
             J0=float(J0 if j0 == "auto" else j0),
-            potential_kind=model.potential.kind)
+            potential_kind=potential.kind)
 
 
 def _fail_key(section: str, key: str, value: str, why: str):
@@ -207,8 +210,8 @@ def load_config(path: str) -> RunConfig:
 
     # fail fast: scenario model and constants must construct
     try:
-        cfg.build()
-        cfg.estimate_constants(1.0)
+        model, _ = cfg.build()
+        cfg.estimate_constants(1.0, model.potential)
     except (ParseError, ValidationError):
         raise
     except Exception as exc:

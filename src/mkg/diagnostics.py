@@ -8,9 +8,12 @@ DiagnosticsRecord per instant by `collect`.
 The per-site squares |pi|^2, |grad phi|^2, |D phi|^2, |E|^2, |H|^2 and
 |A|^2 are computed once per Kinematics and shared by the norms, E0 and
 E0_sf; every per-site density whose sum is reported is reduced by
-`pairwise_sum`.  E1_sf takes its second differences by periodic summation
-by parts (Strand, J. Comput. Phys. 110, 1994): the central differences
-d_i of either order are circulant, commute and are antisymmetric, so
+`np.sum`, which sums a contiguous array pairwise, so that its rounding
+error grows as O(log n) (Higham, SIAM J. Sci. Comput. 14, 1993).  E1_sf
+takes its second differences by periodic summation by parts (Strand,
+J. Comput. Phys. 110, 1994), and sums their squares by `_sum_sq`: the
+central differences d_i of either order are circulant, commute and are
+antisymmetric, so
 
     sum_x sum_ij |d_i d_j f|^2 = sum_x |sum_i d_i d_i f|^2
 
@@ -25,9 +28,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .couplings import site_dot
 from .dynamics import Kinematics, ModelSpec, _kinematics, gauss_residual
 from .lattice import (FieldState, LatticeSpec, NormSnapshot, _diff_into,
-                      divergence, gradient, pairwise_sum)
+                      divergence, gradient)
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,23 @@ def stack_records(records) -> DiagnosticsRecord:
 
 
 def energy_E0(kin: Kinematics) -> float:
-    """Geometric energy: the integral of T + U (Kinematics.densities),
-    (h/2)(E.E + H.H) + g |D_0 phi|^2 + g D_i phi conj(D_i phi) + V."""
-    T, U = kin.densities()
-    return pairwise_sum(T + U) * kin.lattice.cell_volume
+    """Geometric energy, the integral of T + U with the kinetic and static
+    densities
+
+    T = (1/2) E.hE + alpha |pi|^2 + Q |conj(phi).pi|^2
+    U = (1/2) H.hH + alpha |Dphi|^2 + Q |conj(phi).Dphi|^2 + V,
+
+    that is (h/2)(E.E + H.H) + g |D_0 phi|^2 + g D_i phi conj(D_i phi) + V.
+    The Q and V terms are skipped when the model's sectors switch them off."""
+    E, h, sec = kin.state.E, kin.model.couplings.h, kin.model.sectors
+    T = 0.5 * site_dot(E, h.apply(E, kin.sh)) + kin.alpha * kin.pi2
+    U = 0.5 * site_dot(kin.H, h.apply(kin.H, kin.sh)) + kin.alpha * kin.Dphi2
+    if sec.q:
+        T += kin.Q * np.abs(kin.phi_pi) ** 2
+        U += kin.Q * np.sum(np.abs(kin.phi_Dphi) ** 2, axis=0)
+    if sec.potential:
+        U += kin.V
+    return float(np.sum(T + U)) * kin.lattice.cell_volume
 
 
 def flat_energy_J(snapshot: NormSnapshot, c1: float) -> float:
@@ -109,7 +126,7 @@ def sobolev_energies(kin: Kinematics) -> tuple[float, float]:
              + kin.dphi2 + kin.psi)
 
     vol = kin.lattice.cell_volume
-    return 0.5 * pairwise_sum(dens0) * vol, 0.5 * e1 * vol
+    return 0.5 * float(np.sum(dens0)) * vol, 0.5 * e1 * vol
 
 
 def bianchi_residual(kin: Kinematics) -> float:
@@ -122,7 +139,7 @@ def bianchi_residual(kin: Kinematics) -> float:
 
 
 def _l2(density: np.ndarray, vol: float) -> float:
-    return np.sqrt(max(pairwise_sum(density) * vol, 0.0))
+    return np.sqrt(max(float(np.sum(density)) * vol, 0.0))
 
 
 def norms(kin: Kinematics) -> NormSnapshot:

@@ -1,4 +1,4 @@
-"""Field equations in temporal gauge, time stepping, constraints, gauge maps.
+"""Field equations in temporal gauge, time stepping and the Gauss constraint.
 
 The right-hand sides are the Euler-Lagrange equations of the *discretized*
 Lagrangian density
@@ -9,7 +9,8 @@ Lagrangian density
 with H = curl A (central differences) and Adot = -E, so that the discrete
 energy E0 is the exact Hamiltonian of the semidiscrete flow and is conserved
 up to the integrator's O(dt^4) error.  A numerical action-variation test
-certifies the assembled right-hand sides against this Lagrangian directly.
+certifies the assembled right-hand sides against this Lagrangian directly
+(the test builds the density from a Kinematics, tests/test_dynamics.py).
 
 eom_rhs assembles the equations in a collapsed form that makes fewer passes
 over the lattice than the term-by-term one (tests/reference_rhs.py, which
@@ -27,8 +28,8 @@ A model switches some blocks off identically, and ModelSpec.sectors says
 which, once, on construction: W = Q'/(2r) on a flat or quartic target, Q on
 a flat one, the k' and k_mod terms when k is constant, h' when h is
 constant, q.A and the 2 q Im X source when the charges are zero, and V'
-when the potential is zero.  eom_rhs, Kinematics, gauss_residual and the
-energy densities read these flags and skip the blocks that are off; the
+when the potential is zero.  eom_rhs, Kinematics, gauss_residual and
+diagnostics.energy_E0 read these flags and skip the blocks that are off; the
 blocks that are on are computed as before, to the bit.
 """
 
@@ -43,7 +44,7 @@ from .couplings import CouplingFamily, _gauge_dot, site_dot
 from .errors import NonFinite, RadiusExceeded
 from .kahler import KahlerFamily
 from .lattice import (FieldState, LatticeSpec, central_diff, curl, divergence,
-                      gradient, magnetic_field)
+                      gradient)
 from .potentials import PotentialFamily
 
 
@@ -112,9 +113,9 @@ class Kinematics:
     builds these, Dphi in the gradient's buffer.  Everything else is
     computed on first use and then kept: tanh(psi) and cosh(psi)^2, from
     which h and k form s and s', the contractions with phi, and the
-    per-site squares that the RHS, the energy densities and the norms
-    share.  One Kinematics may serve both the trace record of a state and
-    the first RK4 stage from it (step_rk4's `kin`).
+    per-site squares that the RHS, E0, E0_sf and the norms share.  One
+    Kinematics may serve both the trace record of a state and the first
+    RK4 stage from it (step_rk4's `kin`).
     """
 
     state: FieldState
@@ -136,7 +137,7 @@ class Kinematics:
         r = np.sqrt(psi)
         kin = cls(state, lattice, model, psi, r,
                   alpha=model.kahler.alpha(r), Q=model.kahler.q(r),
-                  H=magnetic_field(state, lattice, order),
+                  H=curl(state.A, lattice.dx, order),
                   Dphi=gradient(phi, lattice.dx, order))
         if model.sectors.charged:
             # one (field, axis) slab at a time, the same products: with the
@@ -207,25 +208,6 @@ class Kinematics:
     @cached_property
     def A2(self) -> np.ndarray:
         return np.sum(self.state.A**2, axis=(0, 1))
-
-    def densities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Kinetic and static densities (T, U), pointwise:
-
-        T = (1/2) E.hE + alpha |pi|^2 + Q |conj(phi).pi|^2
-        U = (1/2) H.hH + alpha |Dphi|^2 + Q |conj(phi).Dphi|^2 + V
-
-        E0 integrates T + U; the Lagrangian density is T - U - E.kH.
-        """
-        E, h, sec = self.state.E, self.model.couplings.h, self.model.sectors
-        T = 0.5 * site_dot(E, h.apply(E, self.sh)) + self.alpha * self.pi2
-        U = (0.5 * site_dot(self.H, h.apply(self.H, self.sh))
-             + self.alpha * self.Dphi2)
-        if sec.q:
-            T += self.Q * np.abs(self.phi_pi) ** 2
-            U += self.Q * np.sum(np.abs(self.phi_Dphi) ** 2, axis=0)
-        if sec.potential:
-            U += self.V
-        return T, U
 
 
 def _kinematics(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
@@ -437,34 +419,3 @@ def gauss_residual(kin: Kinematics) -> tuple[np.ndarray, float, float]:
     l2 = float(np.sqrt(np.sum(res**2) * kin.lattice.cell_volume))
     linf = float(np.max(np.abs(res)))
     return res, l2, linf
-
-
-def gauge_transform(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
-                    theta: np.ndarray) -> FieldState:
-    """Time-independent U(1)^N transformation.
-
-    A_i -> A_i + d_i theta, phi -> exp(i sum_G q_G theta^G) phi, pi rotated
-    by the same phase, E unchanged.  theta has shape [N_V, grid].
-    """
-    theta = np.asarray(theta, dtype=float)
-    dtheta = gradient(theta, lattice.dx, model.stencil_order)
-    phase = np.exp(1j * _gauge_dot(model.charges, theta))
-    return FieldState(
-        A=state.A + dtheta,
-        E=state.E.copy(),
-        phi=phase * state.phi,
-        pi=phase * state.pi,
-        t=state.t,
-    )
-
-
-def lagrangian_density(kin: Kinematics) -> np.ndarray:
-    """Pointwise discretized Lagrangian density (Adot = -E, pi = phidot),
-    T - U - E.kH with (T, U) from Kinematics.densities.
-
-    Used by the action-variation certification of eom_rhs; shares every
-    stencil with the right-hand-side assembly.
-    """
-    T, U = kin.densities()
-    kf = kin.model.couplings.k
-    return T - U - site_dot(kin.state.E, kf.apply(kin.H, kf.s(kin.tanh_psi)))

@@ -106,20 +106,9 @@ class KahlerFamily:
         return bool(self._qp2r_poly)
 
 
-def flat_family(**kw) -> KahlerFamily:
-    """Phi = r**2."""
-    return KahlerFamily(**kw)
-
-
 def quartic_family(strength: float = 0.25, **kw) -> KahlerFamily:
     """Phi = r**2 + strength * r**4."""
     return KahlerFamily(coefficients=(0.0, 0.0, 1.0, 0.0, strength), **kw)
-
-
-def sextic_family(strength: float = 0.1, **kw) -> KahlerFamily:
-    """Phi = r**2 + strength * r**6."""
-    return KahlerFamily(coefficients=(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, strength),
-                        **kw)
 
 
 def _radius(phi: np.ndarray) -> float:

@@ -25,7 +25,8 @@ Sign conventions, fixed once here and inherited everywhere:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,10 +47,6 @@ class LatticeSpec:
             raise ValidationError("lattice dims must be >= 1")
         if not (np.isfinite(self.dx) and self.dx > 0):
             raise ValidationError(f"lattice dx must be positive and finite, got {self.dx!r}")
-
-    @property
-    def n_sites(self) -> int:
-        return self.dims[0] * self.dims[1] * self.dims[2]
 
     @property
     def cell_volume(self) -> float:
@@ -207,24 +204,6 @@ def divergence(v: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
     return out
 
 
-def magnetic_field(state: FieldState, lattice: LatticeSpec, order: int = 2) -> np.ndarray:
-    """H^Lam_i = (curl A^Lam)_i, shape [N_V, 3, grid]."""
-    return curl(state.A, lattice.dx, order)
-
-
-def pairwise_sum(values: np.ndarray) -> float:
-    """Deterministic pairwise-tree reduction: fold adjacent pairs until one
-    value remains."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        return 0.0
-    while v.size > 1:
-        if v.size % 2:
-            v = np.concatenate([v, [0.0]])
-        v = v[0::2] + v[1::2]
-    return float(v[0])
-
-
 @dataclass(frozen=True)
 class NormSnapshot:
     """Every norm the estimate functionals consume, at one instant
@@ -243,12 +222,13 @@ class NormSnapshot:
     l2_phi: float
     l2_V: float
 
-    FIELDS = ("t", "linf_phi", "linf_dphi", "linf_Dphi", "linf_F",
-              "linf_A", "linf_dPsi", "l2_E", "l2_H", "l2_Dphi",
-              "l2_phi", "l2_V")
+    FIELDS: ClassVar[tuple[str, ...]]      # the field names, in order
 
     def as_tuple(self):
         return tuple(getattr(self, name) for name in self.FIELDS)
+
+
+NormSnapshot.FIELDS = tuple(f.name for f in fields(NormSnapshot))
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,8 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
     # a recorded state's Kinematics also serves stage k1 of the next step
     kin = Kinematics.of(state, lattice, model)
     records = [collect(state, lattice, model, kin)]
-    constants = cfg.estimate_constants(records[0].flat_J or 1.0)
+    constants = cfg.estimate_constants(records[0].flat_J or 1.0,
+                                       model.potential)
     write_run_json(os.path.join(out, "run.json"), constants)
 
     if cfg.snapshot_cadence:

@@ -12,7 +12,7 @@ import numpy as np
 from .couplings import constant_couplings, saturating_couplings
 from .dynamics import ModelSpec
 from .errors import ValidationError
-from .kahler import flat_family, quartic_family
+from .kahler import KahlerFamily, quartic_family
 from .lattice import FieldState, LatticeSpec, zero_state
 from .potentials import polynomial
 
@@ -23,7 +23,7 @@ SCENARIOS = ("vacuum", "free_maxwell_wave", "free_scalar_wave",
 def _free_model(stencil_order: int = 2) -> ModelSpec:
     """Uncharged flat-target model with identity couplings and V = 0."""
     return ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
-                     kahler=flat_family(), potential=polynomial(0.0),
+                     kahler=KahlerFamily(), potential=polynomial(0.0),
                      n_gauge=1, n_scalar=1, stencil_order=stencil_order)
 
 

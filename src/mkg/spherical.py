@@ -7,7 +7,10 @@ written as an average over the backward light cone's sphere of radius r0:
 
 with the integrand evaluated at the retarded time t - r0 on the sphere
 x + r0 n.  This module discretizes the sphere average with a product
-quadrature and validates the representation against analytic free waves.
+quadrature and validates the representation against a plane wave.  A field
+u is any object with value(t, x), d_t(t, x) and grad(t, x); the other test
+fields (a constant, u = t, sums, sampled callables) live in
+tests/analytic_fields.py.
 """
 
 from __future__ import annotations
@@ -47,47 +50,7 @@ class SphereQuadrature:
         return cls(nodes=nodes, weights=weights, order=order)
 
 
-class AnalyticField:
-    """Scalar field u(t, x) with analytic time derivative and gradient."""
-
-    def value(self, t: float, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def d_t(self, t: float, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def grad(self, t: float, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class Constant(AnalyticField):
-    def __init__(self, c: float):
-        self.c = float(c)
-
-    def value(self, t, x):
-        return self.c
-
-    def d_t(self, t, x):
-        return 0.0
-
-    def grad(self, t, x):
-        return np.zeros(3)
-
-
-class LinearTime(AnalyticField):
-    """u = t, a polynomial solution of the wave equation."""
-
-    def value(self, t, x):
-        return float(t)
-
-    def d_t(self, t, x):
-        return 1.0
-
-    def grad(self, t, x):
-        return np.zeros(3)
-
-
-class PlaneWave(AnalyticField):
+class PlaneWave:
     """u = amp * cos(k.x - |k| t + phase), a free wave for any k."""
 
     def __init__(self, k, amplitude: float = 1.0, phase: float = 0.0):
@@ -109,49 +72,7 @@ class PlaneWave(AnalyticField):
         return -self.amplitude * np.sin(self._arg(t, x)) * self.k
 
 
-class Superposition(AnalyticField):
-    def __init__(self, *parts: AnalyticField):
-        self.parts = parts
-
-    def value(self, t, x):
-        return sum(p.value(t, x) for p in self.parts)
-
-    def d_t(self, t, x):
-        return sum(p.d_t(t, x) for p in self.parts)
-
-    def grad(self, t, x):
-        return sum((p.grad(t, x) for p in self.parts), np.zeros(3))
-
-
-class SampledField(AnalyticField):
-    """Adapter for fields only available as callables u(t, x); derivatives
-    by 4th-order central differences with step h."""
-
-    def __init__(self, fn, h: float = 1e-3):
-        self.fn = fn
-        self.h = float(h)
-
-    def value(self, t, x):
-        return float(self.fn(t, x))
-
-    def d_t(self, t, x):
-        h, f = self.h, self.fn
-        return float(-f(t + 2 * h, x) + 8 * f(t + h, x)
-                     - 8 * f(t - h, x) + f(t - 2 * h, x)) / (12.0 * h)
-
-    def grad(self, t, x):
-        h, f = self.h, self.fn
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(3)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1.0
-            out[i] = (-f(t, x + 2 * h * e) + 8 * f(t, x + h * e)
-                      - 8 * f(t, x - h * e) + f(t, x - 2 * h * e)) / (12.0 * h)
-        return out
-
-
-def kirchhoff_lin(u: AnalyticField, p, r0: float, quad: SphereQuadrature) -> float:
+def kirchhoff_lin(u, p, r0: float, quad: SphereQuadrature) -> float:
     """Sphere-average representation value at the spacetime point p = (t, x).
 
     Evaluates (1/4pi) sum_q w_q [r0 du/dt + r0 n.grad u + u] at the retarded
@@ -171,8 +92,7 @@ def kirchhoff_lin(u: AnalyticField, p, r0: float, quad: SphereQuadrature) -> flo
     return total / (4.0 * np.pi)
 
 
-def kirchhoff_residual_scan(u: AnalyticField, points, r0_list,
-                            quad: SphereQuadrature):
+def kirchhoff_residual_scan(u, points, r0_list, quad: SphereQuadrature):
     """Max |representation - exact| over a grid of points and radii.
 
     Returns (max_residual, rows) with one (point, r0, residual) row each;

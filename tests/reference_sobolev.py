@@ -2,14 +2,14 @@
 
 E1_sf's ddA and ddphi terms are summed here as written, sum_ij |d_i d_j f|^2,
 by differencing every component of the gradient along every axis, into
-per-site densities that are reduced by `pairwise_sum`.
+per-site densities that are reduced by `np.sum`, as in mkg.diagnostics.
 `mkg.diagnostics.sobolev_energies` takes them by summation by parts; the
 tests hold it to this form.
 """
 
 import numpy as np
 
-from mkg.lattice import central_diff, gradient, pairwise_sum
+from mkg.lattice import central_diff, gradient
 
 
 def _grad_sq(f: np.ndarray, dx: float, order: int) -> np.ndarray:
@@ -37,4 +37,4 @@ def reference_sobolev(kin) -> tuple[float, float]:
              + _grad_sq(st.pi, dx, order) + _grad_sq(kin.dphi, dx, order))
 
     vol = kin.lattice.cell_volume
-    return (0.5 * pairwise_sum(dens0) * vol, 0.5 * pairwise_sum(dens1) * vol)
+    return (0.5 * float(np.sum(dens0)) * vol, 0.5 * float(np.sum(dens1)) * vol)

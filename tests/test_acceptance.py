@@ -14,19 +14,21 @@ from mkg.bounds import (EstimateConstants, audit_gronwall, eval_LMNSXUW,
                         eval_YZP)
 from mkg.cli import main
 from mkg.diagnostics import collect, energy_E0, stack_records
-from mkg.dynamics import Kinematics, ModelSpec, gauge_transform, step_rk4
-from mkg.kahler import (flat_family, hessian_oracle, kahler_metric,
+from mkg.dynamics import Kinematics, ModelSpec, step_rk4
+from mkg.kahler import (KahlerFamily, hessian_oracle, kahler_metric,
                         radial_bound_check, quartic_family,
-                        resolve_q_normalization, sextic_family)
+                        resolve_q_normalization)
 from mkg.lattice import LatticeSpec, NormSnapshot, zero_state
 from mkg.couplings import saturating_couplings
 from mkg.potentials import PotentialKind, polynomial
 from mkg.scenarios import SCENARIOS, build
-from mkg.spherical import (Constant, LinearTime, PlaneWave, SphereQuadrature,
-                           kirchhoff_lin, kirchhoff_residual_scan)
+from mkg.spherical import (PlaneWave, SphereQuadrature, kirchhoff_lin,
+                           kirchhoff_residual_scan)
+from analytic_fields import Constant, LinearTime
+from model_helpers import gauge_transform, sextic_family
 from monomial_oracle import BUILDERS, eval_fast, eval_monomial
 
-FAMILIES = {"flat": flat_family(), "quartic": quartic_family(),
+FAMILIES = {"flat": KahlerFamily(), "quartic": quartic_family(),
             "sextic": sextic_family()}
 
 

@@ -423,5 +423,6 @@ def test_run_trace_equals_unshared_loop(tmp_path, dims, cadence):
             records.append(collect(state, cfg.lattice, model))
     loop = tmp_path / "loop.csv"
     write_trace(str(loop), stack_records(records),
-                cfg.estimate_constants(records[0].flat_J or 1.0))
+                cfg.estimate_constants(records[0].flat_J or 1.0,
+                                       model.potential))
     assert (tmp_path / "out" / "trace.csv").read_bytes() == loop.read_bytes()

@@ -1,23 +1,23 @@
 """Energies, norms record collection, constraint residuals."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mkg.diagnostics import collect, energy_E0, flat_energy_J, sobolev_energies
-from mkg.dynamics import (Kinematics, ModelSpec, eom_rhs, gauge_transform,
-                          step_rk4)
-from mkg.lattice import (FieldState, LatticeSpec, gradient, pairwise_sum,
-                         zero_state)
+from mkg.dynamics import Kinematics, ModelSpec, eom_rhs, step_rk4
+from mkg.lattice import FieldState, LatticeSpec, gradient, zero_state
 from mkg.scenarios import make_model
 from mkg.couplings import constant_couplings
-from mkg.kahler import flat_family
+from mkg.kahler import KahlerFamily
 from mkg.potentials import polynomial
+from model_helpers import gauge_transform
 from reference_sobolev import reference_sobolev
-from test_dynamics import (band_limited_state, interacting_model, random_model,
-                           random_state)
+from test_dynamics import (band_limited_state, densities, interacting_model,
+                           random_model, random_state)
 
 _R_FLOOR = 1e-12
 
@@ -31,8 +31,8 @@ def energy_E0_potential_form(kin: Kinematics) -> float:
     r = np.maximum(kin.r, _R_FLOOR)
     alpha = phi_p(r) / (2.0 * r)
     Q = (phi_pp(r) - phi_p(r) / r) / (4.0 * r**2)
-    T, U = dataclasses.replace(kin, alpha=alpha, Q=Q).densities()
-    return pairwise_sum(T + U) * kin.lattice.cell_volume
+    T, U = densities(dataclasses.replace(kin, alpha=alpha, Q=Q))
+    return float(np.sum(T + U)) * kin.lattice.cell_volume
 
 
 def test_energy_twin_forms_agree():
@@ -50,11 +50,11 @@ def test_energy_free_field_value():
     # E0 of a pure electric field with identity h: (1/2) int E^2
     lat = LatticeSpec((16, 16, 1), 0.5)
     model = ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
-                      kahler=flat_family(), potential=polynomial(0.0),
+                      kahler=KahlerFamily(), potential=polynomial(0.0),
                       n_gauge=1, n_scalar=1)
     st = zero_state(lat, 1, 1)
     st.E[0, 0] = 0.3
-    vol = lat.n_sites * lat.cell_volume
+    vol = math.prod(lat.dims) * lat.cell_volume
     assert energy_E0(Kinematics.of(st, lat, model)) == pytest.approx(0.5 * 0.09 * vol)
 
 
@@ -147,7 +147,7 @@ def test_diagnostics_gauge_invariant():
 def test_vacuum_record_is_zero():
     lat = LatticeSpec((16, 1, 1), 1.0 / 16)
     model = ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
-                      kahler=flat_family(), potential=polynomial(0.0),
+                      kahler=KahlerFamily(), potential=polynomial(0.0),
                       n_gauge=1, n_scalar=1)
     rec = collect(zero_state(lat, 1, 1), lat, model)
     assert rec.energy_E0 == 0.0

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coupling_matrices import matrix_value
+from model_helpers import gauge_transform, sextic_family
 from reference_rhs import reference_rhs
-from mkg.couplings import constant_couplings, saturating_couplings
+from mkg.couplings import constant_couplings, saturating_couplings, site_dot
 from mkg.dynamics import (Kinematics, ModelSpec, Sectors, eom_rhs,
-                          gauge_transform, gauss_residual, lagrangian_density,
-                          step_rk4)
+                          gauss_residual, step_rk4)
 from mkg.errors import NonFinite, RadiusExceeded
 from mkg.diagnostics import energy_E0
-from mkg.kahler import flat_family, quartic_family, sextic_family
-from mkg.lattice import FieldState, LatticeSpec, magnetic_field, zero_state
+from mkg.kahler import KahlerFamily, quartic_family
+from mkg.lattice import FieldState, LatticeSpec, curl, zero_state
 from mkg.potentials import polynomial
 from mkg.scenarios import SCENARIOS, build
 
@@ -36,7 +36,7 @@ def interacting_model():
 
 def free_model():
     return ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
-                     kahler=flat_family(), potential=polynomial(0.0),
+                     kahler=KahlerFamily(), potential=polynomial(0.0),
                      n_gauge=1, n_scalar=1)
 
 
@@ -49,6 +49,32 @@ def random_state(lattice, nv, nc, seed=7, scale=0.2):
     pi = scale * (rng.standard_normal((nc,) + lattice.dims)
                   + 1j * rng.standard_normal((nc,) + lattice.dims))
     return FieldState(A, E, phi, pi, 0.0)
+
+
+def densities(kin: Kinematics) -> tuple[np.ndarray, np.ndarray]:
+    """Kinetic and static densities (T, U) of one Kinematics, pointwise,
+    with every term (no sector skipped):
+
+    T = (1/2) E.hE + alpha |pi|^2 + Q |conj(phi).pi|^2
+    U = (1/2) H.hH + alpha |Dphi|^2 + Q |conj(phi).Dphi|^2 + V
+
+    E0 integrates T + U; the Lagrangian density is T - U - E.kH.
+    """
+    E, H, h = kin.state.E, kin.H, kin.model.couplings.h
+    T = (0.5 * site_dot(E, h.apply(E, kin.sh)) + kin.alpha * kin.pi2
+         + kin.Q * np.abs(kin.phi_pi) ** 2)
+    U = (0.5 * site_dot(H, h.apply(H, kin.sh)) + kin.alpha * kin.Dphi2
+         + kin.Q * np.sum(np.abs(kin.phi_Dphi) ** 2, axis=0) + kin.V)
+    return T, U
+
+
+def lagrangian_density(kin: Kinematics) -> np.ndarray:
+    """Pointwise discretized Lagrangian density (Adot = -E, pi = phidot),
+    T - U - E.kH; it shares every stencil with the right-hand-side assembly.
+    """
+    T, U = densities(kin)
+    kf = kin.model.couplings.k
+    return T - U - site_dot(kin.state.E, kf.apply(kin.H, kf.s(kin.tanh_psi)))
 
 
 def test_euler_lagrange_residual():
@@ -71,7 +97,7 @@ def test_euler_lagrange_residual():
         psi = np.sum(np.abs(phi) ** 2, axis=0)
         h = matrix_value(model.couplings.h, psi)
         k = matrix_value(model.couplings.k, psi)
-        H = magnetic_field(st, lat, 2)
+        H = curl(st.A, lat.dx, 2)
         mv = lambda m, v: np.einsum("abcls,siabc->liabc", m, v)
         return (mv(h, Adot) + mv(k, H)) * lat.cell_volume
 
@@ -353,7 +379,7 @@ def random_model(seed, interacting, order):
     if not interacting:
         return ModelSpec(charges=np.zeros(nv),
                          couplings=constant_couplings(nv, h_base, sym(0.3)),
-                         kahler=flat_family(), potential=polynomial(0.0),
+                         kahler=KahlerFamily(), potential=polynomial(0.0),
                          n_gauge=nv, n_scalar=nc, stencil_order=order)
     family = quartic_family if rng.random() < 0.5 else sextic_family
     return ModelSpec(
@@ -512,7 +538,7 @@ def switched_model(seed, order):
         return 0.5 * (m + m.T)
 
     b = rng.standard_normal((nv, nv))
-    kahler = (flat_family(), quartic_family(rng.uniform(0.0, 0.3)),
+    kahler = (KahlerFamily(), quartic_family(rng.uniform(0.0, 0.3)),
               sextic_family(rng.uniform(0.0, 0.3)))[target]
     return ModelSpec(
         charges=rng.uniform(-1.0, 1.0, nv) if on[0] else np.zeros(nv),

@@ -8,12 +8,12 @@ import pytest
 
 from mkg.errors import DegenerateMetric, RadiusExceeded
 from mkg.kahler import (KahlerFamily, _check_radius, _radius,
-                        fit_bound_constants, flat_family, hessian_oracle,
-                        kahler_metric, radial_bound_check, quartic_family,
-                        resolve_q_normalization, sextic_family,
-                        upper_bound_rhs)
+                        fit_bound_constants, hessian_oracle, kahler_metric,
+                        radial_bound_check, quartic_family,
+                        resolve_q_normalization, upper_bound_rhs)
+from model_helpers import sextic_family
 
-FAMILIES = [flat_family(), quartic_family(), sextic_family()]
+FAMILIES = [KahlerFamily(), quartic_family(), sextic_family()]
 
 
 def kahler_metric_holomorphic_derivative(family, phi):
@@ -54,10 +54,10 @@ def random_points(n_points, n_comp, seed=0, scale=0.5):
 
 def test_frozen_metric_values():
     # flat target at phi = 1: identity metric
-    g_flat = kahler_metric(flat_family(), [1.0 + 0.0j])
+    g_flat = kahler_metric(KahlerFamily(), [1.0 + 0.0j])
     assert g_flat == pytest.approx(np.array([[1.0]]))
     # flat target independent of phi
-    g2 = kahler_metric(flat_family(), [0.3 + 0.4j, 0.0j])
+    g2 = kahler_metric(KahlerFamily(), [0.3 + 0.4j, 0.0j])
     assert g2 == pytest.approx(np.eye(2))
     # quartic correction r^2 + r^4/4 at phi = 1: frozen Hessian-oracle values
     fam = quartic_family()
@@ -122,7 +122,7 @@ def test_q_normalization_resolution():
 
 def test_q_normalization_undetermined_on_flat_target():
     # q = 0 everywhere, so the two candidate metrics are the same matrix
-    winner, errs = resolve_q_normalization(flat_family(),
+    winner, errs = resolve_q_normalization(KahlerFamily(),
                                            random_points(8, 2, seed=3))
     assert winner is None
     assert errs["1/(4r)"] == errs["1/(4r^2)"] < 1e-8
@@ -161,7 +161,7 @@ def test_bad_coefficients_rejected(coefficients):
 def test_flat_family_bound_equality():
     # flat target: Phi = r^2, Q' = 0, so b = (0,) and the fitted C2 closes
     # the bound with equality: |Phi| = C2 r^2 / 2 at the largest radius
-    fam = flat_family()
+    fam = KahlerFamily()
     radii = np.linspace(0.002, 2.0, 1000)
     report = radial_bound_check(fam, radii)
     assert report.all_hold
@@ -192,7 +192,7 @@ def test_family_is_frozen():
         fam.coefficients = (0.0, 0.0, 1.0)
     flat = dataclasses.replace(fam, coefficients=(0.0, 0.0, 1.0))
     r = np.linspace(0.0, 2.0, 9)
-    assert flat == flat_family()
+    assert flat == KahlerFamily()
     assert np.array_equal(flat.phi(r), r**2)
     assert np.array_equal(flat.alpha(r), np.ones_like(r))
     assert np.array_equal(flat.q(r), np.zeros_like(r))
@@ -228,7 +228,7 @@ def test_upper_bound_rhs_monotone():
 
 
 def test_fit_bound_constants_flat():
-    fam = flat_family()
+    fam = KahlerFamily()
     b, c1, c2, c3 = fit_bound_constants(fam, np.linspace(0.01, 2.0, 500))
     assert b == (0.0,)
     assert c1 == 0.0

@@ -1,5 +1,6 @@
 """Grid geometry, stencils, covariant derivatives, norms, snapshots."""
 
+import math
 import struct
 
 import numpy as np
@@ -10,17 +11,16 @@ from mkg.couplings import constant_couplings
 from mkg.diagnostics import norms
 from mkg.dynamics import Kinematics, ModelSpec
 from mkg.errors import ParseError, ValidationError
-from mkg.kahler import flat_family
+from mkg.kahler import KahlerFamily
 from mkg.lattice import (LatticeSpec, _pack, central_diff, curl, divergence,
-                         gradient, pairwise_sum, read_snapshot,
-                         write_snapshot, zero_state)
+                         gradient, read_snapshot, write_snapshot, zero_state)
 from mkg.potentials import polynomial
 
 
 def free_model(n_gauge=1, n_scalar=1, charges=None):
     return ModelSpec(charges=np.zeros(n_gauge) if charges is None else charges,
                      couplings=constant_couplings(n_gauge),
-                     kahler=flat_family(), potential=polynomial(0.0),
+                     kahler=KahlerFamily(), potential=polynomial(0.0),
                      n_gauge=n_gauge, n_scalar=n_scalar)
 
 
@@ -38,7 +38,7 @@ def random_state(lattice, n_gauge=1, n_scalar=1, seed=0, scale=0.3):
 
 def test_lattice_spec_basics():
     lat = LatticeSpec((8, 4, 2), 0.25)
-    assert lat.n_sites == 64
+    assert math.prod(lat.dims) == 64
     assert lat.cell_volume == pytest.approx(0.25**3)
     x = lat.axis_coordinates(0)
     assert x.shape == (8,)
@@ -171,15 +171,6 @@ def test_covariant_derivative_charged():
     assert D[0] == pytest.approx(expect)
 
 
-def test_pairwise_sum_deterministic_and_accurate():
-    rng = np.random.default_rng(6)
-    v = rng.standard_normal(10_001)
-    s1 = pairwise_sum(v)
-    s2 = pairwise_sum(v.copy())
-    assert s1 == s2
-    assert s1 == pytest.approx(float(np.sum(v, dtype=np.longdouble)), rel=1e-12)
-
-
 def test_norm_scaling_with_amplitude():
     lat = LatticeSpec((32, 1, 1), 1.0 / 32)
     model = free_model()
@@ -203,7 +194,7 @@ def test_l2_norm_value():
     st = zero_state(lat, 1, 1)
     st.phi[0] = 0.7 + 0.0j
     n = norms(Kinematics.of(st, lat, model))
-    vol = lat.n_sites * lat.cell_volume
+    vol = math.prod(lat.dims) * lat.cell_volume
     assert n.l2_phi == pytest.approx(0.7 * np.sqrt(vol))
     assert n.linf_phi == pytest.approx(0.7)
 

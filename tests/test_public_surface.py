@@ -1,0 +1,71 @@
+"""The public surface of src/mkg: every public name has a caller in the
+package, so a name that only the tests use lives in tests/."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mkg"
+
+# public names kept without a caller in src/mkg, each with its reason
+ALLOWED = {
+    "read_snapshot": "resuming a run from a snapshot (ROADMAP), and "
+                     "perfbench's output check",
+    "NormSnapshot.as_tuple": "perfbench's 3D probe",
+    "LatticeSpec.meshgrid": "perfbench's 3D probe",
+    "sine_gordon": "one of the paper's three potential families; no config "
+                   "key selects it yet",
+    "toda": "one of the paper's three potential families; no config key "
+            "selects it yet",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def public_definitions(trees: dict) -> dict:
+    """{qualified name: (file, def node)} for every public top-level function
+    and class, and every public method of a top-level class."""
+    out = {}
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, _DEFS) and not node.name.startswith("_"):
+                out[node.name] = (path, node)
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, _DEFS) and not sub.name.startswith("_"):
+                        out[f"{node.name}.{sub.name}"] = (path, sub)
+    return out
+
+
+def references(trees: dict) -> dict:
+    """{name: [(file, line)]} of every Name and attribute read in the trees."""
+    out = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            out.setdefault(name, []).append((path, node.lineno))
+    return out
+
+
+def uncalled() -> list[str]:
+    """The public names of src/mkg with no reference outside their own
+    definition, less the ALLOWED ones."""
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    refs = references(trees)
+    missing = []
+    for qual, (path, node) in public_definitions(trees).items():
+        outside = [(p, line) for p, line in refs.get(node.name, [])
+                   if not (p == path and node.lineno <= line <= node.end_lineno)]
+        if not outside and qual not in ALLOWED:
+            missing.append(qual)
+    return sorted(missing)
+
+
+def test_every_public_name_has_a_caller_in_src():
+    assert uncalled() == [], ("public names that nothing in src/mkg calls: move "
+                              "them to tests/, or give a reason in ALLOWED")
+

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mkg.spherical import (Constant, LinearTime, PlaneWave, SampledField,
-                           SphereQuadrature, Superposition, kirchhoff_lin,
+from analytic_fields import Constant, LinearTime, SampledField, Superposition
+from mkg.spherical import (PlaneWave, SphereQuadrature, kirchhoff_lin,
                            kirchhoff_residual_scan)
 
 P = (1.3, np.array([0.2, -0.1, 0.4]))
