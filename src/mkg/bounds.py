@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 class EstimateConstants:
     """Data entering the estimate functionals."""
 
-    b_n: tuple[float, ...] = (1.0,)   # b_0..b_N of the curvature bound
+    b_n: tuple[float, ...] = (1.0, 1.0)   # b_0..b_N of the curvature bound
     C1: float = 0.0
     C2: float = 0.0
     C3: float = 0.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds, run as runmod
 from .config import load_config
-from .errors import MkgError, ParseError, ValidationError
+from .errors import ConfigError, MkgError, ValidationError
 from .kahler import (hessian_oracle, kahler_metric, radial_bound_check,
                      resolve_q_normalization)
 from .spherical import PlaneWave, SphereQuadrature, kirchhoff_residual_scan
@@ -29,8 +29,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check_geometry(args) -> int:
-    cfg = load_config(args.config)
-    model, _ = cfg.build()
+    model = load_config(args.config).model
     family = model.kahler
     rng = np.random.default_rng(0)
     n = model.n_scalar
@@ -67,7 +66,11 @@ def cmd_check_bounds(args) -> int:
         constants = runmod.read_run_constants(manifest)
     else:
         J0 = float(trace.flat_J[0]) if len(trace.flat_J) else 0.0
-        constants = bounds.EstimateConstants(J0=J0 or 1.0)
+        try:
+            constants = bounds.EstimateConstants(J0=J0 or 1.0)
+        except ValueError as exc:
+            raise ValidationError(f"cannot audit {args.trace} without a run.json: "
+                                  f"J0 = {J0!r} from its first J: {exc}") from None
     audit = bounds.audit_gronwall(trace, constants)
     print(f"C_N_fit={audit.C_N_fit:.6g} C0_fit={audit.C0_fit:.6g} "
           f"gronwall_fit={audit.gronwall_fit:.6g}")
@@ -144,7 +147,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MkgError as exc:

@@ -82,10 +82,6 @@ class FieldState:
     def dims(self) -> tuple[int, int, int]:
         return tuple(self.phi.shape[1:])
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.A.copy(), self.E.copy(),
-                          self.phi.copy(), self.pi.copy(), self.t)
-
     def is_finite(self) -> bool:
         return (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.E))
                 and np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.pi)))

@@ -165,10 +165,10 @@ def svg_line_plot(path: str, title: str, series: dict, log_y: bool = False):
         fh.write("\n".join(parts) + "\n")
 
 
-def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
-        printer=print) -> int:
+def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None) -> int:
     """Evolve the configured scenario; returns a process exit code."""
-    out = out_dir or cfg.out_dir
+    model, state = cfg.build()
+    out = out_dir or cfg.directory
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:          # an existing file, or a path under one
@@ -176,14 +176,12 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
                               f"{exc.strerror}") from None
     n_steps = steps if steps is not None else cfg.steps
     lattice = cfg.lattice
-    model, state = cfg.build()
     dt = cfg.dt_value
 
     # a recorded state's Kinematics also serves stage k1 of the next step
     kin = Kinematics.of(state, lattice, model)
     records = [collect(state, lattice, model, kin)]
-    constants = cfg.estimate_constants(records[0].flat_J or 1.0,
-                                       model.potential)
+    constants = cfg.estimate_constants(records[0].flat_J or 1.0)
     write_run_json(os.path.join(out, "run.json"), constants)
 
     if cfg.snapshot_cadence:
@@ -209,7 +207,7 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
     if aborted:
         reason = ("radius exceeded" if isinstance(aborted, RadiusExceeded)
                   else "numerical abort")
-        printer(f"{reason}: {aborted}; post-mortem snapshot written")
+        print(f"{reason}: {aborted}; post-mortem snapshot written")
         return 3
 
     if cfg.plots:
@@ -230,9 +228,9 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None,
 
     try:
         audit = bounds.audit_gronwall(trace, constants)
-        printer(f"fitted constants: C_N={audit.C_N_fit:.6g} "
-                f"C0={audit.C0_fit:.6g} gronwall={audit.gronwall_fit:.6g} "
-                f"(stabilized={audit.stabilized})")
+        print(f"fitted constants: C_N={audit.C_N_fit:.6g} "
+              f"C0={audit.C0_fit:.6g} gronwall={audit.gronwall_fit:.6g} "
+              f"(stabilized={audit.stabilized})")
     except (TraceTooShort, NonUniformSampling) as exc:   # audit is advisory
-        printer(f"audit skipped: {exc}")
+        print(f"audit skipped: {exc}")
     return 0

@@ -108,10 +108,3 @@ def make_state(name: str, lattice: LatticeSpec, model: ModelSpec,
 def _default_amplitude(name: str) -> float:
     return {"vacuum": 0.0, "free_maxwell_wave": 0.01, "free_scalar_wave": 0.01,
             "gaussian_pulse": 0.05, "interacting_demo": 0.05}[name]
-
-
-def build(name: str, lattice: LatticeSpec, params: dict | None = None,
-          seed: int = 0, stencil_order: int = 2):
-    model = make_model(name, stencil_order)
-    state = make_state(name, lattice, model, params, seed)
-    return model, state

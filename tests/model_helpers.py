@@ -1,5 +1,6 @@
 """Model-side helpers that several test modules share: the sextic Kahler
-target and the static U(1)^N gauge transformation."""
+target, a scenario's model and state in one call, a copy of a state and the
+static U(1)^N gauge transformation."""
 
 import numpy as np
 
@@ -7,12 +8,25 @@ from mkg.couplings import _gauge_dot
 from mkg.dynamics import ModelSpec
 from mkg.kahler import KahlerFamily
 from mkg.lattice import FieldState, LatticeSpec, gradient
+from mkg.scenarios import make_model, make_state
 
 
 def sextic_family(strength: float = 0.1, **kw) -> KahlerFamily:
     """Phi = r**2 + strength * r**6."""
     return KahlerFamily(coefficients=(0.0, 0.0, 1.0, 0.0, 0.0, 0.0, strength),
                         **kw)
+
+
+def build(name: str, lattice: LatticeSpec, params: dict | None = None,
+          seed: int = 0, stencil_order: int = 2):
+    """(model, initial state) of a shipped scenario."""
+    model = make_model(name, stencil_order)
+    return model, make_state(name, lattice, model, params, seed)
+
+
+def copy_state(state: FieldState) -> FieldState:
+    return FieldState(state.A.copy(), state.E.copy(), state.phi.copy(),
+                      state.pi.copy(), state.t)
 
 
 def gauge_transform(state: FieldState, lattice: LatticeSpec, model: ModelSpec,

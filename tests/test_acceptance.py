@@ -21,11 +21,11 @@ from mkg.kahler import (KahlerFamily, hessian_oracle, kahler_metric,
 from mkg.lattice import LatticeSpec, NormSnapshot, zero_state
 from mkg.couplings import saturating_couplings
 from mkg.potentials import PotentialKind, polynomial
-from mkg.scenarios import SCENARIOS, build
+from mkg.scenarios import SCENARIOS
 from mkg.spherical import (PlaneWave, SphereQuadrature, kirchhoff_lin,
                            kirchhoff_residual_scan)
 from analytic_fields import Constant, LinearTime
-from model_helpers import gauge_transform, sextic_family
+from model_helpers import build, gauge_transform, sextic_family
 from monomial_oracle import BUILDERS, eval_fast, eval_monomial
 
 FAMILIES = {"flat": KahlerFamily(), "quartic": quartic_family(),

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+import mkg.config
+import mkg.scenarios
 from mkg.cli import main
 from mkg.config import load_config
 from mkg.errors import ParseError, ValidationError
@@ -84,20 +86,51 @@ NONFINITE_KEYS = [("lattice", "dx"), ("integrator", "dt"), ("integrator", "cfl")
                   ("estimate_constants", "c4"), ("estimate_constants", "J0")]
 
 
+def run_demo_with(tmp_path, section, key, value):
+    """`mkg run` of interacting_demo with `section.key = value` set; returns
+    the exit code and the --out path it was given."""
+    sections = {"initial_data": "scenario = interacting_demo\n"}
+    sections[section] = sections.get(section, "") + f"{key} = {value}\n"
+    text = "".join(f"[{name}]\n{body}" for name, body in sections.items())
+    out = tmp_path / "out"
+    return main(["run", "--config", write(tmp_path, text),
+                 "--out", str(out), "--steps", "1"]), out
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("section, key", NONFINITE_KEYS)
 def test_nonfinite_number_is_config_error(tmp_path, capsys, section, key, value):
     """Every float key rejects nan and +-inf as a config error (exit 2)
     before anything runs or is written."""
-    sections = {"initial_data": "scenario = interacting_demo\n"}
-    sections[section] = sections.get(section, "") + f"{key} = {value}\n"
-    text = "".join(f"[{name}]\n{body}" for name, body in sections.items())
-    out = tmp_path / "out"
-    assert main(["run", "--config", write(tmp_path, text),
-                 "--out", str(out), "--steps", "1"]) == 2
+    code, out = run_demo_with(tmp_path, section, key, value)
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {section}.{key}: expected a finite number")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# values out of a key's range; EstimateConstants rejects the last two
+CONFIG_REJECTIONS = [
+    ("lattice", "dims", "64 1"), ("lattice", "dims", "64 x 1"),
+    ("lattice", "dims", "64 1.5 1"), ("lattice", "dims", "0 1 1"),
+    ("lattice", "dx", "0"), ("integrator", "stencil_order", "3"),
+    ("outputs", "csv_cadence", "0"), ("outputs", "snapshot_cadence", "-1"),
+    ("run", "seed", "-1"), ("outputs", "plots", "maybe"),
+    ("initial_data", "mode", "x"), ("estimate_constants", "N", "x"),
+    ("estimate_constants", "N", "0"), ("estimate_constants", "C1", "-1")]
+
+
+@pytest.mark.parametrize("section, key, value", CONFIG_REJECTIONS)
+def test_rejected_value_is_config_error(tmp_path, capsys, section, key, value):
+    """A value out of its key's range is one config-error line naming the
+    key, exit 2, and no output directory."""
+    code, out = run_demo_with(tmp_path, section, key, value)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    if (key, value) not in (("N", "0"), ("C1", "-1")):
+        assert re.match(rf"config error: {section}\.\S*{key}", err), err
     assert not out.exists()
 
 
@@ -112,6 +145,25 @@ def test_empty_b_n_is_validation_error(tmp_path):
     bad = MINIMAL + "\n[estimate_constants]\nb_n =\n"
     with pytest.raises(ValidationError, match="b_n"):
         load_config(write(tmp_path, bad))
+
+
+@pytest.mark.parametrize("command, builds", [("run", (1, 1)),
+                                             ("check-geometry", (1, 0))])
+def test_scenario_built_once_per_command(tmp_path, monkeypatch, command, builds):
+    """One command builds the scenario's model once, and the initial state
+    once for `run` and never for `check-geometry`."""
+    calls = dict.fromkeys(("make_model", "make_state"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(mkg.scenarios, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        for module in (mkg.scenarios, mkg.config):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    argv = [command, "--config", write(tmp_path, MINIMAL)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out"), "--steps", "1"]
+    assert main(argv) == 0
+    assert (calls["make_model"], calls["make_state"]) == builds
 
 
 def test_vacuum_run_zero_trace(tmp_path):
@@ -273,6 +325,20 @@ def test_malformed_trace_is_config_error(tmp_path, capsys, case):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+def test_check_bounds_negative_first_J_is_config_error(tmp_path, capsys):
+    """Without a run.json, check-bounds takes J0 from the trace's first J; a
+    negative one is no valid J0, so the audit stops with one config-error
+    line and exit 2."""
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER + "\n" + "".join(
+        _row_with("J", "-1").replace("0.0", str(0.1 * i), 1) + "\n"
+        for i in range(10)))
+    assert main(["check-bounds", "--trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 GOOD_CONSTANTS = {"b_n": [1.0], "C1": 0.0, "C2": 0.0, "C3": 0.0, "c4": 1.0,
                   "N": 1, "J0": 1.0, "potential_kind": "polynomial"}
 MALFORMED_MANIFESTS = {
@@ -423,6 +489,5 @@ def test_run_trace_equals_unshared_loop(tmp_path, dims, cadence):
             records.append(collect(state, cfg.lattice, model))
     loop = tmp_path / "loop.csv"
     write_trace(str(loop), stack_records(records),
-                cfg.estimate_constants(records[0].flat_J or 1.0,
-                                       model.potential))
+                cfg.estimate_constants(records[0].flat_J or 1.0))
     assert (tmp_path / "out" / "trace.csv").read_bytes() == loop.read_bytes()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coupling_matrices import matrix_value
-from model_helpers import gauge_transform, sextic_family
+from model_helpers import build, copy_state, gauge_transform, sextic_family
 from reference_rhs import reference_rhs
 from mkg.couplings import constant_couplings, saturating_couplings, site_dot
 from mkg.dynamics import (Kinematics, ModelSpec, Sectors, eom_rhs,
@@ -19,7 +19,7 @@ from mkg.diagnostics import energy_E0
 from mkg.kahler import KahlerFamily, quartic_family
 from mkg.lattice import FieldState, LatticeSpec, curl, zero_state
 from mkg.potentials import polynomial
-from mkg.scenarios import SCENARIOS, build
+from mkg.scenarios import SCENARIOS
 
 
 def interacting_model():
@@ -298,7 +298,7 @@ def test_gauge_covariance_of_flow_converges():
         a = gauge_transform(st, lat, model, theta)
         for _ in range(16):
             a = step_rk4(a, lat, model, dt)
-        b = st.copy()
+        b = copy_state(st)
         for _ in range(16):
             b = step_rk4(b, lat, model, dt)
         b = gauge_transform(b, lat, model, theta)
@@ -473,7 +473,7 @@ def test_kinematics_of_another_state_is_refused():
     lat = LatticeSpec((8, 1, 1), 0.2)
     model = interacting_model()
     state = random_state(lat, 2, 2, seed=13)
-    kin = Kinematics.of(state.copy(), lat, model)
+    kin = Kinematics.of(copy_state(state), lat, model)
     with pytest.raises(ValueError):
         eom_rhs(state, lat, model, kin)
     with pytest.raises(ValueError):

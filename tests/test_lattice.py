@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from model_helpers import copy_state
 from mkg.couplings import constant_couplings
 from mkg.diagnostics import norms
 from mkg.dynamics import Kinematics, ModelSpec
@@ -175,7 +176,7 @@ def test_norm_scaling_with_amplitude():
     lat = LatticeSpec((32, 1, 1), 1.0 / 32)
     model = free_model()
     st = random_state(lat, seed=7)
-    st2 = st.copy()
+    st2 = copy_state(st)
     st2.A *= 2.0
     st2.E *= 2.0
     st2.phi *= 2.0
