@@ -48,10 +48,15 @@ class EstimateConstants:
             raise ValueError("sum cutoff N must be >= 1")
         if not self.b_n:
             raise ValueError("b_n needs at least one value")
-        if min(self.C1, self.C2, self.C3, self.c4, self.J0) < 0:
-            raise ValueError("estimate constants must be nonnegative")
-        if any(b < 0 for b in self.b_n):
-            raise ValueError("b_n must be nonnegative")
+        given = {"C1": self.C1, "C2": self.C2, "C3": self.C3, "c4": self.c4,
+                 "J0": self.J0}
+        bad = [f"{k} = {v!r}" for k, v in given.items()
+               if not (math.isfinite(v) and v >= 0)]
+        if bad:
+            raise ValueError(f"estimate constants must be finite and "
+                             f"nonnegative, got {', '.join(bad)}")
+        if not all(math.isfinite(b) and b >= 0 for b in self.b_n):
+            raise ValueError(f"b_n must be finite and nonnegative, got {self.b_n!r}")
 
     def b(self, n: int) -> float:
         return self.b_n[n] if n < len(self.b_n) else self.b_n[-1]
@@ -294,9 +299,12 @@ def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
     return float(max(np.max(num[mask] / den[mask]), 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     """Fit the smallest constants closing the three Gronwall-type bounds on
-    a diagnostics trace; returns one GronwallAudit.
+    a diagnostics trace; returns one GronwallAudit.  A trace cell that is
+    inf or nan, or a product that overflows, gives a fit or cap that is not
+    finite, without a warning: the caller reports it.
 
     (a) J(t) <= C_N J(0) (1+t)
     (b) dE0_sf/dt <= C0 Pcal(t) E0_sf

@@ -80,7 +80,8 @@ def cmd_check_bounds(args) -> int:
     print(f"fit stabilization: C0 {audit.C0_half:.6g} -> {audit.C0_fit:.6g}, "
           f"E1 exponent {audit.gronwall_half:.6g} -> {audit.gronwall_fit:.6g} "
           f"(stabilized={audit.fits_stabilized})")
-    ok = (np.isfinite([audit.C_N_fit, audit.C0_fit, audit.gronwall_fit]).all()
+    ok = (np.isfinite([audit.C_N_fit, audit.C0_fit, audit.gronwall_fit,
+                       audit.c0, audit.c1, audit.k0, audit.k1]).all()
           and audit.stabilized)
     print("check-bounds:", "PASS" if ok else "FAIL")
     return 0 if ok else 1

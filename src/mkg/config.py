@@ -157,12 +157,15 @@ class RunConfig:
     def estimate_constants(self, J0: float) -> EstimateConstants:
         """The estimate constants the config sets, with J0 "auto" (the
         default) read as the given J0 and N by default the degree of the
-        model's potential; EstimateConstants holds every other default."""
-        potential = self.model.potential
-        given = {"N": potential.polynomial_degree, **self.constants}
-        if given.get("J0", "auto") == "auto":
-            given["J0"] = float(J0)
-        return EstimateConstants(**given, potential_kind=potential.kind)
+        model's potential; EstimateConstants holds every other default.
+        A value it refuses, such as a J0 that is not finite, is a config
+        error."""
+        with _config_errors():
+            potential = self.model.potential
+            given = {"N": potential.polynomial_degree, **self.constants}
+            if given.get("J0", "auto") == "auto":
+                given["J0"] = float(J0)
+            return EstimateConstants(**given, potential_kind=potential.kind)
 
 
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -207,6 +210,5 @@ def load_config(path: str) -> RunConfig:
                 getattr(cfg, _KEPT_AS_GIVEN[section])[key] = value
 
     # fail fast: the model, kept for the command, and the constants construct
-    with _config_errors():
-        cfg.estimate_constants(1.0)
+    cfg.estimate_constants(1.0)
     return cfg

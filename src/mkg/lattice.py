@@ -8,11 +8,17 @@ effectively lower dimensional (their derivatives vanish identically).
 Stencil contract. `central_diff`, `gradient`, `curl` and `divergence` are
 periodic central differences of order 2 or 4 along the last three axes.
 They do the same floating-point operations, in the same order, as the
-textbook form built from `np.roll` and `np.stack` (the tests keep that form
-as their reference and require equal bits), but they subtract basic slices
-of the input into one preallocated output instead of copying shifted
-arrays. A size-1 axis is never differenced: its derivative is an exact
-zero, which `gradient` writes and `curl` and `divergence` skip.
+textbook form built from `np.roll` and `np.stack` with the difference
+scaled by the reciprocal, times 1/(2 dx) or 1/(12 dx), and a complex field
+taken as its real and imaginary parts (the tests keep that form as their
+reference and require equal bits, signed zeros included). They subtract
+basic slices of the input into one preallocated output instead of copying
+shifted arrays, and scale on the output's real view, so no step is a
+complex division or product. When 2 dx is a power of two (order 2 with
+dx = 1/2^m), the reciprocal is exact and a real field's derivative has the
+bits of the division (f[i+1] - f[i-1]) / (2 dx); any other step may move
+the last bit. A size-1 axis is never differenced: its derivative is an
+exact zero, which `gradient` writes and `curl` and `divergence` skip.
 
 Sign conventions, fixed once here and inherited everywhere:
     eta = diag(-1, 1, 1, 1)
@@ -24,9 +30,11 @@ Sign conventions, fixed once here and inherited everywhere:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from functools import lru_cache
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -98,40 +106,101 @@ def zero_state(lattice: LatticeSpec, n_gauge: int, n_scalar: int) -> FieldState:
     )
 
 
+class _ShiftPlan(NamedTuple):
+    """How _shift_diff cuts one (shape, axis, k): the runs of the axis as
+    (out, f[i + k], f[i - k]) index tuples, and, when the axis has an
+    interior (n > 2k), the same subtraction over each grid block viewed
+    flat: its shape, the grid axes of size > 1 with their element strides
+    in a C-contiguous block, the interior as (out, f[i + k], f[i - k])
+    slices of the flat view, and the wrap runs that it leaves."""
+
+    runs: tuple
+    flat_shape: tuple | None = None
+    block_strides: tuple = ()
+    interior: tuple = ()
+    wraps: tuple = ()
+
+
+@lru_cache(maxsize=256)
+def _shift_plan(shape: tuple, ax: int, k: int) -> _ShiftPlan:
+    """The _ShiftPlan of one (shape, axis, k), built on first use."""
+    n = shape[ax]
+    cuts = sorted({0, k % n, -k % n, n})
+    lead = (slice(None),) * ax
+    runs = tuple((lead + (slice(a, b),),
+                  lead + (slice((a + k) % n, (a + k) % n + b - a),),
+                  lead + (slice((a - k) % n, (a - k) % n + b - a),))
+                 for a, b in zip(cuts, cuts[1:]))
+    if n <= 2 * k:
+        return _ShiftPlan(runs)
+    grid = shape[-3:]
+    size = math.prod(grid)
+    step = k * math.prod(shape[ax + 1:])     # k sites along ax, flat
+    strides = (grid[1] * grid[2], grid[2], 1)
+    return _ShiftPlan(
+        runs, shape[:-3] + (size,),
+        tuple((j, e) for j, d, e in zip((-3, -2, -1), grid, strides) if d > 1),
+        ((..., slice(step, size - step)), (..., slice(2 * step, size)),
+         (..., slice(0, size - 2 * step))),
+        (runs[0], runs[2]))       # runs[1] is the interior [k, n - k)
+
+
+def _block_contiguous(a: np.ndarray, block_strides: tuple) -> bool:
+    """Whether each grid block of a is C-contiguous, read from the strides
+    of its axes of size > 1."""
+    s, size = a.strides, a.itemsize
+    return all(s[j] == e * size for j, e in block_strides)
+
+
 def _shift_diff(out: np.ndarray, f: np.ndarray, ax: int, k: int) -> None:
     """out[i] = f[i + k] - f[i - k] along axis ax, indices modulo its size.
 
     The axis splits at the wrap points of i + k and i - k into at most
     three runs on which both shifted indices are contiguous, so each run is
-    one subtraction of basic slices.
+    one subtraction of basic slices. When the axis has an interior run and
+    the grid blocks of f and out are contiguous, the interior is one
+    subtraction over the blocks viewed flat, f shifted by k steps of the
+    axis; the sites where that shift crosses a block row are the wrap
+    runs', which are written after it. Either way each element of out ends
+    as the one subtraction f[i + k] - f[i - k], written in place, never
+    into a copy.
     """
-    n = f.shape[ax]
-    cuts = sorted({0, k % n, -k % n, n})
-    lead = (slice(None),) * ax
-    for a, b in zip(cuts, cuts[1:]):
-        hi, lo = (a + k) % n, (a - k) % n
-        np.subtract(f[lead + (slice(hi, hi + b - a),)],
-                    f[lead + (slice(lo, lo + b - a),)],
-                    out=out[lead + (slice(a, b),)])
+    plan = _shift_plan(f.shape, ax, k)
+    runs = plan.runs
+    if (plan.flat_shape is not None
+            and _block_contiguous(f, plan.block_strides)
+            and _block_contiguous(out, plan.block_strides)):
+        at, hi, lo = plan.interior
+        flat = f.reshape(plan.flat_shape)
+        np.subtract(flat[hi], flat[lo], out=out.reshape(plan.flat_shape)[at])
+        runs = plan.wraps
+    for at, hi, lo in runs:
+        np.subtract(f[hi], f[lo], out=out[at])
 
 
 def _diff_into(out: np.ndarray, f: np.ndarray, ax: int, dx: float,
                order: int) -> None:
     """out = periodic central difference of f along axis ax (size > 1):
-    (f[i+1] - f[i-1]) / (2 dx), or
-    (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 dx)."""
-    if order == 2:
-        _shift_diff(out, f, ax, 1)
-        out /= 2.0 * dx
-    elif order == 4:
-        _shift_diff(out, f, ax, 1)
-        out *= 8.0
-        far = np.empty_like(out)
-        _shift_diff(far, f, ax, 2)
-        out -= far
-        out /= 12.0 * dx
-    else:
+    (f[i+1] - f[i-1]) * (1 / (2 dx)), or
+    (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) * (1 / (12 dx)).
+
+    Every step after the differences is taken on the real view of out
+    (a complex out needs a contiguous last axis, as every caller
+    allocates it), so a complex field is scaled exactly as its real and
+    imaginary parts would be. With 2 dx a power of two, order 2 gives the bits of dividing
+    by 2 dx; otherwise the reciprocal may move the last bit."""
+    if order not in (2, 4):
         raise ValidationError(f"unsupported stencil order {order}")
+    _shift_diff(out, f, ax, 1)
+    re = out.view(out.real.dtype)
+    if order == 2:
+        re *= 1.0 / (2.0 * dx)
+        return
+    re *= 8.0
+    far = np.empty_like(out)
+    _shift_diff(far, f, ax, 2)
+    re -= far.view(re.dtype)
+    re *= 1.0 / (12.0 * dx)
 
 
 def central_diff(f: np.ndarray, axis: int, dx: float, order: int = 2) -> np.ndarray:

@@ -75,7 +75,8 @@ def parse_trace(path: str) -> DiagnosticsRecord:
     elif data.shape[1] != len(CSV_COLUMNS):
         raise ParseError(f"trace {path} has {data.shape[1]} columns, "
                          f"expected {len(CSV_COLUMNS)}")
-    col = dict(zip(CSV_COLUMNS, data.T))
+    # one copy, so that each column is contiguous as stack_records lays it out
+    col = dict(zip(CSV_COLUMNS, np.ascontiguousarray(data.T)))
     snap = NormSnapshot(**{name: col[name] for name in NormSnapshot.FIELDS})
     return DiagnosticsRecord(norm_snapshot=snap, **{
         field: col[name] for name, field in RECORD_COLUMNS.items()})

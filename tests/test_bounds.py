@@ -177,6 +177,14 @@ def test_Q_combination_positive():
         assert eval_Q(snap, c) > 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("key", ["C1", "C2", "C3", "c4", "J0", "b_n"])
+def test_estimate_constants_refuse_nonfinite_and_negative(key, bad):
+    value = (1.0, bad) if key == "b_n" else bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        EstimateConstants(**{key: value})
+
+
 # ---------------------------------------------------------------------------
 # the columnar audit against the per-record evaluation it replaced
 

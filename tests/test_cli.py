@@ -339,6 +339,50 @@ def test_check_bounds_negative_first_J_is_config_error(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("J", ["nan", "inf", "-inf"])
+def test_check_bounds_nonfinite_first_J_is_config_error(tmp_path, capsys, J):
+    """A first J that is not finite is no valid J0 either: one config-error
+    line, exit 2, and no PASS."""
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER + "\n" + "".join(
+        _row_with("J", J).replace("0.0", str(0.1 * i), 1) + "\n"
+        for i in range(10)))
+    assert main(["check-bounds", "--trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and f"J0 = {J}" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("column", ["linf_F", "linf_Dphi", "E0_sf"])
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+def test_check_bounds_nonfinite_cell_fails_without_warning(tmp_path, capsys,
+                                                          column, cell):
+    """One inf or nan cell gives a fit or cap that is not finite: it is
+    printed, without a RuntimeWarning (which the test settings make an
+    error), and check-bounds prints FAIL and exits 1."""
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER + "\n" + "".join(
+        (_row_with(column, cell) if i == 4 else ROW).replace("0.0", str(0.1 * i), 1)
+        + "\n" for i in range(10)))
+    assert main(["check-bounds", "--trace", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "nan" in out or "inf" in out
+    assert out.endswith("check-bounds: FAIL\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_run_with_nonfinite_initial_J_is_config_error(tmp_path, capsys):
+    """Initial data whose flat energy J overflows gives no finite J0 for the
+    estimates: `mkg run` prints one config-error line and exits 2."""
+    cfg = write(tmp_path, MINIMAL.replace(
+        "vacuum\n", "free_maxwell_wave\namplitude = 1e300\n"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "J0 = inf" in err
+    assert err.count("\n") == 1
+
+
 GOOD_CONSTANTS = {"b_n": [1.0], "C1": 0.0, "C2": 0.0, "C3": 0.0, "c4": 1.0,
                   "N": 1, "J0": 1.0, "potential_kind": "polynomial"}
 MALFORMED_MANIFESTS = {

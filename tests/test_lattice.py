@@ -13,8 +13,9 @@ from mkg.diagnostics import norms
 from mkg.dynamics import Kinematics, ModelSpec
 from mkg.errors import ParseError, ValidationError
 from mkg.kahler import KahlerFamily
-from mkg.lattice import (LatticeSpec, _pack, central_diff, curl, divergence,
-                         gradient, read_snapshot, write_snapshot, zero_state)
+from mkg.lattice import (LatticeSpec, _diff_into, _pack, central_diff, curl,
+                         divergence, gradient, read_snapshot, write_snapshot,
+                         zero_state)
 from mkg.potentials import polynomial
 
 
@@ -66,32 +67,51 @@ def test_central_diff_size_one_axis_is_zero():
     assert np.all(central_diff(f, 1, 0.1) == 0.0)
 
 
-# Reference stencils: shifted copies by np.roll, components joined by np.stack.
+# Reference stencils: shifted copies by np.roll, components joined by np.stack,
+# each difference scaled by the reciprocal of its denominator and a complex
+# field differenced as its real and imaginary parts.
 
 
 def roll_central_diff(f, axis, dx, order):
+    if np.iscomplexobj(f):
+        out = np.empty(f.shape, complex)
+        out.real = roll_central_diff(f.real, axis, dx, order)
+        out.imag = roll_central_diff(f.imag, axis, dx, order)
+        return out
     ax = f.ndim - 3 + axis
     if f.shape[ax] == 1:
         return np.zeros_like(f)
     if order == 2:
-        return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * dx)
-    return (8.0 * (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax))
-            - (np.roll(f, -2, axis=ax) - np.roll(f, 2, axis=ax))) / (12.0 * dx)
+        return ((np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax))
+                * (1.0 / (2.0 * dx)))
+    return ((8.0 * (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax))
+             - (np.roll(f, -2, axis=ax) - np.roll(f, 2, axis=ax)))
+            * (1.0 / (12.0 * dx)))
 
 
-def roll_gradient(f, dx, order):
-    parts = [roll_central_diff(f, i, dx, order) for i in range(3)]
+def divided_central_diff(f, axis, dx, order):
+    """The order-2 difference divided by 2 dx, as the stencils took it
+    before they multiplied by the reciprocal."""
+    assert order == 2 and not np.iscomplexobj(f)
+    ax = f.ndim - 3 + axis
+    if f.shape[ax] == 1:
+        return np.zeros_like(f)
+    return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * dx)
+
+
+def roll_gradient(f, dx, order, diff=roll_central_diff):
+    parts = [diff(f, i, dx, order) for i in range(3)]
     return np.stack(parts, axis=f.ndim - 3)
 
 
-def roll_curl(v, dx, order):
-    d = lambda comp, axis: roll_central_diff(v[..., comp, :, :, :], axis, dx, order)
+def roll_curl(v, dx, order, diff=roll_central_diff):
+    d = lambda comp, axis: diff(v[..., comp, :, :, :], axis, dx, order)
     return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)],
                     axis=v.ndim - 4)
 
 
-def roll_divergence(v, dx, order):
-    return sum(roll_central_diff(v[..., i, :, :, :], i, dx, order) for i in range(3))
+def roll_divergence(v, dx, order, diff=roll_central_diff):
+    return sum(diff(v[..., i, :, :, :], i, dx, order) for i in range(3))
 
 
 def _same_bits(got, want):
@@ -112,6 +132,20 @@ def _field(rng, shape, complex_data):
     return f
 
 
+def _laid_out(rng, shape, complex_data, layout):
+    """A _field of `shape` stored C-contiguous ("c"), with its grid axes
+    transposed in memory as the rotation probe of the benchmark stores
+    them ("transposed"), or as a view that reverses the last axis
+    ("reversed"); in the last two the grid blocks are not contiguous."""
+    lead, grid = shape[:-3], shape[-3:]
+    if layout == "transposed":
+        f = _field(rng, lead + (grid[1], grid[2], grid[0]), complex_data)
+        n = len(lead)
+        return np.transpose(f, tuple(range(n)) + (n + 2, n, n + 1))
+    f = _field(rng, shape, complex_data)
+    return f[..., ::-1] if layout == "reversed" else f
+
+
 AXIS_SIZES = st.sampled_from((1, 2, 3, 4, 5, 8))
 
 
@@ -119,19 +153,57 @@ AXIS_SIZES = st.sampled_from((1, 2, 3, 4, 5, 8))
 @given(dims=st.tuples(AXIS_SIZES, AXIS_SIZES, AXIS_SIZES),
        lead=st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple),
        order=st.sampled_from((2, 4)), complex_data=st.booleans(),
-       dx=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
-def test_stencils_match_roll_reference(dims, lead, order, complex_data, dx, seed):
+       dx=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(("c", "transposed", "reversed")))
+def test_stencils_match_roll_reference(dims, lead, order, complex_data, dx,
+                                       seed, layout):
     """The slicing stencils give the roll/stack form's bits, signed zeros
-    included, on every axis size, wrap-around (n <= 2k) and size 1 alike."""
+    included, on every axis size, wrap-around (n <= 2k) and size 1 alike,
+    on contiguous inputs and on the layouts that take the per-run path."""
     rng = np.random.default_rng(seed)
-    f = _field(rng, lead + dims, complex_data)
-    v = _field(rng, lead + (3,) + dims, complex_data)
+    f = _laid_out(rng, lead + dims, complex_data, layout)
+    v = _laid_out(rng, lead + (3,) + dims, complex_data, layout)
     for axis in range(3):
         _same_bits(central_diff(f, axis, dx, order),
                    roll_central_diff(f, axis, dx, order))
     _same_bits(gradient(f, dx, order), roll_gradient(f, dx, order))
     _same_bits(curl(v, dx, order), roll_curl(v, dx, order))
     _same_bits(divergence(v, dx, order), roll_divergence(v, dx, order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(AXIS_SIZES, AXIS_SIZES, AXIS_SIZES),
+       lead=st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple),
+       m=st.integers(-4, 30), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(("c", "transposed", "reversed")))
+def test_power_of_two_step_gives_the_division_bits(dims, lead, m, seed, layout):
+    """With dx = 2^-m the order-2 stencils of a real field have the bits of
+    the difference divided by 2 dx, so runs on such a grid keep their
+    traces."""
+    rng = np.random.default_rng(seed)
+    f = _laid_out(rng, lead + dims, False, layout)
+    v = _laid_out(rng, lead + (3,) + dims, False, layout)
+    dx = 2.0 ** -m
+    old = divided_central_diff
+    for axis in range(3):
+        _same_bits(central_diff(f, axis, dx), old(f, axis, dx, 2))
+    _same_bits(gradient(f, dx), roll_gradient(f, dx, 2, diff=old))
+    _same_bits(curl(v, dx), roll_curl(v, dx, 2, diff=old))
+    _same_bits(divergence(v, dx), roll_divergence(v, dx, 2, diff=old))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_diff_into_writes_a_strided_output_in_place(order, axis):
+    """An output whose grid blocks are not contiguous is written in place,
+    through the per-run path, with the reference's bits."""
+    rng = np.random.default_rng(7)
+    f = _field(rng, (2, 5, 6, 7), False)
+    buf = np.full((2, 7, 5, 6), np.nan)
+    out = np.transpose(buf, (0, 2, 3, 1))
+    _diff_into(out, f, 1 + axis, 0.3, order)
+    _same_bits(np.ascontiguousarray(out), roll_central_diff(f, axis, 0.3, order))
+    assert not np.isnan(buf).any()
 
 
 @pytest.mark.parametrize("order", [2, 4])
