@@ -1,11 +1,17 @@
 """Estimate functionals and Gronwall-type trace audits.
 
 Every functional of the global-existence estimates is transcribed once
-here, display by display, as plain arithmetic; each evaluator takes one
-record's floats or a whole trace's columns.  The tests keep a second,
-symbolic transcription of every display (a monomial list built term by
-term) as the reference these evaluators must match to rounding: the
-defense against transcription errors in the very long printed expressions.
+here, display by display, as plain arithmetic in one function,
+`estimates`, which returns them all by display name from one record's
+floats or a whole trace's columns.  Their form changes with the potential
+(polynomial, or sine-Gordon and Toda) in I, H, Zcal and chi only, and
+`estimates` branches on it once.  Every integer power goes through `_pw`,
+libm pow, so a column and its per-record floats round alike.  `run` writes
+the trace columns L..G from one call, and `audit_gronwall` reads every
+functional it needs from one call.  The tests keep a second, symbolic
+transcription of every display (a monomial list built term by term) as the
+reference `estimates` must match to rounding: the defense against
+transcription errors in the very long printed expressions.
 
 All free multiplicative constants of the estimates (the various curly-C,
 K and B constants) default to 1; only b_n, C1..C3 and c4 are data.
@@ -90,23 +96,10 @@ def _pw(x, k: int):
     AVX-512 CPUs, calls a SIMD pow for k >= 3; each rounds differently
     from pow in some elements (one in twenty for the SIMD pow).
     ``np.float_power`` calls pow per element, so a column gives bit for bit
-    what the per-record floats give; floats stay Python floats.
+    what Python's ``x**k`` gives on each of its floats (short of overflow,
+    where Python raises and this gives inf).
     """
-    if k == 0:
-        return 1.0
-    return x**k if isinstance(x, float) else np.float_power(x, k)
-
-
-def _ps(p: float, lo: int, hi: int, shift: int) -> float:
-    return sum(_pw(p, n + shift) for n in range(lo, hi + 1))
-
-
-def _sqrt_pos(x):
-    """sqrt(max(x, 0)) for a float or a column array; both square roots are
-    correctly rounded, so they agree bit for bit."""
-    if isinstance(x, float):
-        return math.sqrt(max(x, 0.0))
-    return np.sqrt(np.maximum(x, 0.0))
+    return np.float_power(x, k)
 
 
 def snapshot_env(snapshot: NormSnapshot, constants: EstimateConstants,
@@ -117,60 +110,46 @@ def snapshot_env(snapshot: NormSnapshot, constants: EstimateConstants,
         "p": snapshot.linf_phi, "dp": snapshot.linf_dphi,
         "Dp": snapshot.linf_Dphi, "F4": snapshot.linf_F,
         "A": snapshot.linf_A, "dPsi": snapshot.linf_dPsi,
-        "E0h": _sqrt_pos(E0_sf), "J0": constants.J0,
+        "E0h": np.sqrt(np.maximum(E0_sf, 0.0)), "J0": constants.J0,
         "t": snapshot.t,
     }
 
 
-def _is_polynomial(constants: EstimateConstants) -> bool:
-    return constants.potential_kind is PotentialKind.POLYNOMIAL
-
-
 # ---------------------------------------------------------------------------
-# estimate functionals, one evaluator per printed display
+# estimate functionals, every printed display from one environment
 
 
-def eval_O(snapshot: NormSnapshot, c: EstimateConstants) -> float:
-    e = snapshot_env(snapshot, c)
-    p, dp, J0, t = e["p"], e["dp"], e["J0"], e["t"]
-    inner = 1.0 + J0 * (1.0 + t) * sum(_pw(p, 2 * n + 1) for n in range(1, c.N - 1))
-    return p * dp * inner
+def estimates(snapshot: NormSnapshot, c: EstimateConstants, E0_sf=0.0) -> dict:
+    """Every estimate functional of one snapshot, or of a whole trace when
+    the snapshot fields and E0_sf are column arrays, keyed by display name:
+    I, H, L, M, N, Sg, Xg, Ug, Wg, Y, Z, Pcal, X, W, P, U, Ztilde, Zhat, S,
+    T, Zcal, chi and G.  I, H, Zcal and chi take the polynomial potential's
+    form or the sine-Gordon and Toda form by c.potential_kind."""
+    e = snapshot_env(snapshot, c, E0_sf)
+    p, dp, Dp, F4 = e["p"], e["dp"], e["Dp"], e["F4"]
+    A, dPsi, E0h, J0, t = e["A"], e["dPsi"], e["E0h"], e["J0"], e["t"]
 
+    if c.potential_kind is PotentialKind.POLYNOMIAL:
+        # I and H are the displays O and D; Psi_inf = p^2
+        I = p * dp * (1.0 + J0 * (1.0 + t)
+                      * sum(_pw(p, 2 * n + 1) for n in range(1, c.N - 1)))
+        H = (sum(_pw(p, 2 * n) for n in range(0, c.N))
+             + J0 * (1.0 + t) * dPsi * sum(_pw(p, 2 * n) for n in range(0, c.N - 1)))
+        psi = p * p
+        Zcal = (p * sum((n - 1) * _pw(psi, n - 2) for n in range(2, c.N + 1)) * E0h
+                + sum(n * _pw(psi, n - 1) for n in range(1, c.N + 1)))
+        chi = E0h * sum(n * _pw(psi, n - 1) for n in range(1, c.N + 1))
+    else:
+        I = p * dp * J0
+        H = J0 * (_pw(dPsi, 2) + 1.0)
+        Zcal = 1.0 + E0h * p
+        chi = E0h
 
-def eval_I(snapshot: NormSnapshot, c: EstimateConstants) -> float:
-    if _is_polynomial(c):
-        return eval_O(snapshot, c)
-    e = snapshot_env(snapshot, c)
-    return e["p"] * e["dp"] * e["J0"]
+    # sum_{n=1}^{N} p^(n+k) for k = 1..5, and the recurring quartet Z
+    s1, s2, s3, s4, s5 = (sum(_pw(p, n + k) for n in range(1, c.N + 1))
+                          for k in range(1, 6))
+    Z = p + _pw(p, 3) + s2 + s4
 
-
-def eval_D_func(snapshot: NormSnapshot, c: EstimateConstants) -> float:
-    e = snapshot_env(snapshot, c)
-    p, J0, t, dPsi = e["p"], e["J0"], e["t"], e["dPsi"]
-    s1 = sum(_pw(p, 2 * n) for n in range(0, c.N))
-    s2 = sum(_pw(p, 2 * n) for n in range(0, c.N - 1))
-    return s1 + J0 * (1.0 + t) * dPsi * s2
-
-
-def eval_H_func(snapshot: NormSnapshot, c: EstimateConstants) -> float:
-    if _is_polynomial(c):
-        return eval_D_func(snapshot, c)
-    e = snapshot_env(snapshot, c)
-    return e["J0"] * (_pw(e["dPsi"], 2) + 1.0)
-
-
-def _zq(p: float, c: EstimateConstants) -> float:
-    return p + _pw(p, 3) + _ps(p, 1, c.N, 2) + _ps(p, 1, c.N, 4)
-
-
-def eval_LMNSXUW(snapshot: NormSnapshot, c: EstimateConstants):
-    """The seven functionals a trace row carries, (L, M, N, Sg, Xg, Ug, Wg),
-    from one environment, one I, one Z(p) and one of each power sum."""
-    e = snapshot_env(snapshot, c)
-    p, dp, dPsi, A, t = e["p"], e["dp"], e["dPsi"], e["A"], e["t"]
-    I = eval_I(snapshot, c)
-    Z = _zq(p, c)
-    s1, s2, s3, s4, s5 = (_ps(p, 1, c.N, k) for k in range(1, 6))
     L = (p * Z * (dp + 1.0) + dPsi * p + dp + _pw(p, 2) * dp
          + p * I)
     M = (p * dPsi + _pw(p, 2)
@@ -185,21 +164,11 @@ def eval_LMNSXUW(snapshot: NormSnapshot, c: EstimateConstants):
           + dp * Z * (1.0 + p))
     Xg = 1.0 + _pw(dp, 2) * _pw(p, 2) + dp * _pw(p, 2) + p + dp + _pw(p, 2)
     Ug = Z * (1.0 + p) + p * dp + c.c4 * I
-    Wg = (Z * (1.0 + dp) + p * dp + c.c4 * I) * Z + eval_H_func(snapshot, c)
-    return L, M, N, Sg, Xg, Ug, Wg
-
-
-def eval_YZP(snapshot: NormSnapshot, c: EstimateConstants, E0_sf: float):
-    """Returns (Y, Z, Pcal, X, W, P, U, Ztilde, Zhat, S, T, Zcal, chi)."""
-    e = snapshot_env(snapshot, c, E0_sf)
-    p, dp, Dp, F4 = e["p"], e["dp"], e["Dp"], e["F4"]
-    A, dPsi, E0h = e["A"], e["dPsi"], e["E0h"]
-    I = eval_I(snapshot, c)
+    Wg = (Z * (1.0 + dp) + p * dp + c.c4 * I) * Z + H
 
     Y = (sum(c.b(n) * (8.0 * _pw(p, n + 6) + _pw(p, n + 5) + 12.0 * _pw(p, n + 3))
              for n in range(1, c.N + 1))
          + 6.0 * c.C1 * (_pw(p, 2) + _pw(p, 3)) + (c.C2 + c.C3) * p + c.C3)
-    Z = _zq(p, c)
     Pcal = Y * (Dp + 1.0 + p) + F4 * dp * (1.0 + p) + (dp + Dp) * Z + I + 1.0
 
     Zt = sum((n + 2) / (n + 1) * c.b(n) * _pw(p, n + 2)
@@ -207,15 +176,6 @@ def eval_YZP(snapshot: NormSnapshot, c: EstimateConstants, E0_sf: float):
     Zh = sum((n + 2) / (n + 1) * c.b(n) * _pw(p, n + 1)
              + (n + 3) * c.b(n) * _pw(p, n + 2)
              for n in range(0, c.N + 1)) + c.C1
-
-    psi = p * p
-    if _is_polynomial(c):
-        Zcal = (p * sum((n - 1) * _pw(psi, n - 2) for n in range(2, c.N + 1)) * E0h
-                + sum(n * _pw(psi, n - 1) for n in range(1, c.N + 1)))
-        chi = E0h * sum(n * _pw(psi, n - 1) for n in range(1, c.N + 1))
-    else:
-        Zcal = 1.0 + E0h * p
-        chi = E0h
 
     S = (dp * Zt * (p * F4 * E0h + chi)
          + E0h * dp * _pw(Zt, 2) * (1.0 + p) * (Dp + dp)
@@ -244,11 +204,10 @@ def eval_YZP(snapshot: NormSnapshot, c: EstimateConstants, E0_sf: float):
          + F4 * (dPsi * _pw(dp, 2) * E0h * p + _pw(dp, 2) * p * E0h)
          + F4 * (dPsi * (dp * E0h + p) + _pw(dPsi, 2) * dp * E0h))
     U = S + T + Zcal
-    return Y, Z, Pcal, X, W, P, U, Zt, Zh, S, T, Zcal, chi
-
-
-def eval_G(snapshot: NormSnapshot) -> float:
-    return snapshot.linf_F + snapshot.linf_Dphi
+    return {"I": I, "H": H, "L": L, "M": M, "N": N, "Sg": Sg, "Xg": Xg,
+            "Ug": Ug, "Wg": Wg, "Y": Y, "Z": Z, "Pcal": Pcal, "X": X, "W": W,
+            "P": P, "U": U, "Ztilde": Zt, "Zhat": Zh, "S": S, "T": T,
+            "Zcal": Zcal, "chi": chi, "G": F4 + Dp}
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +218,8 @@ def _check_uniform(ts: np.ndarray) -> float:
     if len(ts) < 3:
         raise TraceTooShort(f"need >= 3 records, got {len(ts)}")
     dt = np.diff(ts)
-    if dt.min() <= 0 or (dt.max() - dt.min()) > 1e-9 * max(dt.max(), 1e-300):
+    # written so that a nan time fails the test
+    if not (dt.min() > 0 and dt.max() - dt.min() <= 1e-9 * max(dt.max(), 1e-300)):
         raise NonUniformSampling("trace is not uniformly sampled in time")
     return float(dt[0])
 
@@ -273,8 +233,15 @@ def _ddt(vals: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _finite(*arrays) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
 def _fit_line_cap(ts: np.ndarray, resid: np.ndarray) -> tuple[float, float]:
-    """Smallest (a0, a1), both >= 0, with resid(t) <= a0 + a1 t."""
+    """Smallest (a0, a1), both >= 0, with resid(t) <= a0 + a1 t; (nan, nan)
+    when a residual is not finite."""
+    if not _finite(resid):
+        return math.nan, math.nan
     a0 = max(float(resid[0]), 0.0)
     rest = resid[1:] - a0
     ts_rest = ts[1:]
@@ -292,7 +259,10 @@ def _cumtrapz(f: np.ndarray, dt: float) -> np.ndarray:
 
 def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
     """sup num/den over the trace with 0/0 guarded to 0, floored at 0 like
-    the other fitted constants (the bounds hold for nonnegative constants)."""
+    the other fitted constants (the bounds hold for nonnegative constants);
+    nan when a num or den is not finite."""
+    if not _finite(num, den):
+        return math.nan
     mask = den > 1e-300
     if not np.any(mask):
         return 0.0
@@ -302,9 +272,11 @@ def _ratio_sup(num: np.ndarray, den: np.ndarray) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     """Fit the smallest constants closing the three Gronwall-type bounds on
-    a diagnostics trace; returns one GronwallAudit.  A trace cell that is
+    a diagnostics trace; returns one GronwallAudit.  Each fit or cap is nan
+    when a value it is fitted from is not finite, so a trace cell that is
     inf or nan, or a product that overflows, gives a fit or cap that is not
-    finite, without a warning: the caller reports it.
+    finite, without a warning: the caller reports it.  A nan time fails the
+    uniform-sampling check.
 
     (a) J(t) <= C_N J(0) (1+t)
     (b) dE0_sf/dt <= C0 Pcal(t) E0_sf
@@ -318,8 +290,8 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     max never settles; the exponent of the integrated envelope does.
 
     `trace` is columnar (run.parse_trace, diagnostics.stack_records): every
-    field an array over the records.  Each functional is evaluated once over
-    the whole trace, through the same evaluators run.write_trace calls.
+    field an array over the records.  Every functional comes from one
+    `estimates` call over the whole trace, the call run.write_trace makes.
     """
     ts = np.asarray(trace.t, dtype=float)
     dt = _check_uniform(ts)
@@ -329,19 +301,23 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     J0 = J[0]
     envelope = J0 * (1.0 + ts)
     ratios = np.where(envelope > 1e-300, J / np.maximum(envelope, 1e-300), 0.0)
-    C_N_fit = float(np.max(ratios)) if J0 > 1e-300 else 0.0
+    C_N_fit = (math.nan if not _finite(J)
+               else float(np.max(ratios)) if J0 > 1e-300 else 0.0)
 
     snap = trace.norm_snapshot
     E0v = trace.sobolev_E0
     E1v = trace.sobolev_E1
-    _, _, Pcal, X, W, P, U, *_ = eval_YZP(snap, constants, E0v)
+    f = estimates(snap, constants, E0v)
+    Pcal = f["Pcal"]
 
     def c0_fit_to(k):
         return _ratio_sup(_ddt(E0v[:k], dt), (Pcal * E0v)[:k])
 
-    cum_XWPU = _cumtrapz(X + W + P + U, dt)
+    cum_XWPU = _cumtrapz(f["X"] + f["W"] + f["P"] + f["U"], dt)
 
     def e1_fit_to(k):
+        if not _finite(E1v[:k], cum_XWPU[:k]):
+            return math.nan
         if E1v[0] <= 1e-300:
             return 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -355,15 +331,14 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     F4, Dp, p = snap.linf_F, snap.linf_Dphi, snap.linf_phi
     dp, A = snap.linf_dphi, snap.linf_A
 
-    iF, iD, ip, idp, iA = (np.sqrt(_cumtrapz(f**2, dt))
-                           for f in (F4, Dp, p, dp, A))
-    L, M, N, Sg, _, Ug, Wg = eval_LMNSXUW(snap, constants)
+    iF, iD, ip, idp, iA = (np.sqrt(_cumtrapz(x**2, dt))
+                           for x in (F4, Dp, p, dp, A))
     J0c = constants.J0
-    bound_F = J0c**2 * (1.0 + ts) * (L * iF + M * iD + N * ip)
+    bound_F = J0c**2 * (1.0 + ts) * (f["L"] * iF + f["M"] * iD + f["N"] * ip)
     c0, c1 = _fit_line_cap(ts, F4 - bound_F)
-    bound_D = (J0c * iD * Sg + J0c**2 * (1.0 + ts) * iF * X
-               + J0c * ip * p * (1.0 + dp) + J0c * iA * Ug
-               + J0c * idp * Wg)
+    bound_D = (J0c * iD * f["Sg"] + J0c**2 * (1.0 + ts) * iF * f["X"]
+               + J0c * ip * p * (1.0 + dp) + J0c * iA * f["Ug"]
+               + J0c * idp * f["Wg"])
     k0, k1 = _fit_line_cap(ts, Dp - bound_D)
 
     # stabilization: final-quarter supremum vs half-trace supremum

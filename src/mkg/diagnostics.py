@@ -5,15 +5,15 @@ geometric energy E0, the flat energy J, the two Sobolev-type energies, the
 norms, and the Gauss/Bianchi constraint summaries, bundled into a
 DiagnosticsRecord per instant by `collect`.
 
-The per-site squares |pi|^2, |grad phi|^2, |D phi|^2, |E|^2, |H|^2 and
-|A|^2 are computed once per Kinematics and shared by the norms, E0 and
-E0_sf; every per-site density whose sum is reported is reduced by
-`np.sum`, which sums a contiguous array pairwise, so that its rounding
-error grows as O(log n) (Higham, SIAM J. Sci. Comput. 14, 1993).  E1_sf
-takes its second differences by periodic summation by parts (Strand,
-J. Comput. Phys. 110, 1994), and sums their squares by `_sum_sq`: the
-central differences d_i of either order are circulant, commute and are
-antisymmetric, so
+The per-site squares |pi|^2, |grad phi|^2, |D phi|^2, |E|^2 and |A|^2
+are computed once per Kinematics and shared by the norms, E0 and E0_sf;
+`norms` squares H once for linf_F and l2_H.  Every per-site density whose
+sum is reported is reduced by `np.sum`, which sums a contiguous array
+pairwise, so that its rounding error grows as O(log n) (Higham, SIAM J.
+Sci. Comput. 14, 1993).  E1_sf takes its second differences by periodic
+summation by parts (Strand, J. Comput. Phys. 110, 1994), and sums their
+squares by `_sum_sq`: the central differences d_i of either order are
+circulant, commute and are antisymmetric, so
 
     sum_x sum_ij |d_i d_j f|^2 = sum_x |sum_i d_i d_i f|^2
 
@@ -146,7 +146,7 @@ def norms(kin: Kinematics) -> NormSnapshot:
     """Every norm the estimate functionals consume, at one instant."""
     st = kin.state
     vol = kin.lattice.cell_volume
-    H = kin.H
+    HH = kin.H * kin.H
 
     phi2, pi2 = kin.psi, kin.pi2
     pDphi2 = pi2 + kin.Dphi2
@@ -156,7 +156,7 @@ def norms(kin: Kinematics) -> NormSnapshot:
     dpsi_x = 2.0 * np.real(np.sum(kin.dphi * st.phi.conj()[:, np.newaxis], axis=0))
     dpsi2 = dpsi_t**2 + np.sum(dpsi_x**2, axis=0)
 
-    ff = np.sum(2.0 * (np.sum(H * H, axis=1) - np.sum(st.E**2, axis=1)), axis=0)
+    ff = np.sum(2.0 * (np.sum(HH, axis=1) - np.sum(st.E**2, axis=1)), axis=0)
 
     return NormSnapshot(
         t=st.t,
@@ -167,7 +167,7 @@ def norms(kin: Kinematics) -> NormSnapshot:
         linf_A=float(np.sqrt(np.max(kin.A2))),
         linf_dPsi=float(np.sqrt(np.max(dpsi2))),
         l2_E=_l2(kin.E2, vol),
-        l2_H=_l2(np.sum(H**2, axis=(0, 1)), vol),
+        l2_H=_l2(np.sum(HH, axis=(0, 1)), vol),
         l2_Dphi=_l2(pDphi2, vol),
         l2_phi=_l2(phi2, vol),
         l2_V=_l2(kin.V**2, vol),

@@ -21,11 +21,15 @@ from .errors import (NonFinite, NonUniformSampling, ParseError, RadiusExceeded,
 from .lattice import NormSnapshot, write_snapshot
 from .potentials import PotentialKind
 
+# the trace columns of estimate functionals, by bounds.estimates key
+_ESTIMATE_COLUMNS = {"L": "L", "M": "M", "N": "N", "S": "Sg", "X": "Xg",
+                     "U": "Ug", "W": "Wg", "G": "G"}
+
 CSV_COLUMNS = (
     ("t", "E0", "J", "J_envelope", "E0_sf", "E1_sf",
      "gauss_l2", "gauss_linf", "bianchi_linf")
     + NormSnapshot.FIELDS[1:]
-    + ("L", "M", "N", "S", "X", "U", "W", "G")
+    + tuple(_ESTIMATE_COLUMNS)
 )
 
 # the trace columns stored from a DiagnosticsRecord field, by column name;
@@ -39,16 +43,16 @@ RECORD_COLUMNS = {"t": "t", "E0": "energy_E0", "J": "flat_J",
 def write_trace(path: str, trace: DiagnosticsRecord,
                 constants: bounds.EstimateConstants):
     """Write a columnar trace (diagnostics.stack_records) as a trace CSV: the
-    envelope J0(1+t), L..W and G are evaluated once over the columns, every
-    cell has 17 significant digits, and one that overflows reads inf or nan."""
+    envelope J0(1+t) and the functionals L..G (_ESTIMATE_COLUMNS) come from
+    one evaluation over the columns, every cell has 17 significant digits,
+    and one that overflows reads inf or nan."""
     snap = trace.norm_snapshot
     col = {name: getattr(trace, field) for name, field in RECORD_COLUMNS.items()}
     col.update((name, getattr(snap, name)) for name in NormSnapshot.FIELDS[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         col["J_envelope"] = constants.J0 * (1.0 + trace.t)
-        col.update(zip(("L", "M", "N", "S", "X", "U", "W"),
-                       bounds.eval_LMNSXUW(snap, constants)))
-        col["G"] = bounds.eval_G(snap)
+        f = bounds.estimates(snap, constants)
+        col.update((name, f[key]) for name, key in _ESTIMATE_COLUMNS.items())
     table = np.column_stack([col[name] for name in CSV_COLUMNS])
     with open(path, "w", newline="\n") as fh:
         np.savetxt(fh, table, fmt="%.17g", delimiter=",",
@@ -169,20 +173,24 @@ def svg_line_plot(path: str, title: str, series: dict, log_y: bool = False):
 def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None) -> int:
     """Evolve the configured scenario; returns a process exit code."""
     model, state = cfg.build()
+    n_steps = steps if steps is not None else cfg.steps
+    lattice = cfg.lattice
+    dt = cfg.dt_value
+
+    # The first record and the constants come before --out is created, so
+    # that initial data whose J overflows is a config error that writes
+    # nothing; its overflowing cells read inf or nan, without a warning.
+    # A recorded state's Kinematics also serves stage k1 of the next step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kin = Kinematics.of(state, lattice, model)
+        records = [collect(state, lattice, model, kin)]
+    constants = cfg.estimate_constants(records[0].flat_J or 1.0)
     out = out_dir or cfg.directory
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:          # an existing file, or a path under one
         raise ValidationError(f"output directory {out!r} cannot be created: "
                               f"{exc.strerror}") from None
-    n_steps = steps if steps is not None else cfg.steps
-    lattice = cfg.lattice
-    dt = cfg.dt_value
-
-    # a recorded state's Kinematics also serves stage k1 of the next step
-    kin = Kinematics.of(state, lattice, model)
-    records = [collect(state, lattice, model, kin)]
-    constants = cfg.estimate_constants(records[0].flat_J or 1.0)
     write_run_json(os.path.join(out, "run.json"), constants)
 
     if cfg.snapshot_cadence:

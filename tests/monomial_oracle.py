@@ -5,17 +5,18 @@ Each printed display is built a second time, term by term, as a list of
 monomials (coefficient + power per norm variable) through a tiny polynomial
 algebra.  The fast evaluators and these lists must agree to rounding on
 random inputs; that cross-check is the defense against transcription
-errors in the very long printed expressions.  `eval_fast` looks up the fast
-evaluator of each display by the same name, and `eval_Q` combines the trace
-row's functionals into the Q of the |D phi| estimate.
+errors in the very long printed expressions.  `eval_fast` looks up each
+display by the same name in `mkg.bounds.estimates`, and `eval_Q` combines
+the trace row's functionals into the Q of the |D phi| estimate.
 """
 
 from __future__ import annotations
 
-from mkg.bounds import (EstimateConstants, _is_polynomial, _pw, eval_D_func,
-                        eval_H_func, eval_I, eval_LMNSXUW, eval_O, eval_YZP,
-                        snapshot_env)
+import dataclasses
+
+from mkg.bounds import EstimateConstants, _pw, estimates, snapshot_env
 from mkg.lattice import NormSnapshot
+from mkg.potentials import PotentialKind
 
 VARS = ("p", "dp", "Dp", "F4", "A", "dPsi", "E0h", "J0", "t")
 _IDX = {v: i for i, v in enumerate(VARS)}
@@ -87,6 +88,10 @@ class Poly:
 
 def _v(name, k=1):
     return Poly.var(name, k)
+
+
+def _is_polynomial(c: EstimateConstants) -> bool:
+    return c.potential_kind is PotentialKind.POLYNOMIAL
 
 
 def _psum(lo: int, hi: int, shift: int) -> Poly:
@@ -316,6 +321,10 @@ def build_U(c: EstimateConstants) -> Poly:
     return build_S(c) + build_T(c) + build_Zcal(c)
 
 
+def build_G(c: EstimateConstants) -> Poly:
+    return _v("F4") + _v("Dp")
+
+
 def build_Q(c: EstimateConstants) -> Poly:
     # all free constants set to one
     J0, t = _v("J0"), _v("t")
@@ -333,7 +342,7 @@ BUILDERS = {
     "Ztilde": build_Ztilde, "Zhat": build_Zhat,
     "Zcal": build_Zcal, "chi": build_chi,
     "S": build_S, "T": build_T, "X": build_X, "W": build_W,
-    "P": build_P, "U": build_U, "Q": build_Q,
+    "P": build_P, "U": build_U, "G": build_G, "Q": build_Q,
 }
 
 
@@ -343,29 +352,28 @@ def eval_monomial(name: str, snapshot: NormSnapshot, constants: EstimateConstant
 
 
 # ---------------------------------------------------------------------------
-# the fast evaluator of each display, by builder name
+# the value mkg.bounds.estimates gives each display, by builder name
 
 
 def eval_Q(snapshot: NormSnapshot, c: EstimateConstants) -> float:
     e = snapshot_env(snapshot, c)
     J0, t, p, dp = e["J0"], e["t"], e["p"], e["dp"]
-    L, M, N, Sg, Xg, Ug, Wg = eval_LMNSXUW(snapshot, c)
-    return (J0 * Sg + J0**2 * (1.0 + t) * Xg + J0 * p * (1.0 + dp)
-            + J0 * Ug + J0 * Wg + J0**2 * (1.0 + t) * (L + M + N))
+    f = estimates(snapshot, c)
+    return (J0 * f["Sg"] + J0**2 * (1.0 + t) * f["Xg"] + J0 * p * (1.0 + dp)
+            + J0 * f["Ug"] + J0 * f["Wg"]
+            + J0**2 * (1.0 + t) * (f["L"] + f["M"] + f["N"]))
 
 
-# fast evaluator per builder name: (function, index into its tuple or None)
-_FAST = {"I": (eval_I, None), "O": (eval_O, None), "H": (eval_H_func, None),
-         "D": (eval_D_func, None), "Q": (eval_Q, None)}
-_FAST.update({n: (eval_LMNSXUW, i) for i, n in enumerate(
-    ("L", "M", "N", "Sg", "Xg", "Ug", "Wg"))})
-_FAST.update({n: (eval_YZP, i) for i, n in enumerate(
-    ("Y", "Z", "Pcal", "X", "W", "P", "U", "Ztilde", "Zhat", "S", "T", "Zcal", "chi"))})
+# O and D are the polynomial potential's I and H
+_POLYNOMIAL_FORM = {"O": "I", "D": "H"}
 
 
 def eval_fast(name: str, snapshot: NormSnapshot, constants: EstimateConstants,
               E0_sf: float = 0.0) -> float:
-    fn, index = _FAST[name]
-    out = (fn(snapshot, constants, E0_sf) if fn is eval_YZP
-           else fn(snapshot, constants))
-    return out if index is None else out[index]
+    if name == "Q":
+        return eval_Q(snapshot, constants)
+    if name in _POLYNOMIAL_FORM:
+        name = _POLYNOMIAL_FORM[name]
+        constants = dataclasses.replace(constants,
+                                        potential_kind=PotentialKind.POLYNOMIAL)
+    return estimates(snapshot, constants, E0_sf)[name]

@@ -10,8 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from mkg.bounds import (EstimateConstants, audit_gronwall, eval_LMNSXUW,
-                        eval_YZP)
+from mkg.bounds import EstimateConstants, audit_gronwall, estimates
 from mkg.cli import main
 from mkg.diagnostics import collect, energy_E0, stack_records
 from mkg.dynamics import Kinematics, ModelSpec, step_rk4
@@ -289,11 +288,9 @@ def test_criterion_8_functional_oracle():
     zero = NormSnapshot(t=0.0, linf_phi=0, linf_dphi=0, linf_Dphi=0,
                         linf_F=0, linf_A=0, linf_dPsi=0, l2_E=0, l2_H=0,
                         l2_Dphi=0, l2_phi=0, l2_V=0)
-    Lz, Mz, Nz = eval_LMNSXUW(zero, zc)[:3]
-    _, Xz, _, _ = eval_LMNSXUW(zero, zc)[3:]
-    Yz = eval_YZP(zero, zc, 0.0)[0]
-    frozen = (Mz == 1.0 and Nz == 1.0 and Xz == 1.0 and Lz == 0.0
-              and Yz == zc.C3)
+    fz = estimates(zero, zc, 0.0)
+    frozen = (fz["M"] == 1.0 and fz["N"] == 1.0 and fz["Xg"] == 1.0
+              and fz["L"] == 0.0 and fz["Y"] == zc.C3)
     ok = worst <= 1e-12 and frozen
     report(8, "estimate-functional oracle", ok,
            f"worst rel diff {worst:.1e}, zero-snapshot constants "

@@ -2,6 +2,7 @@
 and the columnar audit and trace writer against their per-record
 references."""
 
+import dataclasses
 import math
 import os
 import tempfile
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mkg.bounds import (EstimateConstants, GronwallAudit, _check_uniform,
-                        _ddt, _fit_line_cap, _ratio_sup, audit_gronwall,
-                        eval_G, eval_LMNSXUW, eval_YZP, snapshot_env)
+                        _ddt, _fit_line_cap, _pw, _ratio_sup, audit_gronwall,
+                        estimates, snapshot_env)
 from mkg.diagnostics import DiagnosticsRecord, stack_records
 from mkg.errors import NonUniformSampling, TraceTooShort
 from mkg.lattice import NormSnapshot
@@ -37,6 +38,15 @@ def zero_snapshot():
                         l2_Dphi=0, l2_phi=0, l2_V=0)
 
 
+def test_estimates_cover_every_display():
+    """estimates gives every display the oracle builds, less O and D (the
+    polynomial potential's I and H) and the composite Q, so that no display
+    escapes the cross-check against the monomial lists."""
+    for kind in PotentialKind:
+        c = EstimateConstants(potential_kind=kind)
+        assert set(estimates(zero_snapshot(), c)) == set(BUILDERS) - {"O", "D", "Q"}
+
+
 def test_fast_matches_monomial_oracle():
     """Acceptance core: every functional evaluated twice, once as plain
     arithmetic and once through the symbolic monomial list, on 100 random
@@ -58,22 +68,20 @@ def test_fast_matches_monomial_oracle():
 def test_zero_snapshot_frozen_constants():
     c = EstimateConstants(b_n=(0.3, 0.7), C1=0.5, C2=1.1, C3=0.9, N=2, J0=1.0)
     z = zero_snapshot()
-    L, M, N = eval_LMNSXUW(z, c)[:3]
-    assert M == 1.0
-    assert N == 1.0
-    assert L == 0.0
-    Sg, Xg, Ug, Wg = eval_LMNSXUW(z, c)[3:]
-    assert Xg == 1.0
-    Y = eval_YZP(z, c, 0.0)[0]
-    assert Y == c.C3          # additive constant of the Y functional
+    f = estimates(z, c, 0.0)
+    assert f["M"] == 1.0
+    assert f["N"] == 1.0
+    assert f["L"] == 0.0
+    assert f["Xg"] == 1.0
+    assert f["Y"] == c.C3     # additive constant of the Y functional
     # W-gothic at zero reduces to the H functional at zero
-    assert Wg == eval_fast("H", z, c)
+    assert f["Wg"] == eval_fast("H", z, c)
 
 
 def test_G_is_F_plus_Dphi():
     rng = np.random.default_rng(1)
     snap = random_snapshot(rng)
-    assert eval_G(snap) == snap.linf_F + snap.linf_Dphi
+    assert estimates(snap, EstimateConstants())["G"] == snap.linf_F + snap.linf_Dphi
 
 
 def test_poly_algebra():
@@ -158,6 +166,14 @@ def test_audit_nonuniform_sampling():
         audit_gronwall(stack_records(bad), c)
 
 
+def test_audit_nan_time_is_nonuniform():
+    c = EstimateConstants(J0=1.0)
+    recs = make_trace()
+    recs[5] = dataclasses.replace(recs[5], t=math.nan)
+    with pytest.raises(NonUniformSampling):
+        audit_gronwall(stack_records(recs), c)
+
+
 def test_audit_subsample_stability():
     """Fits from every-other-record subsampling stay within 10%."""
     c = EstimateConstants(b_n=(1.0, 1.0), N=2, J0=2.0)
@@ -225,22 +241,28 @@ def same_bits(column, per_record) -> bool:
 @settings(max_examples=40, deadline=None)
 @given(recs=records_st(), c=constants_st)
 def test_column_evaluators_match_per_record(recs, c):
-    """Every fast evaluator and every monomial list, called once on column
-    arrays, equals its per-record scalar calls bit for bit."""
+    """Every functional of estimates and every monomial list, evaluated once
+    on column arrays, equals its per-record scalar evaluations bit for bit."""
     cols = stack_records(recs)
     snap, E0 = cols.norm_snapshot, cols.sobolev_E0
-    per_record = (
-        (eval_LMNSXUW(snap, c), [eval_LMNSXUW(r.norm_snapshot, c) for r in recs]),
-        (eval_YZP(snap, c, E0),
-         [eval_YZP(r.norm_snapshot, c, r.sobolev_E0) for r in recs]))
-    for got, want in per_record:
-        for i, column in enumerate(got):
-            assert same_bits(column, [w[i] for w in want]), i
+    want = [estimates(r.norm_snapshot, c, r.sobolev_E0) for r in recs]
+    for name, column in estimates(snap, c, E0).items():
+        assert same_bits(column, [w[name] for w in want]), name
     env = snapshot_env(snap, c, E0)
     for name, build in BUILDERS.items():
         want = [eval_monomial(name, r.norm_snapshot, c, r.sobolev_E0)
                 for r in recs]
         assert same_bits(build(c).eval(env), want), name
+
+
+def test_pw_rounds_as_python_pow():
+    """_pw on a column gives Python's x**k (libm pow) on each float, bit for
+    bit: numpy's vectorised ** squares for k = 2 and may call a SIMD pow
+    for k >= 3, and both differ from pow in some elements.  Uniform draws,
+    since hypothesis favours floats whose powers are exact."""
+    x = np.random.default_rng(7).uniform(0.0, 4.0, 20000)
+    for k in range(13):
+        assert same_bits(_pw(x, k), [v**k for v in x.tolist()]), k
 
 
 def reference_audit(trace, constants):
@@ -258,12 +280,10 @@ def reference_audit(trace, constants):
 
     E0v = np.array([r.sobolev_E0 for r in trace])
     E1v = np.array([r.sobolev_E1 for r in trace])
-    Pcal = np.zeros(n)
-    XWPU = np.zeros(n)
-    for i, r in enumerate(trace):
-        y = eval_YZP(r.norm_snapshot, constants, r.sobolev_E0)
-        Pcal[i] = y[2]
-        XWPU[i] = y[3] + y[4] + y[5] + y[6]
+    per_record = [estimates(r.norm_snapshot, constants, r.sobolev_E0)
+                  for r in trace]
+    Pcal = np.array([f["Pcal"] for f in per_record])
+    XWPU = np.array([f["X"] + f["W"] + f["P"] + f["U"] for f in per_record])
 
     def c0_fit_to(k):
         return _ratio_sup(_ddt(E0v[:k], dt), (Pcal * E0v)[:k])
@@ -294,16 +314,14 @@ def reference_audit(trace, constants):
 
     iF, iD, ip, idp, iA = (cumint(F4**2), cumint(Dp**2), cumint(p**2),
                            cumint(dp**2), cumint(A**2))
-    LMN = np.array([eval_LMNSXUW(r.norm_snapshot, constants)[:3] for r in trace])
-    SXUW = np.array([eval_LMNSXUW(r.norm_snapshot, constants)[3:] for r in trace])
-    Xval = np.array([eval_YZP(r.norm_snapshot, constants, r.sobolev_E0)[3]
-                     for r in trace])
+    f = {name: np.array([g[name] for g in per_record])
+         for name in ("L", "M", "N", "Sg", "X", "Ug", "Wg")}
     J0c = constants.J0
-    bound_F = J0c**2 * (1.0 + ts) * (LMN[:, 0] * iF + LMN[:, 1] * iD + LMN[:, 2] * ip)
+    bound_F = J0c**2 * (1.0 + ts) * (f["L"] * iF + f["M"] * iD + f["N"] * ip)
     c0, c1 = _fit_line_cap(ts, F4 - bound_F)
-    bound_D = (J0c * iD * SXUW[:, 0] + J0c**2 * (1.0 + ts) * iF * Xval
-               + J0c * ip * p * (1.0 + dp) + J0c * iA * SXUW[:, 2]
-               + J0c * idp * SXUW[:, 3])
+    bound_D = (J0c * iD * f["Sg"] + J0c**2 * (1.0 + ts) * iF * f["X"]
+               + J0c * ip * p * (1.0 + dp) + J0c * iA * f["Ug"]
+               + J0c * idp * f["Wg"])
     k0, k1 = _fit_line_cap(ts, Dp - bound_D)
 
     half = float(np.max(ratios[: max(n // 2, 2)]))
@@ -366,13 +384,14 @@ def trace_row(record, constants):
     """One trace CSV row from one record's floats, each functional through
     the scalar evaluators: the per-record form of write_trace."""
     snap = record.norm_snapshot
+    f = estimates(snap, constants)
     vals = ((record.t, record.energy_E0, record.flat_J,
              constants.J0 * (1.0 + record.t),
              record.sobolev_E0, record.sobolev_E1,
              record.gauss_res_l2, record.gauss_res_linf,
              record.bianchi_res_linf)
             + snap.as_tuple()[1:]
-            + eval_LMNSXUW(snap, constants) + (eval_G(snap),))
+            + tuple(f[name] for name in ("L", "M", "N", "Sg", "Xg", "Ug", "Wg", "G")))
     return ",".join(f"{v:.17g}" for v in vals)
 
 

@@ -353,34 +353,46 @@ def test_check_bounds_nonfinite_first_J_is_config_error(tmp_path, capsys, J):
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
-@pytest.mark.parametrize("column", ["linf_F", "linf_Dphi", "E0_sf"])
+# every column the audit reads, besides t
+AUDITED_COLUMNS = ["J", "E0_sf", "E1_sf", "linf_phi", "linf_dphi", "linf_Dphi",
+                   "linf_F", "linf_A", "linf_dPsi"]
+
+
+@pytest.mark.parametrize("column", AUDITED_COLUMNS)
 @pytest.mark.parametrize("cell", ["inf", "nan"])
 def test_check_bounds_nonfinite_cell_fails_without_warning(tmp_path, capsys,
                                                           column, cell):
     """One inf or nan cell gives a fit or cap that is not finite: it is
     printed, without a RuntimeWarning (which the test settings make an
-    error), and check-bounds prints FAIL and exits 1."""
+    error), and check-bounds prints FAIL and exits 1.  The other cells are
+    all zero, or all 0.5: there an infinite cell makes some bounds infinite
+    rather than nan."""
     path = tmp_path / "trace.csv"
-    path.write_text(HEADER + "\n" + "".join(
-        (_row_with(column, cell) if i == 4 else ROW).replace("0.0", str(0.1 * i), 1)
-        + "\n" for i in range(10)))
-    assert main(["check-bounds", "--trace", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "nan" in out or "inf" in out
-    assert out.endswith("check-bounds: FAIL\n")
+    for base in ("0.0", "0.5"):
+        rows = []
+        for i in range(10):
+            cells = [repr(0.1 * i)] + [base] * (len(CSV_COLUMNS) - 1)
+            if i == 4:
+                cells[CSV_COLUMNS.index(column)] = cell
+            rows.append(",".join(cells) + "\n")
+        path.write_text(HEADER + "\n" + "".join(rows))
+        assert main(["check-bounds", "--trace", str(path)]) == 1, base
+        out = capsys.readouterr().out
+        assert "nan" in out or "inf" in out
+        assert out.endswith("check-bounds: FAIL\n")
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_run_with_nonfinite_initial_J_is_config_error(tmp_path, capsys):
     """Initial data whose flat energy J overflows gives no finite J0 for the
-    estimates: `mkg run` prints one config-error line and exits 2."""
+    estimates: `mkg run` prints one config-error line, without a
+    RuntimeWarning, exits 2 and creates no output directory."""
     cfg = write(tmp_path, MINIMAL.replace(
         "vacuum\n", "free_maxwell_wave\namplitude = 1e300\n"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "J0 = inf" in err
     assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 GOOD_CONSTANTS = {"b_n": [1.0], "C1": 0.0, "C2": 0.0, "C3": 0.0, "c4": 1.0,

@@ -51,21 +51,25 @@ def references(trees: dict) -> dict:
     return out
 
 
-def uncalled() -> list[str]:
-    """The public names of src/mkg with no reference outside their own
-    definition, less the ALLOWED ones."""
+def has_caller() -> dict:
+    """{qualified public name: whether src/mkg reads it outside its own
+    definition} for every public name of src/mkg."""
     trees = {p: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
     refs = references(trees)
-    missing = []
-    for qual, (path, node) in public_definitions(trees).items():
-        outside = [(p, line) for p, line in refs.get(node.name, [])
-                   if not (p == path and node.lineno <= line <= node.end_lineno)]
-        if not outside and qual not in ALLOWED:
-            missing.append(qual)
-    return sorted(missing)
+    return {qual: any(not (p == path and node.lineno <= line <= node.end_lineno)
+                      for p, line in refs.get(node.name, []))
+            for qual, (path, node) in public_definitions(trees).items()}
 
 
 def test_every_public_name_has_a_caller_in_src():
-    assert uncalled() == [], ("public names that nothing in src/mkg calls: move "
-                              "them to tests/, or give a reason in ALLOWED")
+    called = has_caller()
+    assert sorted(q for q, c in called.items() if not c and q not in ALLOWED) == [], (
+        "public names that nothing in src/mkg calls: move them to tests/, or "
+        "give a reason in ALLOWED")
 
+
+def test_allowed_names_are_public_and_uncalled():
+    called = has_caller()
+    assert sorted(q for q in ALLOWED if called.get(q, True)) == [], (
+        "ALLOWED names that are gone from src/mkg or now have a caller there: "
+        "drop them from ALLOWED")
