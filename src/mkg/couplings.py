@@ -66,6 +66,12 @@ class MatrixFamily:
     base: np.ndarray
     mod: np.ndarray
     amplitude: float = 0.0
+    # whether m depends on psi at all: amp != 0 and mod != 0
+    varies: bool = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "varies",
+                           self.amplitude != 0.0 and bool(np.any(self.mod)))
 
     def s(self, tanh):
         """s = amp * tanh(psi), from tanh = tanh(psi), which h and k share
@@ -77,15 +83,12 @@ class MatrixFamily:
         (Kinematics.cosh2_psi)."""
         return self.amplitude / cosh2
 
-    @property
-    def varies(self) -> bool:
-        """Whether m depends on psi at all: amp != 0 and mod != 0."""
-        return self.amplitude != 0.0 and bool(np.any(self.mod))
-
     def apply(self, v: np.ndarray, s) -> np.ndarray:
-        """m(psi).v, with s = self.s(tanh(psi))."""
+        """m(psi).v, with s = self.s(tanh(psi)); base.v alone when m is
+        constant."""
         out = _gauge_dot(self.base, v)
-        out += self.apply_mod(v, s)
+        if self.varies:
+            out += self.apply_mod(v, s)
         return out
 
     def apply_mod(self, v: np.ndarray, s) -> np.ndarray:
@@ -129,10 +132,11 @@ class CouplingFamily:
                 f"{np.min(lower):.6g} for amp = {amp:.6g}")
 
     def solve_h(self, v: np.ndarray, s) -> np.ndarray:
-        """h(psi)^-1 v, with s = self.h.s(tanh(psi)), by the pencil's eigenbasis."""
-        d = self._d.reshape((-1,) + (1,) * (v.ndim - 1))
+        """h(psi)^-1 v, with s = self.h.s(tanh(psi)), by the pencil's
+        eigenbasis; P P^T v when h is constant."""
         w = _gauge_dot(self._P.T, v)
-        w /= 1.0 + d * s
+        if self.h.varies:
+            w /= 1.0 + self._d.reshape((-1,) + (1,) * (v.ndim - 1)) * s
         return _gauge_dot(self._P, w)
 
 

@@ -177,14 +177,21 @@ def norms(kin: Kinematics) -> NormSnapshot:
 def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             kin: Kinematics | None = None) -> DiagnosticsRecord:
     """One full diagnostics row for the current state, from one Kinematics:
-    kin when given (it must be Kinematics.of(state, ...)), else a new one."""
+    kin when given (it must be Kinematics.of(state, ...)), else a new one.
+    The Sobolev energies come first, while kin holds the fewest arrays: the
+    gradient of A is the largest temporary of a record.  Once energy_E0,
+    their last reader, is done, kin drops its diagnostics-only arrays, so
+    that a kin passed on to step_rk4 carries into stage k1 only what
+    eom_rhs reads."""
     kin = _kinematics(state, lattice, model, kin)
-    snap = norms(kin)
-    _, g_l2, g_linf = gauss_residual(kin)
     e0_sf, e1_sf = sobolev_energies(kin)
+    snap = norms(kin)
+    e0 = energy_E0(kin)
+    kin.drop_diagnostics()
+    _, g_l2, g_linf = gauss_residual(kin)
     return DiagnosticsRecord(
         t=state.t,
-        energy_E0=energy_E0(kin),
+        energy_E0=e0,
         flat_J=flat_energy_J(snap, model.kahler.lower_c1),
         sobolev_E0=e0_sf,
         sobolev_E1=e1_sf,

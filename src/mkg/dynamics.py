@@ -99,8 +99,17 @@ class StateDerivative:
 
 
 def _cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """conj(a).b summed over the leading scalar-component axis."""
-    return np.sum(a.conj() * b, axis=0)
+    """conj(a).b summed over the leading scalar-component axis, one row at a
+    time in order into one sum, without a full product array.  These are
+    the bits of np.sum(a.conj() * b, axis=0) on a grid of two or more sites;
+    on a one-site grid numpy adds 4 or more complex rows pairwise, so there
+    they agree for up to 3 scalars (tests/test_dynamics.py)."""
+    out = a[0].conj() * b[0]
+    term = np.empty_like(out)
+    for x, y in zip(a[1:], b[1:]):
+        np.multiply(x.conj(), y, out=term)
+        out += term
+    return out
 
 
 @dataclass(eq=False)
@@ -115,8 +124,15 @@ class Kinematics:
     which h and k form s and s', the contractions with phi, and the
     per-site squares that the RHS, E0, E0_sf and the norms share.  One
     Kinematics may serve both the trace record of a state and the first
-    RK4 stage from it (step_rk4's `kin`).
+    RK4 stage from it (step_rk4's `kin`).  `collect` drops the
+    DIAGNOSTICS_ONLY arrays once their last reader is done, so what that
+    Kinematics carries into stage k1 is only what eom_rhs reads: the arrays
+    `of` builds and, where computed, tanh psi, cosh^2 psi, h.s, q.A, the
+    two contractions with phi and |Dphi|^2.
     """
+
+    # cached arrays that eom_rhs never reads
+    DIAGNOSTICS_ONLY = ("dphi", "dphi2", "E2", "A2", "V", "pi2")
 
     state: FieldState
     lattice: LatticeSpec
@@ -148,6 +164,11 @@ class Kinematics:
                 for i in range(3):
                     kin.Dphi[a, i] -= iqa[i] * phi[a]
         return kin
+
+    def drop_diagnostics(self) -> None:
+        """Release the DIAGNOSTICS_ONLY arrays; a later read recomputes them."""
+        for name in self.DIAGNOSTICS_ONLY:
+            self.__dict__.pop(name, None)
 
     @cached_property
     def tanh_psi(self) -> np.ndarray:
@@ -351,18 +372,22 @@ def step_rk4(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
              dt: float, kin: Kinematics | None = None) -> FieldState:
     """Classical explicit 4-stage update of (A, E, phi, pi):
     state + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order in place in
-    new arrays, so the bits are those of the textbook expression.  kin, when
-    given, is Kinematics.of(state, ...) and serves stage k1."""
+    k2's arrays (2 k2 + k1, then + 2 k3, + k4), so the bits are those of the
+    textbook expression and no fifth state-sized sum is allocated.  kin,
+    when given, is Kinematics.of(state, ...) and serves stage k1; after
+    `collect` it still holds everything that stage reads."""
     if not state.is_finite():
         raise NonFinite(f"non-finite field entering step at t = {state.t:.6g}")
     k1 = eom_rhs(state, lattice, model, kin)
     k2 = eom_rhs(_stage(state, k1, 0.5 * dt), lattice, model)
-    acc = [np.multiply(v, 2) for v in _rates(k2)]
+    stage3 = _stage(state, k2, 0.5 * dt)    # before k2 becomes the sum
+    acc = _rates(k2)
     for a, v in zip(acc, _rates(k1)):
+        a *= 2
         a += v
-    del k1
-    k3 = eom_rhs(_stage(state, k2, 0.5 * dt), lattice, model)
-    del k2
+    del k1, k2
+    k3 = eom_rhs(stage3, lattice, model)
+    del stage3
     stage4 = _stage(state, k3, dt)          # before k3 is doubled in place
     for a, v in zip(acc, _rates(k3)):
         v *= 2

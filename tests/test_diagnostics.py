@@ -124,6 +124,21 @@ def test_collect_record_fields():
     assert rec.norm_snapshot.linf_phi > 0
 
 
+@pytest.mark.parametrize("dims", [(32, 1, 1), (4, 3, 5)])
+def test_collect_twice_on_one_kinematics(dims):
+    """collect drops the diagnostics-only arrays from the Kinematics it is
+    given, and a second collect on it rebuilds them to the same record."""
+    lat = LatticeSpec(dims, 0.2)
+    model = interacting_model()
+    st = random_state(lat, 2, 2, seed=21)
+    kin = Kinematics.of(st, lat, model)
+    first = collect(st, lat, model, kin)
+    assert not set(Kinematics.DIAGNOSTICS_ONLY) & set(vars(kin))
+    assert collect(st, lat, model, kin) == first
+    assert collect(st, lat, model) == first
+    assert not set(Kinematics.DIAGNOSTICS_ONLY) & set(vars(kin))
+
+
 def test_diagnostics_gauge_invariant():
     n = 512
     lat = LatticeSpec((n, 1, 1), 1.0 / n)
