@@ -6,7 +6,8 @@ here, display by display, as plain arithmetic in one function,
 floats or a whole trace's columns.  Their form changes with the potential
 (polynomial, or sine-Gordon and Toda) in I, H, Zcal and chi only, and
 `estimates` branches on it once.  Every integer power goes through `_pw`,
-libm pow, so a column and its per-record floats round alike.  `run` writes
+libm pow, so a column and its per-record floats round alike, and each
+distinct power of an `estimates` call is computed once.  `run` writes
 the trace columns L..G from one call, and `audit_gronwall` reads every
 functional it needs from one call.  The tests keep a second, symbolic
 transcription of every display (a monomial list built term by term) as the
@@ -25,16 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonUniformSampling, TraceTooShort
-from .lattice import NormSnapshot
+from .lattice import DiagnosticsRecord, NormSnapshot
 from .potentials import PotentialKind
 
-if TYPE_CHECKING:
-    from .diagnostics import DiagnosticsRecord
 
 @dataclass(frozen=True)
 class EstimateConstants:
@@ -102,6 +100,21 @@ def _pw(x, k: int):
     return np.float_power(x, k)
 
 
+def _power_memo():
+    """pw(x, k) = _pw(x, k), computed once per operand and exponent.  The
+    memo keeps each operand alive, so its id names it while the memo lives;
+    a repeated call returns the same result, with the same bits."""
+    memo = {}
+
+    def pw(x, k: int):
+        hit = memo.get((id(x), k))
+        if hit is None:
+            hit = memo[id(x), k] = (x, _pw(x, k))
+        return hit[1]
+
+    return pw
+
+
 def snapshot_env(snapshot: NormSnapshot, constants: EstimateConstants,
                  E0_sf=0.0) -> dict:
     """The estimate variables of one snapshot, or of a whole trace when the
@@ -126,83 +139,84 @@ def estimates(snapshot: NormSnapshot, c: EstimateConstants, E0_sf=0.0) -> dict:
     T, Zcal, chi and G.  I, H, Zcal and chi take the polynomial potential's
     form or the sine-Gordon and Toda form by c.potential_kind."""
     e = snapshot_env(snapshot, c, E0_sf)
+    pw = _power_memo()        # a power that recurs is computed once
     p, dp, Dp, F4 = e["p"], e["dp"], e["Dp"], e["F4"]
     A, dPsi, E0h, J0, t = e["A"], e["dPsi"], e["E0h"], e["J0"], e["t"]
 
     if c.potential_kind is PotentialKind.POLYNOMIAL:
         # I and H are the displays O and D; Psi_inf = p^2
         I = p * dp * (1.0 + J0 * (1.0 + t)
-                      * sum(_pw(p, 2 * n + 1) for n in range(1, c.N - 1)))
-        H = (sum(_pw(p, 2 * n) for n in range(0, c.N))
-             + J0 * (1.0 + t) * dPsi * sum(_pw(p, 2 * n) for n in range(0, c.N - 1)))
+                      * sum(pw(p, 2 * n + 1) for n in range(1, c.N - 1)))
+        H = (sum(pw(p, 2 * n) for n in range(0, c.N))
+             + J0 * (1.0 + t) * dPsi * sum(pw(p, 2 * n) for n in range(0, c.N - 1)))
         psi = p * p
-        Zcal = (p * sum((n - 1) * _pw(psi, n - 2) for n in range(2, c.N + 1)) * E0h
-                + sum(n * _pw(psi, n - 1) for n in range(1, c.N + 1)))
-        chi = E0h * sum(n * _pw(psi, n - 1) for n in range(1, c.N + 1))
+        Zcal = (p * sum((n - 1) * pw(psi, n - 2) for n in range(2, c.N + 1)) * E0h
+                + sum(n * pw(psi, n - 1) for n in range(1, c.N + 1)))
+        chi = E0h * sum(n * pw(psi, n - 1) for n in range(1, c.N + 1))
     else:
         I = p * dp * J0
-        H = J0 * (_pw(dPsi, 2) + 1.0)
+        H = J0 * (pw(dPsi, 2) + 1.0)
         Zcal = 1.0 + E0h * p
         chi = E0h
 
     # sum_{n=1}^{N} p^(n+k) for k = 1..5, and the recurring quartet Z
-    s1, s2, s3, s4, s5 = (sum(_pw(p, n + k) for n in range(1, c.N + 1))
+    s1, s2, s3, s4, s5 = (sum(pw(p, n + k) for n in range(1, c.N + 1))
                           for k in range(1, 6))
-    Z = p + _pw(p, 3) + s2 + s4
+    Z = p + pw(p, 3) + s2 + s4
 
-    L = (p * Z * (dp + 1.0) + dPsi * p + dp + _pw(p, 2) * dp
+    L = (p * Z * (dp + 1.0) + dPsi * p + dp + pw(p, 2) * dp
          + p * I)
-    M = (p * dPsi + _pw(p, 2)
-         + sum((n + 2) / (n + 1) * c.b(n) * _pw(p, n + 3) for n in range(1, c.N + 1))
-         + c.C1 * _pw(p, 2) + _pw(p, 2) + p
+    M = (p * dPsi + pw(p, 2)
+         + sum((n + 2) / (n + 1) * c.b(n) * pw(p, n + 3) for n in range(1, c.N + 1))
+         + c.C1 * pw(p, 2) + pw(p, 2) + p
          + s5 + s4 + s3 + s2 + 1.0)
-    N = (s5 + s4 + s3 + s2 + _pw(p, 2) + p + 1.0
+    N = (s5 + s4 + s3 + s2 + pw(p, 2) + p + 1.0
          + Z * (dp + 1.0)
          + p * dp + c.c4 * I)
     Sg = (dp * (s2 + s1 + 1.0)
           + I + p + (1.0 + t) * A
           + dp * Z * (1.0 + p))
-    Xg = 1.0 + _pw(dp, 2) * _pw(p, 2) + dp * _pw(p, 2) + p + dp + _pw(p, 2)
+    Xg = 1.0 + pw(dp, 2) * pw(p, 2) + dp * pw(p, 2) + p + dp + pw(p, 2)
     Ug = Z * (1.0 + p) + p * dp + c.c4 * I
     Wg = (Z * (1.0 + dp) + p * dp + c.c4 * I) * Z + H
 
-    Y = (sum(c.b(n) * (8.0 * _pw(p, n + 6) + _pw(p, n + 5) + 12.0 * _pw(p, n + 3))
+    Y = (sum(c.b(n) * (8.0 * pw(p, n + 6) + pw(p, n + 5) + 12.0 * pw(p, n + 3))
              for n in range(1, c.N + 1))
-         + 6.0 * c.C1 * (_pw(p, 2) + _pw(p, 3)) + (c.C2 + c.C3) * p + c.C3)
+         + 6.0 * c.C1 * (pw(p, 2) + pw(p, 3)) + (c.C2 + c.C3) * p + c.C3)
     Pcal = Y * (Dp + 1.0 + p) + F4 * dp * (1.0 + p) + (dp + Dp) * Z + I + 1.0
 
-    Zt = sum((n + 2) / (n + 1) * c.b(n) * _pw(p, n + 2)
+    Zt = sum((n + 2) / (n + 1) * c.b(n) * pw(p, n + 2)
              for n in range(1, c.N + 1)) + c.C1 * p
-    Zh = sum((n + 2) / (n + 1) * c.b(n) * _pw(p, n + 1)
-             + (n + 3) * c.b(n) * _pw(p, n + 2)
+    Zh = sum((n + 2) / (n + 1) * c.b(n) * pw(p, n + 1)
+             + (n + 3) * c.b(n) * pw(p, n + 2)
              for n in range(0, c.N + 1)) + c.C1
 
     S = (dp * Zt * (p * F4 * E0h + chi)
-         + E0h * dp * _pw(Zt, 2) * (1.0 + p) * (Dp + dp)
+         + E0h * dp * pw(Zt, 2) * (1.0 + p) * (Dp + dp)
          + E0h * Z * (Dp + 1.0) * (dp + p)
          + E0h * F4 * dp
-         + Dp * _pw(p, 2) * dp * E0h * (1.0 + p)
-         + Zh * dp * (1.0 + p) * _pw(E0h, 2))
+         + Dp * pw(p, 2) * dp * E0h * (1.0 + p)
+         + Zh * dp * (1.0 + p) * pw(E0h, 2))
     T = E0h * (1.0 + p) * Zt + F4 * p + Z * (Dp + 1.0)
 
     X = (Y * ((Dp * dp + Dp + p + dp + 1.0) * E0h + 1.0)
-         + E0h * F4 * (_pw(dp, 2) * p + dp) + p)
+         + E0h * F4 * (pw(dp, 2) * p + dp) + p)
     W = (Dp * Y * (dp * E0h + p + dPsi * E0h * dp)
          + F4 * p * dp * (dp * E0h + p * E0h + dPsi * E0h * dp)
          + Dp * dPsi * Zt * E0h
          + Dp * p * (Zh * dp * E0h + Zt)
-         + dp * Y * (p + E0h * _pw(p, 2) + E0h * dp * p + Dp * E0h)
-         + F4 * _pw(dp, 2) * _pw(p, 3) * (_pw(dp, 2) + p) * E0h
-         + _pw(dp, 2) * _pw(p, 2))
-    P = (_pw(p, 2) * _pw(dp, 2) + Zt * Dp * dp * p + F4 * dp * _pw(p, 2)
+         + dp * Y * (p + E0h * pw(p, 2) + E0h * dp * p + Dp * E0h)
+         + F4 * pw(dp, 2) * pw(p, 3) * (pw(dp, 2) + p) * E0h
+         + pw(dp, 2) * pw(p, 2))
+    P = (pw(p, 2) * pw(dp, 2) + Zt * Dp * dp * p + F4 * dp * pw(p, 2)
          + F4 * dp
          + p * T + Y * (T + p + A + 1.0) + p * S + p * Zcal + Y * S
          + E0h * Y * (dp + p) + Y * Zcal
-         + _pw(p, 2) * _pw(dp, 3) * F4 * E0h
+         + pw(p, 2) * pw(dp, 3) * F4 * E0h
          + Dp * dp * p * E0h * Y
-         + Zt * dp * p * Dp * (E0h + E0h * (p * dp + _pw(p, 2)))
-         + F4 * (dPsi * _pw(dp, 2) * E0h * p + _pw(dp, 2) * p * E0h)
-         + F4 * (dPsi * (dp * E0h + p) + _pw(dPsi, 2) * dp * E0h))
+         + Zt * dp * p * Dp * (E0h + E0h * (p * dp + pw(p, 2)))
+         + F4 * (dPsi * pw(dp, 2) * E0h * p + pw(dp, 2) * p * E0h)
+         + F4 * (dPsi * (dp * E0h + p) + pw(dPsi, 2) * dp * E0h))
     U = S + T + Zcal
     return {"I": I, "H": H, "L": L, "M": M, "N": N, "Sg": Sg, "Xg": Xg,
             "Ug": Ug, "Wg": Wg, "Y": Y, "Z": Z, "Pcal": Pcal, "X": X, "W": W,
@@ -289,7 +303,7 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     with slowly growing spikes while E1 itself stays bounded), so its running
     max never settles; the exponent of the integrated envelope does.
 
-    `trace` is columnar (run.parse_trace, diagnostics.stack_records): every
+    `trace` is columnar (run.parse_trace, lattice.stack_records): every
     field an array over the records.  Every functional comes from one
     `estimates` call over the whole trace, the call run.write_trace makes.
     """

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 check failure, 2 configuration error,
 3 numerical abort or radius exceeded during `run`.
+
+Each command imports the modules it uses when it runs.  So `check-bounds`,
+which reads a trace and audits it, starts without loading the config
+parser, the scenarios or the lattice evolver: it loads `run`'s trace
+format, `bounds`, `lattice`, `potentials` and `errors`, and no more.
 """
 
 from __future__ import annotations
@@ -13,22 +18,24 @@ import sys
 
 import numpy as np
 
-from . import bounds, run as runmod
-from .config import load_config
 from .errors import ConfigError, MkgError, ValidationError
-from .kahler import (hessian_oracle, kahler_metric, radial_bound_check,
-                     resolve_q_normalization)
-from .spherical import PlaneWave, SphereQuadrature, kirchhoff_residual_scan
 
 
 def cmd_run(args) -> int:
+    from .config import load_config
+    from .run import run
+
     cfg = load_config(args.config)
     if args.steps is not None and args.steps < 1:
         raise ValidationError("--steps must be >= 1")
-    return runmod.run(cfg, out_dir=args.out, steps=args.steps)
+    return run(cfg, out_dir=args.out, steps=args.steps)
 
 
 def cmd_check_geometry(args) -> int:
+    from .config import load_config
+    from .kahler import (hessian_oracle, kahler_metric, radial_bound_check,
+                         resolve_q_normalization)
+
     model = load_config(args.config).model
     family = model.kahler
     rng = np.random.default_rng(0)
@@ -60,6 +67,8 @@ def cmd_check_geometry(args) -> int:
 
 
 def cmd_check_bounds(args) -> int:
+    from . import bounds, run as runmod
+
     trace = runmod.parse_trace(args.trace)
     manifest = os.path.join(os.path.dirname(args.trace), "run.json")
     if os.path.exists(manifest):         # the constants the run audited with
@@ -88,6 +97,8 @@ def cmd_check_bounds(args) -> int:
 
 
 def cmd_kirchhoff_verify(args) -> int:
+    from .spherical import PlaneWave, SphereQuadrature, kirchhoff_residual_scan
+
     try:
         k = np.array([float(p) for p in args.k.split(",")])
     except ValueError:

@@ -24,38 +24,12 @@ E0 skips the Q and V terms of a model whose sectors switch them off
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from .couplings import site_dot
 from .dynamics import Kinematics, ModelSpec, _kinematics, gauss_residual
-from .lattice import (FieldState, LatticeSpec, NormSnapshot, _diff_into,
-                      divergence, gradient)
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    t: float
-    energy_E0: float
-    flat_J: float
-    sobolev_E0: float
-    sobolev_E1: float
-    gauss_res_l2: float
-    gauss_res_linf: float
-    bianchi_res_linf: float
-    norm_snapshot: NormSnapshot
-
-
-def stack_records(records) -> DiagnosticsRecord:
-    """The columnar form of a list of records: one DiagnosticsRecord (and
-    NormSnapshot) whose every field is an array over the records."""
-    snaps = [r.norm_snapshot for r in records]
-    snap = NormSnapshot(**{name: np.array([getattr(s, name) for s in snaps])
-                           for name in NormSnapshot.FIELDS})
-    return DiagnosticsRecord(norm_snapshot=snap, **{
-        f.name: np.array([getattr(r, f.name) for r in records])
-        for f in fields(DiagnosticsRecord) if f.name != "norm_snapshot"})
+from .lattice import (DiagnosticsRecord, FieldState, LatticeSpec, NormSnapshot,
+                      _diff_into, divergence, gradient)
 
 
 def energy_E0(kin: Kinematics) -> float:

@@ -1,4 +1,5 @@
-"""Periodic lattice geometry, field storage, stencils, and snapshot IO.
+"""Periodic lattice geometry, field storage, stencils, the diagnostics
+records, and snapshot IO.
 
 Fields live on a uniform periodic box. Storage is structure-of-arrays:
 A and E are real arrays of shape [N_V, 3, nx, ny, nz], phi and pi are
@@ -294,6 +295,33 @@ class NormSnapshot:
 
 
 NormSnapshot.FIELDS = tuple(f.name for f in fields(NormSnapshot))
+
+
+@dataclass(frozen=True)
+class DiagnosticsRecord:
+    """One diagnostics row (computed by diagnostics.collect), or a whole
+    trace's columns (stack_records, run.parse_trace)."""
+
+    t: float
+    energy_E0: float
+    flat_J: float
+    sobolev_E0: float
+    sobolev_E1: float
+    gauss_res_l2: float
+    gauss_res_linf: float
+    bianchi_res_linf: float
+    norm_snapshot: NormSnapshot
+
+
+def stack_records(records) -> DiagnosticsRecord:
+    """The columnar form of a list of records: one DiagnosticsRecord (and
+    NormSnapshot) whose every field is an array over the records."""
+    snaps = [r.norm_snapshot for r in records]
+    snap = NormSnapshot(**{name: np.array([getattr(s, name) for s in snaps])
+                           for name in NormSnapshot.FIELDS})
+    return DiagnosticsRecord(norm_snapshot=snap, **{
+        f.name: np.array([getattr(r, f.name) for r in records])
+        for f in fields(DiagnosticsRecord) if f.name != "norm_snapshot"})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """Run orchestration: evolve a configured scenario, write the trace CSV,
 the run.json manifest, binary snapshots and SVG plots, then audit the
-trace."""
+trace.
+
+The module level is the trace format alone: the trace columns,
+`write_trace`, `parse_trace`, the run.json IO and `svg_line_plot`.  It
+imports no evolver, so that `check-bounds` loads only the trace format and
+the audit; `run` imports the evolve loop's modules when it runs.
+"""
 
 from __future__ import annotations
 
@@ -9,17 +15,19 @@ import json
 import math
 import os
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import bounds
-from .config import RunConfig
-from .diagnostics import DiagnosticsRecord, collect, stack_records
-from .dynamics import Kinematics, step_rk4
 from .errors import (NonFinite, NonUniformSampling, ParseError, RadiusExceeded,
                      TraceTooShort, ValidationError)
-from .lattice import NormSnapshot, write_snapshot
+from .lattice import (DiagnosticsRecord, NormSnapshot, stack_records,
+                      write_snapshot)
 from .potentials import PotentialKind
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 # the trace columns of estimate functionals, by bounds.estimates key
 _ESTIMATE_COLUMNS = {"L": "L", "M": "M", "N": "N", "S": "Sg", "X": "Xg",
@@ -42,7 +50,7 @@ RECORD_COLUMNS = {"t": "t", "E0": "energy_E0", "J": "flat_J",
 
 def write_trace(path: str, trace: DiagnosticsRecord,
                 constants: bounds.EstimateConstants):
-    """Write a columnar trace (diagnostics.stack_records) as a trace CSV: the
+    """Write a columnar trace (lattice.stack_records) as a trace CSV: the
     envelope J0(1+t) and the functionals L..G (_ESTIMATE_COLUMNS) come from
     one evaluation over the columns, every cell has 17 significant digits,
     and one that overflows reads inf or nan."""
@@ -172,6 +180,9 @@ def svg_line_plot(path: str, title: str, series: dict, log_y: bool = False):
 
 def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None) -> int:
     """Evolve the configured scenario; returns a process exit code."""
+    from .diagnostics import collect
+    from .dynamics import Kinematics, step_rk4
+
     model, state = cfg.build()
     n_steps = steps if steps is not None else cfg.steps
     lattice = cfg.lattice

@@ -12,12 +12,12 @@ import pytest
 
 from mkg.bounds import EstimateConstants, audit_gronwall, estimates
 from mkg.cli import main
-from mkg.diagnostics import collect, energy_E0, stack_records
+from mkg.diagnostics import collect, energy_E0
 from mkg.dynamics import Kinematics, ModelSpec, step_rk4
 from mkg.kahler import (KahlerFamily, hessian_oracle, kahler_metric,
                         radial_bound_check, quartic_family,
                         resolve_q_normalization)
-from mkg.lattice import LatticeSpec, NormSnapshot, zero_state
+from mkg.lattice import LatticeSpec, NormSnapshot, stack_records, zero_state
 from mkg.couplings import saturating_couplings
 from mkg.potentials import PotentialKind, polynomial
 from mkg.scenarios import SCENARIOS

@@ -15,9 +15,8 @@ from hypothesis.extra.numpy import arrays
 from mkg.bounds import (EstimateConstants, GronwallAudit, _check_uniform,
                         _ddt, _fit_line_cap, _pw, _ratio_sup, audit_gronwall,
                         estimates, snapshot_env)
-from mkg.diagnostics import DiagnosticsRecord, stack_records
 from mkg.errors import NonUniformSampling, TraceTooShort
-from mkg.lattice import NormSnapshot
+from mkg.lattice import DiagnosticsRecord, NormSnapshot, stack_records
 from mkg.potentials import PotentialKind
 from mkg.run import CSV_COLUMNS, parse_trace, write_trace
 from monomial_oracle import BUILDERS, Poly, eval_fast, eval_monomial, eval_Q
@@ -263,6 +262,35 @@ def test_pw_rounds_as_python_pow():
     x = np.random.default_rng(7).uniform(0.0, 4.0, 20000)
     for k in range(13):
         assert same_bits(_pw(x, k), [v**k for v in x.tolist()]), k
+
+
+# float_power calls of one columnar estimates call: one per distinct
+# (operand, exponent) pair, by N and potential kind
+POWERS = {(1, "polynomial"): 14, (3, "polynomial"): 18,
+          (1, "sine_gordon"): 12, (3, "sine_gordon"): 14,
+          (1, "toda"): 12, (3, "toda"): 14}
+
+
+@pytest.mark.parametrize("N, kind", POWERS, ids=[f"N{n}-{k}" for n, k in POWERS])
+def test_estimates_take_each_power_once(monkeypatch, N, kind):
+    """One estimates call over a trace's columns computes each distinct
+    power, an (operand, exponent) pair, once: 14 float_power calls at N = 1
+    with the polynomial potential, where every display used to take its own
+    (48 calls)."""
+    rng = np.random.default_rng(11)
+    snap = NormSnapshot(*rng.uniform(0.0, 2.0, size=(12, 64)))
+    c = EstimateConstants(b_n=(0.3, 0.7, 0.4, 0.2), C1=0.5, C2=1.1, C3=0.9,
+                          N=N, potential_kind=PotentialKind(kind))
+    calls = []
+    float_power = np.float_power
+
+    def counted(x, k):
+        calls.append((np.asarray(x).tobytes(), k))
+        return float_power(x, k)
+
+    monkeypatch.setattr(np, "float_power", counted)
+    estimates(snap, c, rng.uniform(0.0, 2.0, 64))
+    assert len(calls) == len(set(calls)) == POWERS[N, kind]
 
 
 def reference_audit(trace, constants):

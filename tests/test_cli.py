@@ -3,18 +3,23 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mkg.config
 import mkg.scenarios
+from mkg.bounds import EstimateConstants
 from mkg.cli import main
 from mkg.config import load_config
 from mkg.errors import ParseError, ValidationError
-from mkg.lattice import read_snapshot
-from mkg.diagnostics import collect, stack_records
+from mkg.lattice import (DiagnosticsRecord, NormSnapshot, read_snapshot,
+                         stack_records)
+from mkg.diagnostics import collect
 from mkg.dynamics import step_rk4
 from mkg.run import CSV_COLUMNS, parse_trace, write_trace
 from mkg.scenarios import SCENARIOS
@@ -547,3 +552,52 @@ def test_run_trace_equals_unshared_loop(tmp_path, dims, cadence):
     write_trace(str(loop), stack_records(records),
                 cfg.estimate_constants(records[0].flat_J or 1.0))
     assert (tmp_path / "out" / "trace.csv").read_bytes() == loop.read_bytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# mkg.cli.main in a fresh interpreter; prints the mkg modules and
+# configparser that the command left loaded, then exits with its code
+LOADED = """\
+import sys
+from mkg.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules
+                      if m.startswith("mkg.") or m == "configparser")))
+sys.exit(code)
+"""
+
+# every module of the lattice evolver and of the trace audit
+EVOLVER = tuple(f"mkg.{m}" for m in (
+    "config", "scenarios", "run", "bounds", "diagnostics", "dynamics",
+    "couplings", "kahler", "potentials", "lattice"))
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("check-bounds", ("mkg.config", "mkg.scenarios", "mkg.dynamics",
+                      "mkg.couplings", "mkg.kahler", "mkg.diagnostics",
+                      "mkg.spherical", "configparser")),
+    ("kirchhoff-verify", EVOLVER + ("configparser",)),
+])
+def test_command_loads_only_its_modules(tmp_path, command, absent):
+    """A command imports only the modules it runs: check-bounds loads no
+    config parser, scenario or evolver, and kirchhoff-verify no lattice or
+    evolver module.  A module-level import added to mkg.cli, or to a module
+    it loads, fails this."""
+    argv = [command]
+    if command == "check-bounds":
+        trace = tmp_path / "trace.csv"
+        recs = [DiagnosticsRecord(
+            t=0.1 * i, energy_E0=1.0, flat_J=1.0, sobolev_E0=1.0,
+            sobolev_E1=1.0, gauss_res_l2=0.0, gauss_res_linf=0.0,
+            bianchi_res_linf=0.0, norm_snapshot=NormSnapshot(0.1 * i, *[0.1] * 11))
+            for i in range(10)]
+        write_trace(str(trace), stack_records(recs), EstimateConstants())
+        argv += ["--trace", str(trace)]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.splitlines()[-1].split())
+    assert "mkg.cli" in loaded
+    assert sorted(loaded.intersection(absent)) == []
