@@ -90,12 +90,30 @@ class ModelSpec:
             potential=not self.potential.vanishes)
 
 
-@dataclass
+@dataclass(eq=False)
 class StateDerivative:
-    dA: np.ndarray
+    """The time derivative of (A, E, phi, pi) at one state.
+
+    It holds only what the field equations compute, dE/dt and dpi/dt, and
+    references to the state's own E and pi, since dA/dt = -E and dphi/dt =
+    pi there.  dA and dphi build a new array on each read.  step_rk4 reads
+    E and pi directly and puts the sign of dA/dt into its multipliers:
+    negation is exact and IEEE rounding is symmetric in sign, so
+    A + c (-E) and A - c E, or -(x + y) and (-x) + (-y), are the same bits.
+    """
+
     dE: np.ndarray
-    dphi: np.ndarray
     dpi: np.ndarray
+    E: np.ndarray       # the state's E, not a copy
+    pi: np.ndarray      # the state's pi, not a copy
+
+    @property
+    def dA(self) -> np.ndarray:
+        return -self.E
+
+    @property
+    def dphi(self) -> np.ndarray:
+        return self.pi.copy()
 
 
 def _cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,7 +261,8 @@ def _kinematics(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
 
 def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             kin: Kinematics | None = None) -> StateDerivative:
-    """The time derivative of (A, E, phi, pi); kin, when given, must be
+    """The time derivative of (A, E, phi, pi), which refers to state.E and
+    state.pi for dA and dphi (StateDerivative); kin, when given, must be
     Kinematics.of(state, ...) and is read, never changed (except that it
     keeps what it computes on first use)."""
     kin = _kinematics(state, lattice, model, kin)
@@ -279,6 +298,13 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
         S -= site_dot(E, kpH)
     if sec.potential:
         S -= model.potential.prime(psi)
+    if sec.k:
+        # psidot (k'H - h'E) in k'H's buffer, now that S has read both, so
+        # that h'E is not alive through the curls
+        if sec.h_prime:
+            kpH -= hpE
+        kpH *= psidot
+        hpE = None
 
     # ---- gauge sector:  h dE/dt = curl(hH + kE) - k curl E
     #                              + psidot (k'H - h'E) - 2 q Im X
@@ -291,10 +317,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     del hk
     if sec.k:
         rhs_E -= kf.apply_mod(curl(E, dx, order), sk)
-        if sec.h_prime:
-            kpH -= hpE                              # psidot (k'H - h'E)
-        kpH *= psidot
-        rhs_E += kpH
+        rhs_E += kpH                                # psidot (k'H - h'E)
     elif sec.h_prime:
         hpE *= psidot                               # psidot (-h'E)
         rhs_E -= hpE
@@ -349,7 +372,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     if sec.q:
         R -= w * phi
 
-    return StateDerivative(dA=-E, dE=dE, dphi=pi.copy(), dpi=R)
+    return StateDerivative(dE=dE, dpi=R, E=E, pi=pi)
 
 
 def _fields(s: FieldState) -> tuple:
@@ -357,12 +380,16 @@ def _fields(s: FieldState) -> tuple:
 
 
 def _rates(d: StateDerivative) -> tuple:
-    return d.dA, d.dE, d.dphi, d.dpi
+    """The rates of (A, E, phi, pi), that of A without its sign (_SIGNS)."""
+    return d.E, d.dE, d.pi, d.dpi
+
+
+_SIGNS = (-1.0, 1.0, 1.0, 1.0)
 
 
 def _stage(state: FieldState, d: StateDerivative, c: float) -> FieldState:
-    """state + c d, in new arrays."""
-    new = [np.multiply(v, c) for v in _rates(d)]
+    """state + c d, in new arrays; A's is E (-c) + A."""
+    new = [np.multiply(v, sign * c) for v, sign in zip(_rates(d), _SIGNS)]
     for x, f in zip(new, _fields(state)):
         x += f
     return FieldState(*new, t=state.t + c)
@@ -373,8 +400,12 @@ def step_rk4(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     """Classical explicit 4-stage update of (A, E, phi, pi):
     state + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order in place in
     k2's arrays (2 k2 + k1, then + 2 k3, + k4), so the bits are those of the
-    textbook expression and no fifth state-sized sum is allocated.  kin,
-    when given, is Kinematics.of(state, ...) and serves stage k1; after
+    textbook expression and no fifth state-sized sum is allocated.  The
+    rates of A and phi are the E and pi of each stage's state (k2's and
+    k3's are that stage's own arrays, which nothing else holds), and A's
+    sign goes into the last multiplier: the new A is A - dt/6 (E1 + 2 E2 +
+    2 E3 + E4), the bits of A + dt/6 (-E1 - 2 E2 - 2 E3 - E4).  kin, when
+    given, is Kinematics.of(state, ...) and serves stage k1; after
     `collect` it still holds everything that stage reads."""
     if not state.is_finite():
         raise NonFinite(f"non-finite field entering step at t = {state.t:.6g}")
@@ -396,9 +427,9 @@ def step_rk4(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     k4 = eom_rhs(stage4, lattice, model)
     del stage4
     sixth = dt / 6.0
-    for a, v, f in zip(acc, _rates(k4), _fields(state)):
+    for a, v, f, sign in zip(acc, _rates(k4), _fields(state), _SIGNS):
         a += v
-        a *= sixth
+        a *= sign * sixth
         a += f
     new = FieldState(*acc, t=state.t + dt)
     if not new.is_finite():

@@ -8,14 +8,17 @@ curvature contractions (K phi, tr K, conj(phi) K phi) one by one.
 form.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from mkg.couplings import site_dot
-from mkg.dynamics import Kinematics, StateDerivative, _cdot
+from mkg.dynamics import Kinematics, _cdot
 from mkg.lattice import central_diff, curl
 
 
-def reference_rhs(state, lattice, model) -> StateDerivative:
+def reference_rhs(state, lattice, model) -> SimpleNamespace:
+    """The rates dA, dE, dphi and dpi, each its own array."""
     kin = Kinematics.of(state, lattice, model)
     dx = lattice.dx
     order = model.stencil_order
@@ -75,4 +78,4 @@ def reference_rhs(state, lattice, model) -> StateDerivative:
     denom = alpha + Q * psi
     dpi = R / alpha - (Q * _cdot(phi, R) / (alpha * denom)) * phi
 
-    return StateDerivative(dA=-E.copy(), dE=dE, dphi=pi.copy(), dpi=dpi)
+    return SimpleNamespace(dA=-E, dE=dE, dphi=pi.copy(), dpi=dpi)

@@ -505,18 +505,33 @@ def test_kinematics_of_another_state_is_refused():
         step_rk4(state, lat, model, 0.05, kin)
 
 
-# tracemalloc peak of one eom_rhs over the bytes of its input state, on a
-# 16^3 interacting_demo state: 3.73 with the collapsed scalar sector, one
-# curl and tanh psi, cosh^2 psi and |D phi|^2 kept on the Kinematics (3.63
-# without them), 6.11 with the term-by-term assembly (tests/reference_rhs.py
-# form).  One more (N_C, 3, grid) complex temporary adds 0.6.
-RHS_PEAK_OVER_STATE = 4.0
+# tracemalloc peaks over the bytes of the input state, on a 32^3
+# interacting_demo state.  At 16^3 numpy's fixed internal buffers (~128 KB)
+# are 0.2-0.3 of a state and hide a change of this size.
+#
+# One eom_rhs: 3.60 when its result held -E and a copy of pi, 3.30 with
+# the result referencing the state's E and pi and h'E folded into k'H
+# before the curls; 6.1 (16^3) with the term-by-term assembly
+# (tests/reference_rhs.py form).  One more (N_C, 3, grid) complex
+# temporary adds 0.6.
+RHS_PEAK_OVER_STATE = 3.5
+
+# One step_rk4 given the record's Kinematics right after collect, that
+# Kinematics' own arrays included: 9.50 when a fresh array held 2 k2 + k1
+# and the Kinematics kept the diagnostics-only arrays, 7.65 with the sum in
+# k2's arrays and those arrays dropped by collect, 7.35 with the rates of
+# A and phi read from each stage's E and pi.
+STEP_PEAK_OVER_STATE = 7.6
+
+
+def _demo_32():
+    lat = LatticeSpec((32, 32, 32), 1.0 / 32)
+    model, state = build("interacting_demo", lat)
+    return lat, model, state, sum(a.nbytes for a in _all_arrays(state, _FIELDS))
 
 
 def test_rhs_memory_peak():
-    lat = LatticeSpec((16, 16, 16), 1.0 / 16)
-    model, state = build("interacting_demo", lat)
-    state_bytes = sum(a.nbytes for a in _all_arrays(state, _FIELDS))
+    lat, model, state, state_bytes = _demo_32()
     eom_rhs(state, lat, model)
     tracemalloc.start()
     try:
@@ -524,21 +539,13 @@ def test_rhs_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    print(f"eom_rhs peak {peak / state_bytes:.3f} x state, "
+          f"bound {RHS_PEAK_OVER_STATE}")
     assert peak <= RHS_PEAK_OVER_STATE * state_bytes, peak / state_bytes
 
 
-# tracemalloc peak of one step_rk4 given the record's Kinematics right
-# after collect, the Kinematics' own arrays included, over the bytes of the
-# input state, on a 16^3 interacting_demo state: 9.58 when a fresh array
-# held 2 k2 + k1 and the Kinematics kept the diagnostics-only arrays, 7.73
-# with the sum in k2's arrays and those arrays dropped by collect.
-STEP_PEAK_OVER_STATE = 8.0
-
-
 def test_step_memory_peak():
-    lat = LatticeSpec((16, 16, 16), 1.0 / 16)
-    model, state = build("interacting_demo", lat)
-    state_bytes = sum(a.nbytes for a in _all_arrays(state, _FIELDS))
+    lat, model, state, state_bytes = _demo_32()
     step_rk4(state, lat, model, 0.01)
     tracemalloc.start()
     try:
@@ -549,7 +556,38 @@ def test_step_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    print(f"step_rk4 peak {peak / state_bytes:.3f} x state, "
+          f"bound {STEP_PEAK_OVER_STATE}")
     assert peak <= STEP_PEAK_OVER_STATE * state_bytes, peak / state_bytes
+
+
+def _numpy_bytes(snapshot):
+    """Bytes of the numpy array data alive in a tracemalloc snapshot."""
+    only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    return sum(t.size for t in snapshot.filter_traces(only_numpy).traces)
+
+
+@pytest.mark.parametrize("scenario", ["interacting_demo", "free_maxwell_wave"])
+def test_rhs_rates_of_A_and_phi_are_read_from_the_state(scenario):
+    """dA reads -E and dphi reads pi, bit for bit, each time in a new array;
+    the result itself keeps only the arrays of dE and dpi alive."""
+    lat = LatticeSpec((8, 6, 4), 1.0 / 8)
+    model, state = build(scenario, lat)
+    eom_rhs(state, lat, model)
+    tracemalloc.start()
+    try:
+        before = _numpy_bytes(tracemalloc.take_snapshot())
+        d = eom_rhs(state, lat, model)
+        retained = _numpy_bytes(tracemalloc.take_snapshot()) - before
+    finally:
+        tracemalloc.stop()
+    assert retained == d.dE.nbytes + d.dpi.nbytes
+    assert d.dA.tobytes() == (-state.E).tobytes()
+    assert d.dphi.tobytes() == state.pi.tobytes()
+    reads = [d.dA, d.dA, d.dphi, d.dphi]
+    for i, x in enumerate(reads):
+        assert not any(np.shares_memory(x, y)
+                       for y in _all_arrays(state, _FIELDS) + reads[:i])
 
 
 def test_sectors_of_the_shipped_models():

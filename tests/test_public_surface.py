@@ -1,5 +1,15 @@
 """The public surface of src/mkg: every public name has a caller in the
-package, so a name that only the tests use lives in tests/."""
+package, so a name that only the tests use lives in tests/.
+
+A top-level function or class counts as called where src/mkg reads its
+name, bare or as an attribute (`mkg.run.parse_trace`).  A method or
+property counts only where src/mkg reads it as an attribute (`.name`): a
+local variable of the same name, such as the gradient `dA` in
+`sobolev_energies`, is not a call.  Attributes are matched by name alone,
+so a method still counts as called when another object has an attribute
+of its name (`.dphi` of a Kinematics and of a StateDerivative, `.value`
+of every potential): that is the known limit of this check.
+"""
 
 import ast
 from pathlib import Path
@@ -12,6 +22,9 @@ ALLOWED = {
                      "perfbench's output check",
     "NormSnapshot.as_tuple": "perfbench's 3D probe",
     "LatticeSpec.meshgrid": "perfbench's 3D probe",
+    "StateDerivative.dA": "the rate of A as its own array; step_rk4 reads "
+                          "E instead, and the tests and perfbench's 3D "
+                          "probe read it",
     "sine_gordon": "one of the paper's three potential families; no config "
                    "key selects it yet",
     "toda": "one of the paper's three potential families; no config key "
@@ -36,29 +49,33 @@ def public_definitions(trees: dict) -> dict:
     return out
 
 
-def references(trees: dict) -> dict:
-    """{name: [(file, line)]} of every Name and attribute read in the trees."""
-    out = {}
+def references(trees: dict) -> tuple[dict, dict]:
+    """({name: [(file, line)]} of every bare Name read in the trees, the same
+    of every attribute read)."""
+    names, attributes = {}, {}
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                name = node.id
+                names.setdefault(node.id, []).append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
-                name = node.attr
-            else:
-                continue
-            out.setdefault(name, []).append((path, node.lineno))
-    return out
+                attributes.setdefault(node.attr, []).append((path, node.lineno))
+    return names, attributes
 
 
 def has_caller() -> dict:
     """{qualified public name: whether src/mkg reads it outside its own
-    definition} for every public name of src/mkg."""
+    definition} for every public name of src/mkg; a method or property is
+    read only as an attribute."""
     trees = {p: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
-    refs = references(trees)
-    return {qual: any(not (p == path and node.lineno <= line <= node.end_lineno)
-                      for p, line in refs.get(node.name, []))
-            for qual, (path, node) in public_definitions(trees).items()}
+    names, attributes = references(trees)
+    out = {}
+    for qual, (path, node) in public_definitions(trees).items():
+        refs = attributes.get(node.name, [])
+        if "." not in qual:
+            refs = refs + names.get(node.name, [])
+        out[qual] = any(not (p == path and node.lineno <= line <= node.end_lineno)
+                        for p, line in refs)
+    return out
 
 
 def test_every_public_name_has_a_caller_in_src():
