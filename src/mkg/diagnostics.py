@@ -152,16 +152,17 @@ def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             kin: Kinematics | None = None) -> DiagnosticsRecord:
     """One full diagnostics row for the current state, from one Kinematics:
     kin when given (it must be Kinematics.of(state, ...)), else a new one.
-    The Sobolev energies come first, while kin holds the fewest arrays: the
+    The Sobolev energies come first, while kin holds the fewest arrays (a
+    new one only psi, r, alpha and Q, with H and Dphi not yet built): the
     gradient of A is the largest temporary of a record.  Once energy_E0,
-    their last reader, is done, kin drops its diagnostics-only arrays, so
-    that a kin passed on to step_rk4 carries into stage k1 only what
-    eom_rhs reads."""
+    the last reader of the diagnostics-only arrays, is done, kin releases
+    them, so that a kin passed on to step_rk4 carries into stage k1 only
+    what eom_rhs reads."""
     kin = _kinematics(state, lattice, model, kin)
     e0_sf, e1_sf = sobolev_energies(kin)
     snap = norms(kin)
     e0 = energy_E0(kin)
-    kin.drop_diagnostics()
+    kin.release(*Kinematics.DIAGNOSTICS_ONLY)
     _, g_l2, g_linf = gauss_residual(kin)
     return DiagnosticsRecord(
         t=state.t,

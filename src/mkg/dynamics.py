@@ -31,6 +31,15 @@ constant, q.A and the 2 q Im X source when the charges are zero, and V'
 when the potential is zero.  eom_rhs, Kinematics, gauss_residual and
 diagnostics.energy_E0 read these flags and skip the blocks that are off; the
 blocks that are on are computed as before, to the bit.
+
+Memory: a stage's arrays live only while the RHS reads them.
+Kinematics.of builds psi, r, alpha and Q; H, Dphi and the rest are built on
+first read.  eom_rhs runs the gauge sector first and builds Dphi after its
+curls, and a Kinematics it builds itself (RK4 stages k2-k4) it releases as
+it goes: H, tanh psi and cosh^2 psi once hH + kE is formed, h.s once dE is
+solved, conj(phi).pi and |Dphi|^2 once the scalar coefficients have read
+them.  A Kinematics it is given (the trace record's, at stage k1) keeps
+every array it holds.
 """
 
 from __future__ import annotations
@@ -136,17 +145,20 @@ class Kinematics:
 
     eom_rhs and every diagnostic read psi = |phi|^2, r = |phi|, the metric
     scalars alpha(r) and Q(r), H = curl A and the covariant derivative
-    Dphi = grad phi - i (q.A) phi from here instead of rebuilding them; `of`
-    builds these, Dphi in the gradient's buffer.  Everything else is
-    computed on first use and then kept: tanh(psi) and cosh(psi)^2, from
-    which h and k form s and s', the contractions with phi, and the
-    per-site squares that the RHS, E0, E0_sf and the norms share.  One
-    Kinematics may serve both the trace record of a state and the first
-    RK4 stage from it (step_rk4's `kin`).  `collect` drops the
-    DIAGNOSTICS_ONLY arrays once their last reader is done, so what that
-    Kinematics carries into stage k1 is only what eom_rhs reads: the arrays
-    `of` builds and, where computed, tanh psi, cosh^2 psi, h.s, q.A, the
-    two contractions with phi and |Dphi|^2.
+    Dphi = grad phi - i (q.A) phi from here instead of rebuilding them.
+    `of` builds psi, r, alpha and Q; everything else is computed on first
+    use and then kept: H, Dphi (in the gradient's buffer), tanh(psi) and
+    cosh(psi)^2, from which h and k form s and s', the contractions with
+    phi, and the per-site squares that the RHS, E0, E0_sf and the norms
+    share.  `release` forgets cached arrays, and a later read recomputes
+    them to the same bits.  One Kinematics may serve both the trace record
+    of a state and the first RK4 stage from it (step_rk4's `kin`).
+    `collect` releases the DIAGNOSTICS_ONLY arrays once their last reader
+    is done, so what that Kinematics carries into stage k1 is only what
+    eom_rhs reads: psi, r, alpha, Q, H, Dphi and, where computed, tanh psi,
+    cosh^2 psi, h.s, q.A, the two contractions with phi and |Dphi|^2.
+    eom_rhs never releases a Kinematics it is given; one it builds itself
+    (stages k2-k4) it releases array by array after the last reader.
     """
 
     # cached arrays that eom_rhs never reads
@@ -159,34 +171,41 @@ class Kinematics:
     r: np.ndarray           # [grid]
     alpha: np.ndarray       # [grid]
     Q: np.ndarray           # [grid]
-    H: np.ndarray           # [N_V, 3, grid]
-    Dphi: np.ndarray        # [N_C, 3, grid]
 
     @classmethod
     def of(cls, state: FieldState, lattice: LatticeSpec,
            model: ModelSpec) -> "Kinematics":
-        order = model.stencil_order
-        phi = state.phi
-        psi = np.sum(np.abs(phi) ** 2, axis=0)
+        psi = np.sum(np.abs(state.phi) ** 2, axis=0)
         r = np.sqrt(psi)
-        kin = cls(state, lattice, model, psi, r,
-                  alpha=model.kahler.alpha(r), Q=model.kahler.q(r),
-                  H=curl(state.A, lattice.dx, order),
-                  Dphi=gradient(phi, lattice.dx, order))
-        if model.sectors.charged:
+        return cls(state, lattice, model, psi, r,
+                   alpha=model.kahler.alpha(r), Q=model.kahler.q(r))
+
+    def release(self, *names: str) -> None:
+        """Forget the named cached arrays; a later read recomputes them."""
+        for name in names:
+            if not isinstance(getattr(type(self), name, None), cached_property):
+                raise ValueError(f"{name!r} is not a cached array")
+            self.__dict__.pop(name, None)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """curl A, [N_V, 3, grid]."""
+        return curl(self.state.A, self.lattice.dx, self.model.stencil_order)
+
+    @cached_property
+    def Dphi(self) -> np.ndarray:
+        """grad phi - i (q.A) phi, [N_C, 3, grid]."""
+        phi = self.state.phi
+        D = gradient(phi, self.lattice.dx, self.model.stencil_order)
+        if self.model.sectors.charged:
             # one (field, axis) slab at a time, the same products: with the
             # broadcast form's (N_C, 3, grid) complex temporary this took
             # 5.0 ms against 1.2 ms at 32^3
-            iqa = 1j * kin.qa
+            iqa = 1j * self.qa
             for a in range(phi.shape[0]):
                 for i in range(3):
-                    kin.Dphi[a, i] -= iqa[i] * phi[a]
-        return kin
-
-    def drop_diagnostics(self) -> None:
-        """Release the DIAGNOSTICS_ONLY arrays; a later read recomputes them."""
-        for name in self.DIAGNOSTICS_ONLY:
-            self.__dict__.pop(name, None)
+                    D[a, i] -= iqa[i] * phi[a]
+        return D
 
     @cached_property
     def tanh_psi(self) -> np.ndarray:
@@ -264,7 +283,14 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     """The time derivative of (A, E, phi, pi), which refers to state.E and
     state.pi for dA and dphi (StateDerivative); kin, when given, must be
     Kinematics.of(state, ...) and is read, never changed (except that it
-    keeps what it computes on first use)."""
+    keeps what it computes on first use).
+
+    The gauge sector runs first and Dphi is built only after its curls.
+    When kin is not given, the Kinematics built here holds each array only
+    while a reader needs it: H, tanh psi and cosh^2 psi are released once
+    hH + kE is formed, h.s once dE is solved, and conj(phi).pi and |Dphi|^2
+    once the scalar sector's coefficients have read them."""
+    own = kin is None
     kin = _kinematics(state, lattice, model, kin)
     rmax = float(np.max(kin.r))
     if rmax > model.kahler.r_max:
@@ -277,12 +303,10 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     dx = lattice.dx
     order = model.stencil_order
     phi, pi, E = state.phi, state.pi, state.E
-    psi, alpha, Q, sh, H, Dphi = kin.psi, kin.alpha, kin.Q, kin.sh, kin.H, kin.Dphi
+    psi, alpha, Q, H = kin.psi, kin.alpha, kin.Q, kin.H
     hf, kf = model.couplings.h, model.couplings.k
     if sec.h_prime or sec.k or sec.w:
         psidot = 2.0 * np.real(kin.phi_pi)
-    if sec.q or sec.charged:
-        pD = kin.phi_Dphi
     denom = alpha + Q * psi if sec.q else alpha     # eigenvalue of g along phi
 
     # scalar source from the Psi-dependence of h, k and the potential
@@ -292,6 +316,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
         hpE = hf.apply_mod(E, sph)                  # h' E
         S += 0.5 * site_dot(E, hpE)
         S -= 0.5 * site_dot(H, hf.apply_mod(H, sph))
+        sph = None
     if sec.k:
         sk = kf.s(kin.tanh_psi)
         kpH = kf.apply_mod(H, kf.s_prime(kin.cosh2_psi))   # k' H
@@ -310,23 +335,31 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     #                              + psidot (k'H - h'E) - 2 q Im X
     # curl is linear and commutes with the constant k_base, so only the
     # psi-dependent part k - k_base = sk k_mod of k enters
-    hk = hf.apply(H, sh)
+    hk = hf.apply(H, kin.sh)
     if sec.k:
         hk += kf.apply_mod(E, sk)
+    H = None
+    if own:
+        kin.release("H", "tanh_psi", "cosh2_psi")
     rhs_E = curl(hk, dx, order)
     del hk
     if sec.k:
         rhs_E -= kf.apply_mod(curl(E, dx, order), sk)
+        sk = None
         rhs_E += kpH                                # psidot (k'H - h'E)
     elif sec.h_prime:
         hpE *= psidot                               # psidot (-h'E)
         rhs_E -= hpE
     hpE = kpH = None
+    if sec.q or sec.charged:
+        pD = kin.phi_Dphi                           # builds Dphi
     # X_i = g_ab D_i phi^a conj(phi^b) = denom (conj(phi).D_i phi), denom real
     if sec.charged:
         rhs_E -= np.multiply.outer(2.0 * model.charges, denom * pD.imag)
-    dE = model.couplings.solve_h(rhs_E, sh)
+    dE = model.couplings.solve_h(rhs_E, kin.sh)
     del rhs_E
+    if own:
+        kin.release("sh")
 
     # ---- scalar sector:  g dpi/dt = R, solved by Sherman-Morrison.  With
     # gD_i = alpha D_i phi + Q pD_i phi, pD_i = conj(phi).D_i phi, u =
@@ -339,11 +372,14 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     #   a_i = Q conj(pD_i) + i (q.A_i) alpha,
     # and d_i of a size-1 axis is zero and skipped.
     c = S
+    del S
     if sec.w:
         u = kin.phi_pi
         pD2 = np.sum(np.abs(pD) ** 2, axis=0)
         W = model.kahler.q_prime_over_2r(kin.r)
         c = W * (np.abs(u) ** 2 - pD2 - psidot * u) + c
+        u = pD2 = W = None
+    psidot = None
     if sec.q:
         c = c - Q * kin.Dphi2
         if sec.charged:
@@ -352,6 +388,10 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
         R += c * phi
     else:
         R = c * phi
+    del c
+    if own:
+        kin.release("phi_pi", "Dphi2")
+    Dphi = kin.Dphi
     for i in range(3):
         Di = Dphi[:, i]
         if sec.q or sec.charged:

@@ -120,9 +120,9 @@ def test_criterion_2_radial_bounds():
 # -- 3: free-limit waves vs analytic solutions, space and time convergence
 
 
-def _free_wave_error(name, n, cfl=0.25, amplitude=0.01):
+def _free_wave_error(name, n, cfl=0.25, amplitude=0.01, order=2):
     lat = LatticeSpec((n, 1, 1), 1.0 / n)
-    model, st = build(name, lat, {"amplitude": amplitude})
+    model, st = build(name, lat, {"amplitude": amplitude}, stencil_order=order)
     dt = cfl * lat.dx
     steps = int(round(1.0 / dt))          # one full period (L = 1, k = 2 pi)
     for _ in range(steps):
@@ -184,6 +184,17 @@ def test_criterion_3_free_limit():
     report(3, "free-limit correctness", ok,
            f"L2 err scalar {err_scalar:.2e} maxwell {err_maxwell:.2e}, "
            f"dx ratio {dx_ratio:.2f}, dt drift ratio {dt_ratio:.2f}")
+
+
+def test_free_maxwell_wave_order_4_stencils_converge():
+    """The order-4 stencils in an evolution: after one period at cfl 0.25,
+    the error against the exact wave falls by 16 from 64 to 128 sites
+    (2.193e-6, 1.376e-7 and 8.604e-9 at 32, 64 and 128 sites); criterion 3
+    checks the factor 4 of order 2."""
+    coarse = _free_wave_error("free_maxwell_wave", 64, order=4)
+    fine = _free_wave_error("free_maxwell_wave", 128, order=4)
+    print(f"order-4 L2 err {coarse:.3e} -> {fine:.3e}, ratio {coarse / fine:.2f}")
+    assert fine < 1e-8 and coarse / fine >= 12.0, (coarse, fine)
 
 
 # -- 4: interacting energy conservation at production resolution

@@ -505,23 +505,68 @@ def test_kinematics_of_another_state_is_refused():
         step_rk4(state, lat, model, 0.05, kin)
 
 
+@pytest.mark.parametrize("case", ["interacting_demo", "free_maxwell_wave",
+                                  "sextic_target"])
+def test_rhs_releases_only_the_kinematics_it_builds(case, monkeypatch):
+    """eom_rhs releases arrays only of the Kinematics it builds itself, and
+    that changes no bit of its result; a Kinematics it is given, fresh or
+    after collect, keeps every array object it holds.  sextic_target is
+    interacting_demo's model on a sextic target, the only case with the W
+    block on: no shipped scenario has it."""
+    lat = LatticeSpec((8, 6, 4), 1.0 / 8)
+    name = "interacting_demo" if case == "sextic_target" else case
+    model, state = build(name, lat)
+    if case == "sextic_target":
+        model = dataclasses.replace(model, kahler=sextic_family(0.1))
+        assert model.sectors.w
+    released = []
+    release = Kinematics.release
+
+    def spy(kin, *names):
+        released.append(kin)
+        release(kin, *names)
+
+    monkeypatch.setattr(Kinematics, "release", spy)
+    want = [a.tobytes() for a in _all_arrays(eom_rhs(state, lat, model), _DERIVS)]
+    assert released
+    for recorded in (False, True):
+        kin = Kinematics.of(state, lat, model)
+        if recorded:
+            collect(state, lat, model, kin)
+        held = dict(vars(kin))
+        released.clear()
+        got = eom_rhs(state, lat, model, kin)
+        assert [a.tobytes() for a in _all_arrays(got, _DERIVS)] == want
+        assert not released
+        assert all(vars(kin)[n] is a for n, a in held.items())
+        if recorded:
+            assert vars(kin).keys() == held.keys()
+        else:
+            assert {"H", "Dphi", "sh"} <= vars(kin).keys()
+    for name in ("psi", "tanh"):    # built by `of`, and no such array
+        with pytest.raises(ValueError):
+            kin.release(name)
+
+
 # tracemalloc peaks over the bytes of the input state, on a 32^3
 # interacting_demo state.  At 16^3 numpy's fixed internal buffers (~128 KB)
 # are 0.2-0.3 of a state and hide a change of this size.
 #
 # One eom_rhs: 3.60 when its result held -E and a copy of pi, 3.30 with
 # the result referencing the state's E and pi and h'E folded into k'H
-# before the curls; 6.1 (16^3) with the term-by-term assembly
-# (tests/reference_rhs.py form).  One more (N_C, 3, grid) complex
-# temporary adds 0.6.
-RHS_PEAK_OVER_STATE = 3.5
+# before the curls; 2.45 with Dphi built after the curls and the RHS's own
+# Kinematics releasing each array after its last reader; 6.1 (16^3) with
+# the term-by-term assembly (tests/reference_rhs.py form).  One more
+# (N_C, 3, grid) complex temporary adds 0.6.
+RHS_PEAK_OVER_STATE = 2.7
 
 # One step_rk4 given the record's Kinematics right after collect, that
 # Kinematics' own arrays included: 9.50 when a fresh array held 2 k2 + k1
 # and the Kinematics kept the diagnostics-only arrays, 7.65 with the sum in
 # k2's arrays and those arrays dropped by collect, 7.35 with the rates of
-# A and phi read from each stage's E and pi.
-STEP_PEAK_OVER_STATE = 7.6
+# A and phi read from each stage's E and pi, 6.50 with each stage's RHS
+# building Dphi after the curls and releasing its own Kinematics as it goes.
+STEP_PEAK_OVER_STATE = 6.8
 
 
 def _demo_32():
