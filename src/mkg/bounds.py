@@ -324,8 +324,12 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     f = estimates(snap, constants, E0v)
     Pcal = f["Pcal"]
 
+    # a prefix of the full trace's derivative: differencing the prefix itself
+    # would take a one-sided difference at its new endpoint
+    dE0 = _ddt(E0v, dt)
+
     def c0_fit_to(k):
-        return _ratio_sup(_ddt(E0v[:k], dt), (Pcal * E0v)[:k])
+        return _ratio_sup(dE0[:k], (Pcal * E0v)[:k])
 
     cum_XWPU = _cumtrapz(f["X"] + f["W"] + f["P"] + f["U"], dt)
 
@@ -361,7 +365,7 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     stabilized = quarter <= 1.05 * half + 1e-300
 
     # fit stabilization: half-trace fits within 5% of the full-trace fits
-    nh = max(n // 2, 3)        # _ddt needs three samples
+    nh = max(n // 2, 3)        # three records, the fewest an audit takes
     C0_half = c0_fit_to(nh)
     gronwall_half = e1_fit_to(nh)
     fits_stabilized = (C0_fit <= 1.05 * C0_half + 1e-300

@@ -8,10 +8,10 @@ field amplitude ``r = |phi|``.  For such a potential the complex Hessian of
     alpha(r)   = Phi'(r) / (2 r)
     q(r)       = (Phi''(r) - Phi'(r)/r) / (4 r**2)
 
-Two candidate normalizations of the rank-one coefficient circulate in the
-literature (prefactor ``1/(4r)`` versus ``1/(4r**2)``); the implementation
-fixes the choice by direct comparison against a finite-difference Hessian of
-``K`` (see :func:`resolve_q_normalization`).
+The finite-difference Hessian of ``K`` (:func:`hessian_oracle`) fixes q,
+its ``1/(4r**2)`` prefactor included: ``mkg check-geometry`` requires the
+metric to match the oracle, which a q with another prefactor misses
+wherever q is nonzero.
 """
 
 from __future__ import annotations
@@ -177,33 +177,6 @@ def hessian_oracle(family: KahlerFamily, phi: Sequence[complex],
             dyx = _fd4(lambda x: _fd4(kfun, x, b, step), x0, n + a, step)
             hess[a, b] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
     return hess
-
-
-def resolve_q_normalization(family: KahlerFamily, probes: Sequence[Sequence[complex]]):
-    """Decide between the 1/(4r) and 1/(4r**2) rank-one prefactors.
-
-    Returns ``(winner, report)`` where winner is the string naming the
-    prefactor whose metric matches the finite-difference Hessian at every
-    probe point, or None when both fit equally (q = 0 on every probe, as
-    on a flat target, makes the two metrics identical).
-    """
-    errs = {"1/(4r)": 0.0, "1/(4r^2)": 0.0}
-    for p in probes:
-        v = np.asarray(p, dtype=complex)
-        r = _radius(v)
-        if r < 1e-3 or r > family.r_max:
-            continue
-        h = hessian_oracle(family, v)
-        a = float(family.alpha(r))
-        q2 = float(family.q(r))       # 1/(4 r^2) normalization
-        q1 = q2 * r                   # 1/(4 r) normalization
-        for name, q in (("1/(4r)", q1), ("1/(4r^2)", q2)):
-            g = a * np.eye(v.size) + q * np.outer(v.conj(), v)
-            scale = max(1.0, float(np.max(np.abs(h))))
-            errs[name] = max(errs[name], float(np.max(np.abs(g - h))) / scale)
-    if errs["1/(4r)"] == errs["1/(4r^2)"]:
-        return None, errs
-    return min(errs, key=errs.get), errs
 
 
 # -- Radial bound report ------------------------------------------------

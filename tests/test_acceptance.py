@@ -15,8 +15,7 @@ from mkg.cli import main
 from mkg.diagnostics import collect, energy_E0
 from mkg.dynamics import Kinematics, ModelSpec, step_rk4
 from mkg.kahler import (KahlerFamily, hessian_oracle, kahler_metric,
-                        radial_bound_check, quartic_family,
-                        resolve_q_normalization)
+                        radial_bound_check, quartic_family)
 from mkg.lattice import LatticeSpec, NormSnapshot, stack_records, zero_state
 from mkg.couplings import saturating_couplings
 from mkg.potentials import PotentialKind, polynomial
@@ -85,7 +84,6 @@ def random_points(count, n_comp, rng, r_lo=0.1, r_hi=1.8):
 def test_criterion_1_metric_oracle():
     rng = np.random.default_rng(11)
     worst = 0.0
-    probes = []
     for fam in FAMILIES.values():
         for n_comp in (1, 2, 3):
             for v in random_points(34, n_comp, rng):
@@ -93,12 +91,8 @@ def test_criterion_1_metric_oracle():
                 h = hessian_oracle(fam, v)
                 scale = max(1.0, float(np.max(np.abs(h))))
                 worst = max(worst, float(np.max(np.abs(g - h))) / scale)
-                if n_comp == 2:
-                    probes.append(v)
-    winner, errs = resolve_q_normalization(quartic_family(), probes)
-    ok = worst < 1e-6 and winner == "1/(4r^2)"
-    report(1, "metric vs Hessian oracle", ok,
-           f"worst rel err {worst:.2e}, rank-one prefactor {winner}")
+    ok = worst < 1e-6
+    report(1, "metric vs Hessian oracle", ok, f"worst rel err {worst:.2e}")
 
 
 # -- 2: potential growth bound and quadratic lower bound
@@ -324,6 +318,20 @@ def test_criterion_9_gronwall_audit(interacting_long):
            f"C0 {audit.C0_fit:.4f} (half {audit.C0_half:.4f}), "
            f"E1 exponent {audit.gronwall_fit:.4f} "
            f"(half {audit.gronwall_half:.4f}), no blow-up {no_blowup}")
+
+
+def test_half_trace_fits_never_exceed_full_fits():
+    """The half-trace fits are suprema over a prefix of the full fits'
+    records, so neither exceeds its full-trace fit.  C0's prefix reads the
+    full trace's dE0_sf/dt: differencing the prefix alone is one-sided at
+    its last record, which put C0_half at 2.3200e-4 against a C0_fit of
+    2.2778e-4 on this 41-record trace."""
+    records = run_trace("free_maxwell_wave", total_time=2.5, cadence=8)
+    audit = audit_gronwall(stack_records(records),
+                           EstimateConstants(J0=records[0].flat_J))
+    assert audit.records == 41
+    assert audit.C0_half <= audit.C0_fit
+    assert audit.gronwall_half <= audit.gronwall_fit
 
 
 # -- 10: spherical-means representation of free waves

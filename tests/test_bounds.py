@@ -313,8 +313,10 @@ def reference_audit(trace, constants):
     Pcal = np.array([f["Pcal"] for f in per_record])
     XWPU = np.array([f["X"] + f["W"] + f["P"] + f["U"] for f in per_record])
 
+    dE0 = _ddt(E0v, dt)
+
     def c0_fit_to(k):
-        return _ratio_sup(_ddt(E0v[:k], dt), (Pcal * E0v)[:k])
+        return _ratio_sup(dE0[:k], (Pcal * E0v)[:k])
 
     cum_XWPU = np.zeros(n)
     cum_XWPU[1:] = np.cumsum(0.5 * (XWPU[1:] + XWPU[:-1]) * dt)

@@ -1,5 +1,6 @@
 """Config loading, run orchestration outputs, CLI exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -17,6 +18,7 @@ from mkg.bounds import EstimateConstants
 from mkg.cli import main
 from mkg.config import load_config
 from mkg.errors import ParseError, ValidationError
+from mkg.kahler import KahlerFamily
 from mkg.lattice import (DiagnosticsRecord, NormSnapshot, read_snapshot,
                          stack_records)
 from mkg.diagnostics import collect
@@ -228,10 +230,42 @@ def test_check_geometry_cli(tmp_path, capsys, scenario):
     assert main(["check-geometry", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert out.endswith("check-geometry: PASS\n")
-    # a flat target has q = 0, so the two prefactors tie and neither wins
-    flat = scenario != "interacting_demo"
-    assert ("rank-one prefactor undetermined" in out) == flat
-    assert ("rank-one prefactor resolved to 1/(4r^2)" in out) == (not flat)
+
+
+def _hessian_line(out):
+    return next(line for line in out.splitlines()
+                if line.startswith("metric vs finite-difference Hessian"))
+
+
+@pytest.mark.parametrize("fault", ["q_prefactor", "lower_c1"])
+def test_check_geometry_fails(tmp_path, capsys, monkeypatch, fault):
+    """Exit 1, and the failing line says which check failed: a q with the
+    1/(4r) prefactor misses the Hessian oracle, and with c1 = 2.5 the lower
+    bound Phi = r^2 + r^4/4 >= (c1/2) r^2 fails below r = 1, on 499 of the
+    1000 scanned radii, while the metric still matches."""
+    cfg = write(tmp_path, DEMO)
+    if fault == "q_prefactor":
+        q = KahlerFamily.q
+        monkeypatch.setattr(KahlerFamily, "q", lambda self, r: q(self, r) * r)
+    else:
+        assert main(["check-geometry", "--config", cfg]) == 0
+        passing = _hessian_line(capsys.readouterr().out)
+
+        def make_model(*args, _fn=mkg.config.make_model):
+            model = _fn(*args)
+            return dataclasses.replace(
+                model, kahler=dataclasses.replace(model.kahler, lower_c1=2.5))
+        monkeypatch.setattr(mkg.config, "make_model", make_model)
+    assert main(["check-geometry", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("check-geometry: FAIL\n")
+    if fault == "q_prefactor":
+        err = float(_hessian_line(out).rsplit(" ", 1)[1])
+        assert err == pytest.approx(0.384, rel=0.01)
+        assert "lower bound Phi >= (c1/2) r^2: 1000/1000 radii hold" in out
+    else:
+        assert _hessian_line(out) == passing
+        assert "lower bound Phi >= (c1/2) r^2: 501/1000 radii hold (c1=2.5)" in out
 
 
 def test_falling_sobolev_energy_gives_zero_C0(tmp_path, capsys):

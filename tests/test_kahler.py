@@ -1,5 +1,5 @@
 """Target-space geometry: closed-form metric vs finite-difference oracle,
-rank-one prefactor resolution, and the integrated potential bounds."""
+and the integrated potential bounds."""
 
 import dataclasses
 
@@ -9,8 +9,7 @@ import pytest
 from mkg.errors import DegenerateMetric, RadiusExceeded
 from mkg.kahler import (KahlerFamily, _check_radius, _radius,
                         fit_bound_constants, hessian_oracle, kahler_metric,
-                        radial_bound_check, quartic_family,
-                        resolve_q_normalization, upper_bound_rhs)
+                        radial_bound_check, quartic_family, upper_bound_rhs)
 from model_helpers import sextic_family
 
 FAMILIES = [KahlerFamily(), quartic_family(), sextic_family()]
@@ -110,22 +109,6 @@ def test_metric_derivative_matches_finite_difference():
             gim = kahler_metric(fam, v - 1j * h * e)
             fd = ((gp - gm) - 1j * (gip - gim)) / (4 * h)
             assert d[c] == pytest.approx(fd, abs=5e-6)
-
-
-def test_q_normalization_resolution():
-    fam = quartic_family()
-    winner, errs = resolve_q_normalization(fam, random_points(8, 2, seed=3))
-    assert winner == "1/(4r^2)"
-    assert errs["1/(4r^2)"] < 1e-8
-    assert errs["1/(4r)"] > 1e-3
-
-
-def test_q_normalization_undetermined_on_flat_target():
-    # q = 0 everywhere, so the two candidate metrics are the same matrix
-    winner, errs = resolve_q_normalization(KahlerFamily(),
-                                           random_points(8, 2, seed=3))
-    assert winner is None
-    assert errs["1/(4r)"] == errs["1/(4r^2)"] < 1e-8
 
 
 def test_metric_positive_definite():
