@@ -296,7 +296,10 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     (b) dE0_sf/dt <= C0 Pcal(t) E0_sf
     (c) E1_sf(t) <= E1_sf(0) exp(fit * int_0^t (X + W + P + U) ds)
     plus caps (c0 + c1 t), (k0 + k1 t) on the self-referencing inequalities
-    for |F.F|^(1/2) and |D phi|.
+    for |F.F|^(1/2) and |D phi|.  Each cap's bound is its part of the
+    composite Q, a term at a time times the integral (int_0^t x^2)^(1/2)
+    of the norm x it carries: L, M, N for |F.F|^(1/2); the gothic Sg, Xg,
+    p(1+dp), Ug and Wg for |D phi|.
 
     Fit (c) is the integrated form of dE1_sf/dt <= fit (X+W+P+U) E1_sf: the
     pointwise derivative ratio has a heavy-tailed supremum (dE1/dt oscillates
@@ -354,7 +357,7 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     J0c = constants.J0
     bound_F = J0c**2 * (1.0 + ts) * (f["L"] * iF + f["M"] * iD + f["N"] * ip)
     c0, c1 = _fit_line_cap(ts, F4 - bound_F)
-    bound_D = (J0c * iD * f["Sg"] + J0c**2 * (1.0 + ts) * iF * f["X"]
+    bound_D = (J0c * iD * f["Sg"] + J0c**2 * (1.0 + ts) * iF * f["Xg"]
                + J0c * ip * p * (1.0 + dp) + J0c * iA * f["Ug"]
                + J0c * idp * f["Wg"])
     k0, k1 = _fit_line_cap(ts, Dp - bound_D)

@@ -103,6 +103,12 @@ def cmd_check_bounds(args) -> int:
     return 0 if ok else 1
 
 
+# kirchhoff-verify's quadrature has 2 N^2 nodes, each evaluated on its own,
+# so its run time grows as N^2 (4-6 s at N = 256 on a 2-core Xeon); a far
+# larger N would exhaust memory building the nodes
+MAX_QUADRATURE_ORDER = 256
+
+
 def cmd_kirchhoff_verify(args) -> int:
     from .spherical import PlaneWave, SphereQuadrature, kirchhoff_residual_scan
 
@@ -114,8 +120,9 @@ def cmd_kirchhoff_verify(args) -> int:
         if k.size != 3 or not np.isfinite(np.linalg.norm(k)):
             raise ValidationError(f"--k expects three comma-separated numbers "
                                   f"with a finite norm |k| (got {args.k!r})")
-    if args.order < 1:
-        raise ValidationError(f"--order must be >= 1 (got {args.order})")
+    if not 1 <= args.order <= MAX_QUADRATURE_ORDER:
+        raise ValidationError(f"--order must be between 1 and "
+                              f"{MAX_QUADRATURE_ORDER} (got {args.order})")
     if not 0.0 < args.r0 < math.inf:
         raise ValidationError(f"--r0 must be a positive finite number "
                               f"(got {args.r0})")
@@ -155,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pk = sub.add_parser("kirchhoff-verify",
                         help="validate the spherical-means formula")
-    pk.add_argument("--order", type=int, default=8)
+    pk.add_argument("--order", type=int, default=8,
+                    help=f"quadrature order N, 1 to {MAX_QUADRATURE_ORDER} "
+                         f"(2 N^2 nodes)")
     pk.add_argument("--k", default="1.0,0.5,-0.8")
     pk.add_argument("--r0", type=float, default=1.0)
     pk.set_defaults(fn=cmd_kirchhoff_verify)

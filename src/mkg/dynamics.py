@@ -183,7 +183,7 @@ class Kinematics:
     def release(self, *names: str) -> None:
         """Forget the named cached arrays; a later read recomputes them."""
         for name in names:
-            if not isinstance(getattr(type(self), name, None), cached_property):
+            if name not in _CACHED_ARRAYS:
                 raise ValueError(f"{name!r} is not a cached array")
             self.__dict__.pop(name, None)
 
@@ -266,6 +266,11 @@ class Kinematics:
     @cached_property
     def A2(self) -> np.ndarray:
         return np.sum(self.state.A**2, axis=(0, 1))
+
+
+# the names Kinematics.release accepts: its cached_property arrays
+_CACHED_ARRAYS = frozenset(name for name, attr in vars(Kinematics).items()
+                           if isinstance(attr, cached_property))
 
 
 def _kinematics(state: FieldState, lattice: LatticeSpec, model: ModelSpec,

@@ -183,16 +183,11 @@ def hessian_oracle(family: KahlerFamily, phi: Sequence[complex],
 
 @dataclass
 class BoundReport:
-    radii: np.ndarray
-    lhs: np.ndarray           # |Phi(r)|
-    rhs: np.ndarray           # upper bound from the fitted b_n chain
-    holds: np.ndarray
-    lower_rhs: np.ndarray     # (c1/2) r**2
-    lower_holds: np.ndarray
+    holds: np.ndarray         # |Phi(r)| <= the fitted b_n chain's bound
+    lower_holds: np.ndarray   # |Phi(r)| >= (c1/2) r**2
     b: tuple[float, ...]
     c1: float
     c2: float
-    c3: float
 
     @property
     def all_hold(self) -> bool:
@@ -240,6 +235,5 @@ def radial_bound_check(family: KahlerFamily, radii: Sequence[float]) -> BoundRep
     lhs = np.abs(family.phi(r))
     rhs = upper_bound_rhs(r, b, c1, c2, c3)
     lower_rhs = 0.5 * family.lower_c1 * r**2
-    return BoundReport(r, lhs, rhs, lhs <= rhs * (1.0 + 1e-12),
-                       lower_rhs, lhs >= lower_rhs * (1.0 - 1e-12),
-                       b, c1, c2, c3)
+    return BoundReport(lhs <= rhs * (1.0 + 1e-12),
+                       lhs >= lower_rhs * (1.0 - 1e-12), b, c1, c2)

@@ -15,7 +15,14 @@ taken as its real and imaginary parts (the tests keep that form as their
 reference and require equal bits, signed zeros included). They subtract
 basic slices of the input into one preallocated output instead of copying
 shifted arrays, and scale on the output's real view, so no step is a
-complex division or product. When 2 dx is a power of two (order 2 with
+complex division or product. A difference f[i + k] - f[i - k] is cut at
+the wrap points of i + k and i - k into at most three runs, one
+subtraction each; when the axis has more than 2k sites and every grid
+block of input and output is C-contiguous, the interior is instead one
+subtraction over the blocks viewed flat, followed by the two wrap runs.
+The cut depends only on the shapes, strides and item sizes of input and
+output, the axis and k, so it is worked out once per such layout and
+cached (`_subtractions`). When 2 dx is a power of two (order 2 with
 dx = 1/2^m), the reciprocal is exact and a real field's derivative has the
 bits of the division (f[i+1] - f[i-1]) / (2 dx); any other step may move
 the last bit. A size-1 axis is never differenced: its derivative is an
@@ -35,7 +42,7 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -107,76 +114,54 @@ def zero_state(lattice: LatticeSpec, n_gauge: int, n_scalar: int) -> FieldState:
     )
 
 
-class _ShiftPlan(NamedTuple):
-    """How _shift_diff cuts one (shape, axis, k): the runs of the axis as
-    (out, f[i + k], f[i - k]) index tuples, and, when the axis has an
-    interior (n > 2k), the same subtraction over each grid block viewed
-    flat: its shape, the grid axes of size > 1 with their element strides
-    in a C-contiguous block, the interior as (out, f[i + k], f[i - k])
-    slices of the flat view, and the wrap runs that it leaves."""
-
-    runs: tuple
-    flat_shape: tuple | None = None
-    block_strides: tuple = ()
-    interior: tuple = ()
-    wraps: tuple = ()
-
-
 @lru_cache(maxsize=256)
-def _shift_plan(shape: tuple, ax: int, k: int) -> _ShiftPlan:
-    """The _ShiftPlan of one (shape, axis, k), built on first use."""
+def _subtractions(shape: tuple, f_strides: tuple, f_itemsize: int,
+                  out_strides: tuple, out_itemsize: int, ax: int,
+                  k: int) -> tuple:
+    """The subtractions, in order, that set out[i] = f[i + k] - f[i - k]
+    along axis ax for one layout of f and out, as (flat, out index,
+    f[i + k] index, f[i - k] index) with flat None for f and out as they
+    are, or the shape they are viewed flat in.
+
+    The axis splits at the wrap points of i + k and i - k into at most
+    three runs on which both shifted indices are contiguous, each one
+    subtraction of basic slices.  When the axis has an interior run
+    (n > 2k) and every grid block of f and of out is C-contiguous, the
+    interior is instead one subtraction over the blocks viewed flat, f
+    shifted by k steps of the axis, and the two wrap runs follow it and
+    overwrite the sites where that shift crossed a block row.  Either way
+    each element of out ends as the one subtraction f[i + k] - f[i - k].
+    The result is cached, so the cut and its contiguity test are worked out
+    once per layout.
+    """
     n = shape[ax]
     cuts = sorted({0, k % n, -k % n, n})
     lead = (slice(None),) * ax
-    runs = tuple((lead + (slice(a, b),),
+    runs = tuple((None, lead + (slice(a, b),),
                   lead + (slice((a + k) % n, (a + k) % n + b - a),),
                   lead + (slice((a - k) % n, (a - k) % n + b - a),))
                  for a, b in zip(cuts, cuts[1:]))
-    if n <= 2 * k:
-        return _ShiftPlan(runs)
     grid = shape[-3:]
+    elems = (grid[1] * grid[2], grid[2], 1)     # element strides, C order
+    contiguous = all(f_strides[j] == e * f_itemsize
+                     and out_strides[j] == e * out_itemsize
+                     for j, d, e in zip((-3, -2, -1), grid, elems) if d > 1)
+    if n <= 2 * k or not contiguous:
+        return runs
     size = math.prod(grid)
     step = k * math.prod(shape[ax + 1:])     # k sites along ax, flat
-    strides = (grid[1] * grid[2], grid[2], 1)
-    return _ShiftPlan(
-        runs, shape[:-3] + (size,),
-        tuple((j, e) for j, d, e in zip((-3, -2, -1), grid, strides) if d > 1),
-        ((..., slice(step, size - step)), (..., slice(2 * step, size)),
-         (..., slice(0, size - 2 * step))),
-        (runs[0], runs[2]))       # runs[1] is the interior [k, n - k)
-
-
-def _block_contiguous(a: np.ndarray, block_strides: tuple) -> bool:
-    """Whether each grid block of a is C-contiguous, read from the strides
-    of its axes of size > 1."""
-    s, size = a.strides, a.itemsize
-    return all(s[j] == e * size for j, e in block_strides)
+    interior = (shape[:-3] + (size,), (..., slice(step, size - step)),
+                (..., slice(2 * step, size)), (..., slice(0, size - 2 * step)))
+    return interior, runs[0], runs[2]        # runs[1] is [k, n - k)
 
 
 def _shift_diff(out: np.ndarray, f: np.ndarray, ax: int, k: int) -> None:
-    """out[i] = f[i + k] - f[i - k] along axis ax, indices modulo its size.
-
-    The axis splits at the wrap points of i + k and i - k into at most
-    three runs on which both shifted indices are contiguous, so each run is
-    one subtraction of basic slices. When the axis has an interior run and
-    the grid blocks of f and out are contiguous, the interior is one
-    subtraction over the blocks viewed flat, f shifted by k steps of the
-    axis; the sites where that shift crosses a block row are the wrap
-    runs', which are written after it. Either way each element of out ends
-    as the one subtraction f[i + k] - f[i - k], written in place, never
-    into a copy.
-    """
-    plan = _shift_plan(f.shape, ax, k)
-    runs = plan.runs
-    if (plan.flat_shape is not None
-            and _block_contiguous(f, plan.block_strides)
-            and _block_contiguous(out, plan.block_strides)):
-        at, hi, lo = plan.interior
-        flat = f.reshape(plan.flat_shape)
-        np.subtract(flat[hi], flat[lo], out=out.reshape(plan.flat_shape)[at])
-        runs = plan.wraps
-    for at, hi, lo in runs:
-        np.subtract(f[hi], f[lo], out=out[at])
+    """out[i] = f[i + k] - f[i - k] along axis ax, indices modulo its size,
+    written in place by the subtractions of f's and out's layout."""
+    for flat, at, hi, lo in _subtractions(f.shape, f.strides, f.itemsize,
+                                          out.strides, out.itemsize, ax, k):
+        src, dst = (f, out) if flat is None else (f.reshape(flat), out.reshape(flat))
+        np.subtract(src[hi], src[lo], out=dst[at])
 
 
 def _diff_into(out: np.ndarray, f: np.ndarray, ax: int, dx: float,

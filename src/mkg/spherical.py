@@ -38,16 +38,13 @@ class SphereQuadrature:
         phi = 2.0 * np.pi * np.arange(n_az) / n_az
         w_az = 2.0 * np.pi / n_az
         sin_t = np.sqrt(1.0 - mu**2)
-        nodes = np.empty((order * n_az, 3))
-        weights = np.empty(order * n_az)
-        k = 0
-        for i in range(order):
-            for j in range(n_az):
-                nodes[k] = (sin_t[i] * np.cos(phi[j]),
-                            sin_t[i] * np.sin(phi[j]), mu[i])
-                weights[k] = wmu[i] * w_az
-                k += 1
-        return cls(nodes=nodes, weights=weights, order=order)
+        nodes = np.empty((order, n_az, 3))     # [polar i, azimuth j]
+        nodes[..., 0] = np.outer(sin_t, np.cos(phi))
+        nodes[..., 1] = np.outer(sin_t, np.sin(phi))
+        nodes[..., 2] = mu[:, None]
+        weights = np.repeat(wmu * w_az, n_az)
+        return cls(nodes=nodes.reshape(order * n_az, 3), weights=weights,
+                   order=order)
 
 
 class PlaneWave:

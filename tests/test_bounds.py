@@ -192,6 +192,55 @@ def test_Q_combination_positive():
         assert eval_Q(snap, c) > 0
 
 
+@pytest.mark.parametrize("kind", list(PotentialKind))
+def test_dphi_cap_bound_is_the_Q_terms_weighted_by_their_integrals(
+        monkeypatch, kind):
+    """The |Dphi| cap of audit_gronwall is fitted against build_Q's Sg, Xg,
+    p(1+dp), Ug and Wg terms (the oracle's monomial lists), each weighted
+    by the integral it carries: J0 iD Sg + J0^2 (1+t) iF Xg + J0 ip p(1+dp)
+    + J0 iA Ug + J0 idp Wg, where iX = (int_0^t |X|^2)^(1/2).  Those terms
+    and J0^2 (1+t) (L + M + N), the |F.F| cap's, make up build_Q."""
+    rng = np.random.default_rng(5)
+    dt = 0.1
+    recs = [DiagnosticsRecord(
+        t=i * dt, energy_E0=1.0, flat_J=1.0 + i * dt, sobolev_E0=1.0,
+        sobolev_E1=1.0, gauss_res_l2=0.0, gauss_res_linf=0.0,
+        bianchi_res_linf=0.0, norm_snapshot=random_snapshot(rng, t=i * dt))
+        for i in range(12)]
+    c = EstimateConstants(b_n=(0.3, 0.7, 0.4), C1=0.5, C2=1.1, C3=0.9,
+                          c4=1.3, N=2, J0=0.8, potential_kind=kind)
+    fitted = []      # the residuals the two caps are fitted to, F then D
+
+    def spy(ts, resid):
+        fitted.append(resid)
+        return _fit_line_cap(ts, resid)
+
+    monkeypatch.setattr("mkg.bounds._fit_line_cap", spy)
+    trace = stack_records(recs)
+    audit_gronwall(trace, c)
+    assert len(fitted) == 2
+    snap = trace.norm_snapshot
+    term = {name: np.array([eval_monomial(name, r.norm_snapshot, c) for r in recs])
+            for name in ("Sg", "Xg", "Ug", "Wg", "L", "M", "N", "Q")}
+
+    def integral(x):
+        out = np.zeros(len(x))
+        out[1:] = np.cumsum(0.5 * (x[1:] ** 2 + x[:-1] ** 2) * dt)
+        return np.sqrt(out)
+
+    t, p, dp = snap.t, snap.linf_phi, snap.linf_dphi
+    J0 = c.J0
+    q_terms = (J0 * term["Sg"], J0**2 * (1.0 + t) * term["Xg"],
+               J0 * p * (1.0 + dp), J0 * term["Ug"], J0 * term["Wg"])
+    lmn = J0**2 * (1.0 + t) * (term["L"] + term["M"] + term["N"])
+    np.testing.assert_allclose(sum(q_terms) + lmn, term["Q"], rtol=1e-12)
+    weights = [integral(x) for x in (snap.linf_Dphi, snap.linf_F, p,
+                                     snap.linf_A, dp)]
+    bound_D = sum(w * q for w, q in zip(weights, q_terms))
+    np.testing.assert_allclose(snap.linf_Dphi - fitted[1], bound_D,
+                               rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 @pytest.mark.parametrize("key", ["C1", "C2", "C3", "c4", "J0", "b_n"])
 def test_estimate_constants_refuse_nonfinite_and_negative(key, bad):
@@ -345,11 +394,11 @@ def reference_audit(trace, constants):
     iF, iD, ip, idp, iA = (cumint(F4**2), cumint(Dp**2), cumint(p**2),
                            cumint(dp**2), cumint(A**2))
     f = {name: np.array([g[name] for g in per_record])
-         for name in ("L", "M", "N", "Sg", "X", "Ug", "Wg")}
+         for name in ("L", "M", "N", "Sg", "Xg", "Ug", "Wg")}
     J0c = constants.J0
     bound_F = J0c**2 * (1.0 + ts) * (f["L"] * iF + f["M"] * iD + f["N"] * ip)
     c0, c1 = _fit_line_cap(ts, F4 - bound_F)
-    bound_D = (J0c * iD * f["Sg"] + J0c**2 * (1.0 + ts) * iF * f["X"]
+    bound_D = (J0c * iD * f["Sg"] + J0c**2 * (1.0 + ts) * iF * f["Xg"]
                + J0c * ip * p * (1.0 + dp) + J0c * iA * f["Ug"]
                + J0c * idp * f["Wg"])
     k0, k1 = _fit_line_cap(ts, Dp - bound_D)

@@ -481,7 +481,8 @@ def test_kirchhoff_verify_overflowing_k_is_config_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--k", "nan,0,0"], ["--k", "0,inf,0"], ["--k", "1,2,x"], ["--k", "1,2"],
-    ["--order", "0"], ["--r0", "0"], ["--r0", "-1"], ["--r0", "nan"],
+    ["--order", "0"], ["--order", "257"], ["--order", "10000000000"],
+    ["--r0", "0"], ["--r0", "-1"], ["--r0", "nan"],
     ["--r0", "inf"]])
 def test_kirchhoff_verify_bad_input_is_config_error(capsys, argv):
     assert main(["kirchhoff-verify", *argv]) == 2

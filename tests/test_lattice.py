@@ -13,9 +13,9 @@ from mkg.diagnostics import norms
 from mkg.dynamics import Kinematics, ModelSpec
 from mkg.errors import ParseError, ValidationError
 from mkg.kahler import KahlerFamily
-from mkg.lattice import (LatticeSpec, _diff_into, _pack, central_diff, curl,
-                         divergence, gradient, read_snapshot, write_snapshot,
-                         zero_state)
+from mkg.lattice import (LatticeSpec, _diff_into, _pack, _subtractions,
+                         central_diff, curl, divergence, gradient,
+                         read_snapshot, write_snapshot, zero_state)
 from mkg.potentials import polynomial
 
 
@@ -196,13 +196,24 @@ def test_power_of_two_step_gives_the_division_bits(dims, lead, m, seed, layout):
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_diff_into_writes_a_strided_output_in_place(order, axis):
     """An output whose grid blocks are not contiguous is written in place,
-    through the per-run path, with the reference's bits."""
+    through the per-run path, with the reference's bits.  The cut of a
+    difference is cached per layout of f and of out, so one shape is
+    differenced from an empty cache in turn with both contiguous, a
+    contiguous f into a strided out, a transposed f into a contiguous out
+    and both contiguous again, each to the reference's bits: a cut cached
+    for one layout and reused for another would read or write a copy."""
+    _subtractions.cache_clear()
     rng = np.random.default_rng(7)
-    f = _field(rng, (2, 5, 6, 7), False)
+    shape = (2, 5, 6, 7)
+    f = _field(rng, shape, False)
+    transposed = _laid_out(rng, shape, False, "transposed")
     buf = np.full((2, 7, 5, 6), np.nan)
-    out = np.transpose(buf, (0, 2, 3, 1))
-    _diff_into(out, f, 1 + axis, 0.3, order)
-    _same_bits(np.ascontiguousarray(out), roll_central_diff(f, axis, 0.3, order))
+    strided = np.transpose(buf, (0, 2, 3, 1))
+    for src, out in ((f, np.empty(shape)), (f, strided),
+                     (transposed, np.empty(shape)), (f, np.empty(shape))):
+        _diff_into(out, src, 1 + axis, 0.3, order)
+        _same_bits(np.ascontiguousarray(out),
+                   roll_central_diff(src, axis, 0.3, order))
     assert not np.isnan(buf).any()
 
 
