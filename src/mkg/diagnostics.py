@@ -157,7 +157,7 @@ def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     gradient of A is the largest temporary of a record.  Once energy_E0,
     the last reader of the diagnostics-only arrays, is done, kin releases
     them, so that a kin passed on to step_rk4 carries into stage k1 only
-    what eom_rhs reads."""
+    what eom_rhs reads, and eom_rhs releases each after its last reader."""
     kin = _kinematics(state, lattice, model, kin)
     e0_sf, e1_sf = sobolev_energies(kin)
     snap = norms(kin)

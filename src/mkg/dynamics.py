@@ -35,11 +35,11 @@ blocks that are on are computed as before, to the bit.
 Memory: a stage's arrays live only while the RHS reads them.
 Kinematics.of builds psi, r, alpha and Q; H, Dphi and the rest are built on
 first read.  eom_rhs runs the gauge sector first and builds Dphi after its
-curls, and a Kinematics it builds itself (RK4 stages k2-k4) it releases as
-it goes: H, tanh psi and cosh^2 psi once hH + kE is formed, h.s once dE is
-solved, conj(phi).pi and |Dphi|^2 once the scalar coefficients have read
-them.  A Kinematics it is given (the trace record's, at stage k1) keeps
-every array it holds.
+curls, and releases its Kinematics as it goes, whether it built it (RK4
+stages k2-k4) or was given it (the trace record's, at stage k1): H, tanh psi
+and cosh^2 psi once hH + kE is formed, h.s once dE is solved, conj(phi).pi
+and |Dphi|^2 once the scalar coefficients have read them, and Dphi,
+conj(phi).Dphi and q.A once the scalar loop has.
 """
 
 from __future__ import annotations
@@ -155,10 +155,8 @@ class Kinematics:
     of a state and the first RK4 stage from it (step_rk4's `kin`).
     `collect` releases the DIAGNOSTICS_ONLY arrays once their last reader
     is done, so what that Kinematics carries into stage k1 is only what
-    eom_rhs reads: psi, r, alpha, Q, H, Dphi and, where computed, tanh psi,
-    cosh^2 psi, h.s, q.A, the two contractions with phi and |Dphi|^2.
-    eom_rhs never releases a Kinematics it is given; one it builds itself
-    (stages k2-k4) it releases array by array after the last reader.
+    eom_rhs reads, and eom_rhs releases each one after its last reader, in
+    a Kinematics it is given as in one it builds.
     """
 
     # cached arrays that eom_rhs never reads
@@ -185,7 +183,8 @@ class Kinematics:
         for name in names:
             if name not in _CACHED_ARRAYS:
                 raise ValueError(f"{name!r} is not a cached array")
-            self.__dict__.pop(name, None)
+            if name in self.__dict__:
+                del self.__dict__[name]
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -287,15 +286,14 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             kin: Kinematics | None = None) -> StateDerivative:
     """The time derivative of (A, E, phi, pi), which refers to state.E and
     state.pi for dA and dphi (StateDerivative); kin, when given, must be
-    Kinematics.of(state, ...) and is read, never changed (except that it
-    keeps what it computes on first use).
+    Kinematics.of(state, ...), else one is built here.
 
     The gauge sector runs first and Dphi is built only after its curls.
-    When kin is not given, the Kinematics built here holds each array only
-    while a reader needs it: H, tanh psi and cosh^2 psi are released once
-    hH + kE is formed, h.s once dE is solved, and conj(phi).pi and |Dphi|^2
-    once the scalar sector's coefficients have read them."""
-    own = kin is None
+    The Kinematics, built or given, holds each cached array only while a
+    reader needs it: H, tanh psi and cosh^2 psi are released once hH + kE
+    is formed, h.s once dE is solved, conj(phi).pi and |Dphi|^2 once the
+    scalar coefficients have read them, and Dphi, conj(phi).Dphi and q.A
+    after the scalar loop, which leaves psi, r, alpha and Q."""
     kin = _kinematics(state, lattice, model, kin)
     rmax = float(np.max(kin.r))
     if rmax > model.kahler.r_max:
@@ -344,8 +342,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     if sec.k:
         hk += kf.apply_mod(E, sk)
     H = None
-    if own:
-        kin.release("H", "tanh_psi", "cosh2_psi")
+    kin.release("H", "tanh_psi", "cosh2_psi")
     rhs_E = curl(hk, dx, order)
     del hk
     if sec.k:
@@ -363,8 +360,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
         rhs_E -= np.multiply.outer(2.0 * model.charges, denom * pD.imag)
     dE = model.couplings.solve_h(rhs_E, kin.sh)
     del rhs_E
-    if own:
-        kin.release("sh")
+    kin.release("sh")
 
     # ---- scalar sector:  g dpi/dt = R, solved by Sherman-Morrison.  With
     # gD_i = alpha D_i phi + Q pD_i phi, pD_i = conj(phi).D_i phi, u =
@@ -394,8 +390,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     else:
         R = c * phi
     del c
-    if own:
-        kin.release("phi_pi", "Dphi2")
+    kin.release("phi_pi", "Dphi2")
     Dphi = kin.Dphi
     for i in range(3):
         Di = Dphi[:, i]
@@ -409,6 +404,8 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             if sec.q:
                 gD += (Q * pD[i]) * phi
             R += central_diff(gD, i, dx, order)
+    Dphi = Di = pD = None               # a view Di keeps Dphi's buffer
+    kin.release("Dphi", "phi_Dphi", "qa")
 
     # solve (alpha I + Q phi conj(phi)^T) dpi = R, in R's buffer
     if sec.q:
@@ -450,8 +447,8 @@ def step_rk4(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     k3's are that stage's own arrays, which nothing else holds), and A's
     sign goes into the last multiplier: the new A is A - dt/6 (E1 + 2 E2 +
     2 E3 + E4), the bits of A + dt/6 (-E1 - 2 E2 - 2 E3 - E4).  kin, when
-    given, is Kinematics.of(state, ...) and serves stage k1; after
-    `collect` it still holds everything that stage reads."""
+    given, is Kinematics.of(state, ...) and serves stage k1, which releases
+    its arrays as stages k2-k4 release their own."""
     if not state.is_finite():
         raise NonFinite(f"non-finite field entering step at t = {state.t:.6g}")
     k1 = eom_rhs(state, lattice, model, kin)

@@ -8,9 +8,10 @@ written as an average over the backward light cone's sphere of radius r0:
 with the integrand evaluated at the retarded time t - r0 on the sphere
 x + r0 n.  This module discretizes the sphere average with a product
 quadrature and validates the representation against a plane wave.  A field
-u is any object with value(t, x), d_t(t, x) and grad(t, x); the other test
-fields (a constant, u = t, sums, sampled callables) live in
-tests/analytic_fields.py.
+u is any object with value(t, x), d_t(t, x) and grad(t, x), each taking
+points x of shape (..., 3) and giving one value, or one gradient of shape
+(3,), per point; the other test fields (a constant, u = t, sums, sampled
+callables) live in tests/analytic_fields.py.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class PlaneWave:
         self.phase = float(phase)
 
     def _arg(self, t, x):
-        return float(self.k @ np.asarray(x, dtype=float)) - self.omega * t + self.phase
+        return np.asarray(x, dtype=float) @ self.k - self.omega * t + self.phase
 
     def value(self, t, x):
         return self.amplitude * np.cos(self._arg(t, x))
@@ -66,14 +67,15 @@ class PlaneWave:
         return self.amplitude * self.omega * np.sin(self._arg(t, x))
 
     def grad(self, t, x):
-        return -self.amplitude * np.sin(self._arg(t, x)) * self.k
+        return np.multiply.outer(-self.amplitude * np.sin(self._arg(t, x)), self.k)
 
 
 def kirchhoff_lin(u, p, r0: float, quad: SphereQuadrature) -> float:
     """Sphere-average representation value at the spacetime point p = (t, x).
 
     Evaluates (1/4pi) sum_q w_q [r0 du/dt + r0 n.grad u + u] at the retarded
-    time t - r0 on the sphere x + r0 n_q.  For u solving the free wave
+    time t - r0 on the sphere x + r0 n_q, with u evaluated on all nodes at
+    once and weighted in one reduction.  For u solving the free wave
     equation the result equals u(t, x) up to quadrature error.
     """
     t_p = float(p[0])
@@ -81,12 +83,11 @@ def kirchhoff_lin(u, p, r0: float, quad: SphereQuadrature) -> float:
     if r0 <= 0:
         raise ValueError("sphere radius r0 must be positive")
     t0 = t_p - r0
-    total = 0.0
-    for n, w in zip(quad.nodes, quad.weights):
-        y = x_p + r0 * n
-        total += w * (r0 * u.d_t(t0, y) + r0 * float(n @ u.grad(t0, y))
-                      + u.value(t0, y))
-    return total / (4.0 * np.pi)
+    n = quad.nodes
+    y = x_p + r0 * n
+    f = (r0 * u.d_t(t0, y) + r0 * np.sum(n * u.grad(t0, y), axis=1)
+         + u.value(t0, y))
+    return float(np.sum(quad.weights * f)) / (4.0 * np.pi)
 
 
 def kirchhoff_residual_scan(u, points, r0_list, quad: SphereQuadrature):
