@@ -136,7 +136,7 @@ class RunConfig:
 
     @property
     def lattice(self) -> LatticeSpec:
-        return LatticeSpec(self.dims, self.dx)
+        return LatticeSpec(self.dims, self.dx, self.stencil_order)
 
     @property
     def dt_value(self) -> float:
@@ -145,7 +145,7 @@ class RunConfig:
     @cached_property
     def model(self) -> ModelSpec:
         """The scenario's model, built on first use and then kept."""
-        return make_model(self.scenario, self.stencil_order)
+        return make_model(self.scenario)
 
     def build(self):
         """(model, initial state) of the configured scenario: the kept model

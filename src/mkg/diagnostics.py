@@ -65,7 +65,7 @@ def _sum_sq(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", v, v))
 
 
-def _grad_sum_sq(f: np.ndarray, dx: float, order: int) -> float:
+def _grad_sum_sq(f: np.ndarray, lattice: LatticeSpec) -> float:
     """The sum over sites, i and every leading axis of f of |d_i f|^2, each
     d_i f differenced into one buffer, along the axes of size > 1."""
     buf = np.empty(f.shape, np.result_type(f, 1.0))
@@ -73,7 +73,7 @@ def _grad_sum_sq(f: np.ndarray, dx: float, order: int) -> float:
     for i in range(3):
         ax = f.ndim - 3 + i
         if f.shape[ax] > 1:
-            _diff_into(buf, f, ax, dx, order)
+            _diff_into(buf, f, ax, lattice)
             total += _sum_sq(buf)
     return total
 
@@ -87,14 +87,11 @@ def sobolev_energies(kin: Kinematics) -> tuple[float, float]:
     By summation by parts (module docstring) the ddA and ddphi terms are
     the squares of the divergences of the gradients dA and dphi.
     """
-    st = kin.state
-    dx = kin.lattice.dx
-    order = kin.model.stencil_order
+    st, lat = kin.state, kin.lattice
 
-    dA = gradient(st.A, dx, order)
-    e1 = (_grad_sum_sq(st.E, dx, order) + _sum_sq(divergence(dA, dx, order))
-          + _grad_sum_sq(st.pi, dx, order)
-          + _sum_sq(divergence(kin.dphi, dx, order)))
+    dA = gradient(st.A, lat)
+    e1 = (_grad_sum_sq(st.E, lat) + _sum_sq(divergence(dA, lat))
+          + _grad_sum_sq(st.pi, lat) + _sum_sq(divergence(kin.dphi, lat)))
     np.square(dA, out=dA)
     dens0 = (kin.E2 + np.sum(dA, axis=(0, 1, 2)) + kin.A2 + kin.pi2
              + kin.dphi2 + kin.psi)
@@ -108,8 +105,7 @@ def bianchi_residual(kin: Kinematics) -> float:
     periodic central stencils satisfy identically up to rounding.
     (The electric half, d_t H + curl E = 0, holds exactly by construction
     since H = curl A and d_t A = -E share the stencil.)"""
-    return float(np.max(np.abs(divergence(kin.H, kin.lattice.dx,
-                                           kin.model.stencil_order))))
+    return float(np.max(np.abs(divergence(kin.H, kin.lattice))))
 
 
 def _l2(density: np.ndarray, vol: float) -> float:
@@ -151,13 +147,14 @@ def norms(kin: Kinematics) -> NormSnapshot:
 def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             kin: Kinematics | None = None) -> DiagnosticsRecord:
     """One full diagnostics row for the current state, from one Kinematics:
-    kin when given (it must be Kinematics.of(state, ...)), else a new one.
-    The Sobolev energies come first, while kin holds the fewest arrays (a
-    new one only psi, r, alpha and Q, with H and Dphi not yet built): the
-    gradient of A is the largest temporary of a record.  Once energy_E0,
-    the last reader of the diagnostics-only arrays, is done, kin releases
-    them, so that a kin passed on to step_rk4 carries into stage k1 only
-    what eom_rhs reads, and eom_rhs releases each after its last reader."""
+    kin when given (it must be Kinematics.of(state, lattice, model)), else
+    a new one.  The Sobolev energies come first, while kin holds the fewest
+    arrays (a new one only psi, r, alpha and Q, with H and Dphi not yet
+    built): the gradient of A is the largest temporary of a record.  Once
+    energy_E0, the last reader of the diagnostics-only arrays, is done, kin
+    releases them, so that a kin passed on to step_rk4 carries into stage
+    k1 only what eom_rhs reads, and eom_rhs releases each after its last
+    reader."""
     kin = _kinematics(state, lattice, model, kin)
     e0_sf, e1_sf = sobolev_energies(kin)
     snap = norms(kin)

@@ -72,8 +72,8 @@ class Sectors:
 
 @dataclass
 class ModelSpec:
-    """Full physical model: charges plus the three constitutive families.
-    `sectors` is worked out from them on construction."""
+    """The physical model: charges and the three constitutive families, from
+    which `sectors` is worked out; its discretisation is a LatticeSpec's."""
 
     charges: np.ndarray            # q per gauge index, shared by all scalars
     couplings: CouplingFamily
@@ -81,7 +81,6 @@ class ModelSpec:
     potential: PotentialFamily
     n_gauge: int
     n_scalar: int
-    stencil_order: int = 2
     sectors: Sectors = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -189,13 +188,13 @@ class Kinematics:
     @cached_property
     def H(self) -> np.ndarray:
         """curl A, [N_V, 3, grid]."""
-        return curl(self.state.A, self.lattice.dx, self.model.stencil_order)
+        return curl(self.state.A, self.lattice)
 
     @cached_property
     def Dphi(self) -> np.ndarray:
         """grad phi - i (q.A) phi, [N_C, 3, grid]."""
         phi = self.state.phi
-        D = gradient(phi, self.lattice.dx, self.model.stencil_order)
+        D = gradient(phi, self.lattice)
         if self.model.sectors.charged:
             # one (field, axis) slab at a time, the same products: with the
             # broadcast form's (N_C, 3, grid) complex temporary this took
@@ -237,7 +236,7 @@ class Kinematics:
     @cached_property
     def dphi(self) -> np.ndarray:
         """The gradient of phi, [N_C, 3, grid]; only the diagnostics read it."""
-        return gradient(self.state.phi, self.lattice.dx, self.model.stencil_order)
+        return gradient(self.state.phi, self.lattice)
 
     @cached_property
     def V(self) -> np.ndarray:
@@ -274,11 +273,12 @@ _CACHED_ARRAYS = frozenset(name for name, attr in vars(Kinematics).items()
 
 def _kinematics(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
                 kin: Kinematics | None) -> Kinematics:
-    """kin when it was built from this very state object, or a new one."""
+    """kin when it was built from this very state and model object (a
+    ModelSpec holds arrays) and an equal lattice, or a new one."""
     if kin is None:
         return Kinematics.of(state, lattice, model)
-    if kin.state is not state:
-        raise ValueError("kin is the Kinematics of another state")
+    if kin.state is not state or kin.model is not model or kin.lattice != lattice:
+        raise ValueError("kin is the Kinematics of another state, lattice or model")
     return kin
 
 
@@ -286,7 +286,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             kin: Kinematics | None = None) -> StateDerivative:
     """The time derivative of (A, E, phi, pi), which refers to state.E and
     state.pi for dA and dphi (StateDerivative); kin, when given, must be
-    Kinematics.of(state, ...), else one is built here.
+    Kinematics.of(state, lattice, model), else one is built here.
 
     The gauge sector runs first and Dphi is built only after its curls.
     The Kinematics, built or given, holds each cached array only while a
@@ -303,8 +303,6 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             f"{model.kahler.r_max:.6g} at site {site}")
 
     sec = model.sectors
-    dx = lattice.dx
-    order = model.stencil_order
     phi, pi, E = state.phi, state.pi, state.E
     psi, alpha, Q, H = kin.psi, kin.alpha, kin.Q, kin.H
     hf, kf = model.couplings.h, model.couplings.k
@@ -343,10 +341,10 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
         hk += kf.apply_mod(E, sk)
     H = None
     kin.release("H", "tanh_psi", "cosh2_psi")
-    rhs_E = curl(hk, dx, order)
+    rhs_E = curl(hk, lattice)
     del hk
     if sec.k:
-        rhs_E -= kf.apply_mod(curl(E, dx, order), sk)
+        rhs_E -= kf.apply_mod(curl(E, lattice), sk)
         sk = None
         rhs_E += kpH                                # psidot (k'H - h'E)
     elif sec.h_prime:
@@ -403,7 +401,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             gD = alpha * Di
             if sec.q:
                 gD += (Q * pD[i]) * phi
-            R += central_diff(gD, i, dx, order)
+            R += central_diff(gD, i, lattice)
     Dphi = Di = pD = None               # a view Di keeps Dphi's buffer
     kin.release("Dphi", "phi_Dphi", "qa")
 
@@ -447,8 +445,8 @@ def step_rk4(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     k3's are that stage's own arrays, which nothing else holds), and A's
     sign goes into the last multiplier: the new A is A - dt/6 (E1 + 2 E2 +
     2 E3 + E4), the bits of A + dt/6 (-E1 - 2 E2 - 2 E3 - E4).  kin, when
-    given, is Kinematics.of(state, ...) and serves stage k1, which releases
-    its arrays as stages k2-k4 release their own."""
+    given, is Kinematics.of(state, lattice, model) and serves stage k1,
+    which releases its arrays as stages k2-k4 release their own."""
     if not state.is_finite():
         raise NonFinite(f"non-finite field entering step at t = {state.t:.6g}")
     k1 = eom_rhs(state, lattice, model, kin)
@@ -490,11 +488,9 @@ def gauss_residual(kin: Kinematics) -> tuple[np.ndarray, float, float]:
     """
     model, E, psi = kin.model, kin.state.E, kin.psi
     sec = model.sectors
-    dx = kin.lattice.dx
-    order = model.stencil_order
     hf, kf = model.couplings.h, model.couplings.k
 
-    res = divergence(E, dx, order)
+    res = divergence(E, kin.lattice)
     if not (sec.charged or sec.h_prime or sec.k):
         src = None
     elif sec.charged:
@@ -505,7 +501,7 @@ def gauss_residual(kin: Kinematics) -> tuple[np.ndarray, float, float]:
         src = np.zeros(E.shape[:1] + E.shape[2:])
     if sec.h_prime or sec.k:
         # dPsi.E^G and dPsi.H^G over the vector index, then h', k' and h^-1
-        dpsi = gradient(psi, dx, order)                     # (3, grid)
+        dpsi = gradient(psi, kin.lattice)                   # (3, grid)
         if sec.h_prime:
             src -= hf.apply_mod(np.sum(dpsi * E, axis=1),
                                 hf.s_prime(kin.cosh2_psi))

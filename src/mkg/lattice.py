@@ -7,12 +7,14 @@ complex arrays of shape [N_C, nx, ny, nz]. Axes of size 1 make the box
 effectively lower dimensional (their derivatives vanish identically).
 
 Stencil contract. `central_diff`, `gradient`, `curl` and `divergence` are
-periodic central differences of order 2 or 4 along the last three axes.
-They do the same floating-point operations, in the same order, as the
-textbook form built from `np.roll` and `np.stack` with the difference
-scaled by the reciprocal, times 1/(2 dx) or 1/(12 dx), and a complex field
-taken as its real and imaginary parts (the tests keep that form as their
-reference and require equal bits, signed zeros included). They subtract
+periodic central differences along the last three axes, at the dx and the
+stencil order of the `LatticeSpec` they are given; the order, 2 or 4, is
+checked once, when the lattice is built. They do the same floating-point
+operations, in the same order, as the textbook form built from `np.roll`
+and `np.stack` with the difference scaled by the reciprocal, times
+1/(2 dx) or 1/(12 dx), and a complex field taken as its real and imaginary
+parts (the tests keep that form as their reference and require equal
+bits, signed zeros included). They subtract
 basic slices of the input into one preallocated output instead of copying
 shifted arrays, and scale on the output's real view, so no step is a
 complex division or product. A difference f[i + k] - f[i - k] is cut at
@@ -53,16 +55,20 @@ SNAPSHOT_VERSION = 1
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Uniform periodic box: site counts per axis and the common spacing."""
+    """The discretisation: a uniform periodic box (site counts per axis and
+    the common spacing) and the order, 2 or 4, of its central differences."""
 
     dims: tuple[int, int, int]
     dx: float
+    stencil_order: int = 2
 
     def __post_init__(self):
         if any(d < 1 for d in self.dims):
             raise ValidationError("lattice dims must be >= 1")
         if not (np.isfinite(self.dx) and self.dx > 0):
             raise ValidationError(f"lattice dx must be positive and finite, got {self.dx!r}")
+        if self.stencil_order not in (2, 4):
+            raise ValidationError(f"unsupported stencil order {self.stencil_order!r}")
 
     @property
     def cell_volume(self) -> float:
@@ -164,32 +170,31 @@ def _shift_diff(out: np.ndarray, f: np.ndarray, ax: int, k: int) -> None:
         np.subtract(src[hi], src[lo], out=dst[at])
 
 
-def _diff_into(out: np.ndarray, f: np.ndarray, ax: int, dx: float,
-               order: int) -> None:
-    """out = periodic central difference of f along axis ax (size > 1):
-    (f[i+1] - f[i-1]) * (1 / (2 dx)), or
+def _diff_into(out: np.ndarray, f: np.ndarray, ax: int,
+               lattice: LatticeSpec) -> None:
+    """out = periodic central difference of f along axis ax (size > 1),
+    at the lattice's dx and order: (f[i+1] - f[i-1]) * (1 / (2 dx)), or
     (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) * (1 / (12 dx)).
 
     Every step after the differences is taken on the real view of out
     (a complex out needs a contiguous last axis, as every caller
     allocates it), so a complex field is scaled exactly as its real and
-    imaginary parts would be. With 2 dx a power of two, order 2 gives the bits of dividing
-    by 2 dx; otherwise the reciprocal may move the last bit."""
-    if order not in (2, 4):
-        raise ValidationError(f"unsupported stencil order {order}")
+    imaginary parts would be. With 2 dx a power of two, order 2 gives the
+    bits of dividing by 2 dx; otherwise the reciprocal may move the last
+    bit."""
     _shift_diff(out, f, ax, 1)
     re = out.view(out.real.dtype)
-    if order == 2:
-        re *= 1.0 / (2.0 * dx)
+    if lattice.stencil_order == 2:
+        re *= 1.0 / (2.0 * lattice.dx)
         return
     re *= 8.0
     far = np.empty_like(out)
     _shift_diff(far, f, ax, 2)
     re -= far.view(re.dtype)
-    re *= 1.0 / (12.0 * dx)
+    re *= 1.0 / (12.0 * lattice.dx)
 
 
-def central_diff(f: np.ndarray, axis: int, dx: float, order: int = 2) -> np.ndarray:
+def central_diff(f: np.ndarray, axis: int, lattice: LatticeSpec) -> np.ndarray:
     """Periodic central difference along a spatial axis (counted from the end).
 
     axis is 0, 1 or 2 for x, y, z; the grid axes are assumed to be the last
@@ -199,11 +204,11 @@ def central_diff(f: np.ndarray, axis: int, dx: float, order: int = 2) -> np.ndar
     if f.shape[ax] == 1:
         return np.zeros_like(f)
     out = np.empty(f.shape, np.result_type(f, 1.0))
-    _diff_into(out, f, ax, dx, order)
+    _diff_into(out, f, ax, lattice)
     return out
 
 
-def gradient(f: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
+def gradient(f: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     """The three spatial central differences, new axis first after any
     leading field axes: shape f.shape[:-3] + (3,) + grid."""
     lead = f.ndim - 3
@@ -213,7 +218,7 @@ def gradient(f: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
         if f.shape[lead + i] == 1:
             part[...] = 0
         else:
-            _diff_into(part, f, lead + i, dx, order)
+            _diff_into(part, f, lead + i, lattice)
     return out
 
 
@@ -221,7 +226,7 @@ def gradient(f: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
 _CURL_TERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def curl(v: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
+def curl(v: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     """Curl of a vector field with component axis fourth from the end.
 
     Each component starts from the d_a v_b term, or from zero when axis a
@@ -235,14 +240,14 @@ def curl(v: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
         if v.shape[lead + 1 + a] == 1:
             part[...] = 0
         else:
-            _diff_into(part, v[..., b, :, :, :], lead + a, dx, order)
+            _diff_into(part, v[..., b, :, :, :], lead + a, lattice)
         if v.shape[lead + 1 + b] > 1:
-            _diff_into(term, v[..., a, :, :, :], lead + b, dx, order)
+            _diff_into(term, v[..., a, :, :, :], lead + b, lattice)
             part -= term
     return out
 
 
-def divergence(v: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
+def divergence(v: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     """Sum over i of d_i v_i (component axis fourth from the end), over the
     axes of size > 1, accumulated from zero."""
     lead = v.ndim - 4
@@ -250,7 +255,7 @@ def divergence(v: np.ndarray, dx: float, order: int = 2) -> np.ndarray:
     term = np.empty_like(out)
     for i in range(3):
         if v.shape[lead + 1 + i] > 1:
-            _diff_into(term, v[..., i, :, :, :], lead + i, dx, order)
+            _diff_into(term, v[..., i, :, :, :], lead + i, lattice)
             out += term
     return out
 
@@ -358,7 +363,8 @@ def read_snapshot(path) -> tuple[FieldState, LatticeSpec]:
     """The state and lattice of a snapshot file; ParseError if it is not a
     snapshot of this version, its header has a dim < 1, a dx that is not
     positive and finite or a t that is not finite, or its length does not
-    match its header."""
+    match its header.  A snapshot records dims and dx but not the stencil
+    order, so the lattice returned has the default order, 2."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER_BYTES or raw[:4] != SNAPSHOT_MAGIC:

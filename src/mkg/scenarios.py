@@ -20,14 +20,14 @@ SCENARIOS = ("vacuum", "free_maxwell_wave", "free_scalar_wave",
              "gaussian_pulse", "interacting_demo")
 
 
-def _free_model(stencil_order: int = 2) -> ModelSpec:
+def _free_model() -> ModelSpec:
     """Uncharged flat-target model with identity couplings and V = 0."""
     return ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
                      kahler=KahlerFamily(), potential=polynomial(0.0),
-                     n_gauge=1, n_scalar=1, stencil_order=stencil_order)
+                     n_gauge=1, n_scalar=1)
 
 
-def _interacting_model(stencil_order: int = 2) -> ModelSpec:
+def _interacting_model() -> ModelSpec:
     """Two gauge fields, two scalars, saturating h, nonzero k, quartic
     target correction, quartic potential."""
     return ModelSpec(
@@ -38,15 +38,15 @@ def _interacting_model(stencil_order: int = 2) -> ModelSpec:
             k_mod=[[0.05, 0.0], [0.0, 0.05]], k_amplitude=0.3),
         kahler=quartic_family(),
         potential=polynomial(0.0, 0.0, 1.0),
-        n_gauge=2, n_scalar=2, stencil_order=stencil_order)
+        n_gauge=2, n_scalar=2)
 
 
-def make_model(name: str, stencil_order: int = 2) -> ModelSpec:
+def make_model(name: str) -> ModelSpec:
     if name not in SCENARIOS:
         raise ValidationError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
     if name == "interacting_demo":
-        return _interacting_model(stencil_order)
-    return _free_model(stencil_order)
+        return _interacting_model()
+    return _free_model()
 
 
 def make_state(name: str, lattice: LatticeSpec, model: ModelSpec,

@@ -18,9 +18,9 @@ def sextic_family(strength: float = 0.1, **kw) -> KahlerFamily:
 
 
 def build(name: str, lattice: LatticeSpec, params: dict | None = None,
-          seed: int = 0, stencil_order: int = 2):
+          seed: int = 0):
     """(model, initial state) of a shipped scenario."""
-    model = make_model(name, stencil_order)
+    model = make_model(name)
     return model, make_state(name, lattice, model, params, seed)
 
 
@@ -37,7 +37,7 @@ def gauge_transform(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     by the same phase, E unchanged.  theta has shape [N_V, grid].
     """
     theta = np.asarray(theta, dtype=float)
-    dtheta = gradient(theta, lattice.dx, model.stencil_order)
+    dtheta = gradient(theta, lattice)
     phase = np.exp(1j * _gauge_dot(model.charges, theta))
     return FieldState(
         A=state.A + dtheta,

@@ -20,8 +20,6 @@ from mkg.lattice import central_diff, curl
 def reference_rhs(state, lattice, model) -> SimpleNamespace:
     """The rates dA, dE, dphi and dpi, each its own array."""
     kin = Kinematics.of(state, lattice, model)
-    dx = lattice.dx
-    order = model.stencil_order
     q = model.charges
     phi, pi, E = state.phi, state.pi, state.E
     psi, alpha, Q, sh, H = kin.psi, kin.alpha, kin.Q, kin.sh, kin.H
@@ -37,9 +35,9 @@ def reference_rhs(state, lattice, model) -> SimpleNamespace:
     sph = hf.s_prime(np.cosh(psi) ** 2)
     hpE = hf.apply_mod(E, sph)                      # h' E
     kpH = kf.apply_mod(H, kf.s_prime(np.cosh(psi) ** 2))   # k' H
-    rhs_E = curl(hf.apply(H, sh), dx, order)
-    rhs_E += curl(kf.apply(E, sk), dx, order)
-    rhs_E -= kf.apply(curl(E, dx, order), sk)
+    rhs_E = curl(hf.apply(H, sh), lattice)
+    rhs_E += curl(kf.apply(E, sk), lattice)
+    rhs_E -= kf.apply(curl(E, lattice), sk)
     rhs_E -= psidot * hpE
     rhs_E += psidot * kpH
     # X_i = g_ab D_i phi^a conj(phi^b) = (alpha + Q psi)(conj(phi).Dphi)
@@ -58,7 +56,7 @@ def reference_rhs(state, lattice, model) -> SimpleNamespace:
     gD = alpha[np.newaxis] * Dphi + Q[np.newaxis] * pD * phi[:, np.newaxis]
     for i in range(3):
         if state.dims[i] > 1:
-            R = R + central_diff(gD[:, i], i, dx, order)
+            R = R + central_diff(gD[:, i], i, lattice)
         R = R - 1j * kin.qa[i] * gD[:, i]
 
     # curvature term: dbar_b g_ac (pi pi - Dphi Dphi) contractions

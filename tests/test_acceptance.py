@@ -115,8 +115,8 @@ def test_criterion_2_radial_bounds():
 
 
 def _free_wave_error(name, n, cfl=0.25, amplitude=0.01, order=2):
-    lat = LatticeSpec((n, 1, 1), 1.0 / n)
-    model, st = build(name, lat, {"amplitude": amplitude}, stencil_order=order)
+    lat = LatticeSpec((n, 1, 1), 1.0 / n, order)
+    model, st = build(name, lat, {"amplitude": amplitude})
     dt = cfl * lat.dx
     steps = int(round(1.0 / dt))          # one full period (L = 1, k = 2 pi)
     for _ in range(steps):
@@ -260,8 +260,8 @@ def test_criterion_5_constraints(demo_traces):
 
 def test_criterion_6_gauge_invariance():
     n = 512
-    lat = LatticeSpec((n, 1, 1), 1.0 / n)
-    model, st = build("interacting_demo", lat, stencil_order=4)
+    lat = LatticeSpec((n, 1, 1), 1.0 / n, stencil_order=4)
+    model, st = build("interacting_demo", lat)
     x = lat.axis_coordinates(0)[:, None, None]
     theta = np.stack([0.3 * np.sin(2 * np.pi * x) * np.ones(lat.dims),
                       0.2 * np.cos(2 * np.pi * x) * np.ones(lat.dims)])

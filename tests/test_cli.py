@@ -19,12 +19,12 @@ from mkg.cli import main
 from mkg.config import load_config
 from mkg.errors import ParseError, ValidationError
 from mkg.kahler import KahlerFamily
-from mkg.lattice import (DiagnosticsRecord, NormSnapshot, read_snapshot,
-                         stack_records)
+from mkg.lattice import (DiagnosticsRecord, LatticeSpec, NormSnapshot,
+                         read_snapshot, stack_records)
 from mkg.diagnostics import collect
 from mkg.dynamics import step_rk4
 from mkg.run import CSV_COLUMNS, parse_trace, write_trace
-from mkg.scenarios import SCENARIOS
+from mkg.scenarios import SCENARIOS, make_model, make_state
 
 MINIMAL = """\
 [initial_data]
@@ -589,7 +589,34 @@ def test_run_trace_equals_unshared_loop(tmp_path, dims, cadence):
     assert (tmp_path / "out" / "trace.csv").read_bytes() == loop.read_bytes()
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+def test_stencil_order_key_reaches_the_trace(tmp_path):
+    """integrator.stencil_order = 4 reaches the stencils through the run's
+    lattice: `run` writes, byte for byte, the trace.csv of a plain collect
+    and step_rk4 loop on an order-4 lattice built here, not from the
+    config, and that trace differs from the order-2 run's."""
+    order4 = DEMO.replace("steps = 40", "steps = 40\nstencil_order = 4")
+    for name, text in (("order2", DEMO), ("order4", order4)):
+        assert main(["run", "--config", write(tmp_path, text, f"{name}.ini"),
+                     "--out", str(tmp_path / name)]) == 0
+    lat = LatticeSpec((64, 1, 1), 1.0 / 64, stencil_order=4)
+    model = make_model("interacting_demo")
+    state = make_state("interacting_demo", lat, model, seed=3)
+    records = [collect(state, lat, model)]
+    for i in range(1, 41):
+        state = step_rk4(state, lat, model, 0.25 / 64)
+        if i % 4 == 0:
+            records.append(collect(state, lat, model))
+    loop = tmp_path / "loop.csv"
+    potential = model.potential
+    write_trace(str(loop), stack_records(records), EstimateConstants(
+        N=potential.polynomial_degree, J0=records[0].flat_J,
+        potential_kind=potential.kind))
+    trace = (tmp_path / "order4" / "trace.csv").read_bytes()
+    assert trace == loop.read_bytes()
+    assert trace != (tmp_path / "order2" / "trace.csv").read_bytes()
+
+
+SRC =Path(__file__).resolve().parents[1] / "src"
 
 # mkg.cli.main in a fresh interpreter; prints the mkg modules and
 # configparser that the command left loaded, then exits with its code

@@ -82,7 +82,7 @@ def test_sobolev_energies_positive_and_ordered():
     for f in (st3.A, st3.E, st3.phi, st3.pi):
         f[...] = rng.standard_normal(f.shape)
     st3.phi += 1j * rng.standard_normal(st3.phi.shape)
-    g = lambda f: gradient(f, lat3.dx, 2)
+    g = lambda f: gradient(f, lat3)
     dE, dA, dpi, dphi = g(st3.E), g(st3.A), g(st3.pi), g(st3.phi)
     ref = 0.5 * lat3.cell_volume * np.sum(
         np.sum(dE**2, axis=(0, 1, 2)) + np.sum(g(dA) ** 2, axis=(0, 1, 2, 3))
@@ -103,8 +103,8 @@ def test_sobolev_energies_match_direct_reference(seed, interacting, order, dims)
     """Summation by parts gives E0_sf bit for bit and E1_sf within 1e-13
     relative of the direct form (tests/reference_sobolev.py), on axes of
     1-8 sites, orders 2 and 4, and 1-3 gauge and scalar fields."""
-    model = random_model(seed, interacting, order)
-    lat = LatticeSpec(dims, 0.25)
+    model = random_model(seed, interacting)
+    lat = LatticeSpec(dims, 0.25, order)
     state = random_state(lat, model.n_gauge, model.n_scalar, seed=seed % 1000)
     e0, e1 = sobolev_energies(Kinematics.of(state, lat, model))
     r0, r1 = reference_sobolev(Kinematics.of(state, lat, model))
@@ -141,11 +141,8 @@ def test_collect_twice_on_one_kinematics(dims):
 
 def test_diagnostics_gauge_invariant():
     n = 512
-    lat = LatticeSpec((n, 1, 1), 1.0 / n)
-    base = interacting_model()
-    model = ModelSpec(charges=base.charges, couplings=base.couplings,
-                      kahler=base.kahler, potential=base.potential,
-                      n_gauge=2, n_scalar=2, stencil_order=4)
+    lat = LatticeSpec((n, 1, 1), 1.0 / n, stencil_order=4)
+    model = interacting_model()
     st = band_limited_state(lat, amp=0.05)
     x = lat.axis_coordinates(0)[:, None, None]
     theta = np.stack([0.25 * np.sin(2 * np.pi * x) * np.ones(lat.dims),

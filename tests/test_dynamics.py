@@ -97,7 +97,7 @@ def test_euler_lagrange_residual():
         psi = np.sum(np.abs(phi) ** 2, axis=0)
         h = matrix_value(model.couplings.h, psi)
         k = matrix_value(model.couplings.k, psi)
-        H = curl(st.A, lat.dx, 2)
+        H = curl(st.A, lat)
         mv = lambda m, v: np.einsum("abcls,siabc->liabc", m, v)
         return (mv(h, Adot) + mv(k, H)) * lat.cell_volume
 
@@ -264,11 +264,8 @@ def test_gauge_transform_invariants():
     # 4th-order stencils at fine resolution: the residual stencil error of
     # the transformed covariant derivative sits far below 1e-8
     n = 512
-    lat = LatticeSpec((n, 1, 1), 1.0 / n)
+    lat = LatticeSpec((n, 1, 1), 1.0 / n, stencil_order=4)
     model = interacting_model()
-    model = ModelSpec(charges=model.charges, couplings=model.couplings,
-                      kahler=model.kahler, potential=model.potential,
-                      n_gauge=2, n_scalar=2, stencil_order=4)
     st = band_limited_state(lat, amp=0.05)
     x = lat.axis_coordinates(0)[:, None, None]
     theta = np.stack([0.3 * np.sin(2 * np.pi * x) * np.ones(lat.dims),
@@ -363,7 +360,7 @@ _DERIVS = ("dA", "dE", "dphi", "dpi")
 _FIELDS = ("A", "E", "phi", "pi")
 
 
-def random_model(seed, interacting, order):
+def random_model(seed, interacting):
     """A seeded model: random charges, saturating h and k, a quartic or
     sextic target and a polynomial potential; or, when not interacting,
     zero charges, constant random couplings and the flat target."""
@@ -380,7 +377,7 @@ def random_model(seed, interacting, order):
         return ModelSpec(charges=np.zeros(nv),
                          couplings=constant_couplings(nv, h_base, sym(0.3)),
                          kahler=KahlerFamily(), potential=polynomial(0.0),
-                         n_gauge=nv, n_scalar=nc, stencil_order=order)
+                         n_gauge=nv, n_scalar=nc)
     family = quartic_family if rng.random() < 0.5 else sextic_family
     return ModelSpec(
         charges=rng.uniform(-1.0, 1.0, nv),
@@ -389,7 +386,7 @@ def random_model(seed, interacting, order):
             k_base=sym(0.3), k_mod=sym(0.2), k_amplitude=rng.uniform(-0.5, 0.5)),
         kahler=family(rng.uniform(0.0, 0.3)),
         potential=polynomial(0.0, *rng.uniform(0.0, 1.0, 2)),
-        n_gauge=nv, n_scalar=nc, stencil_order=order)
+        n_gauge=nv, n_scalar=nc)
 
 
 def _close(a, b, rtol):
@@ -403,8 +400,8 @@ def _close(a, b, rtol):
 def test_eom_rhs_matches_uncollapsed_reference(seed, interacting, order, dims):
     """The collapsed scalar sector and the one-curl gauge sector agree with
     the term-by-term Euler-Lagrange assembly to 1e-13 relative."""
-    model = random_model(seed, interacting, order)
-    lat = LatticeSpec(dims, 0.25)
+    model = random_model(seed, interacting)
+    lat = LatticeSpec(dims, 0.25, order)
     state = random_state(lat, model.n_gauge, model.n_scalar, seed=seed % 1000)
     got, ref = eom_rhs(state, lat, model), reference_rhs(state, lat, model)
     for name in _DERIVS:
@@ -495,14 +492,26 @@ def test_rhs_and_step_leave_input_alone(dims):
 
 
 def test_kinematics_of_another_state_is_refused():
+    """eom_rhs, step_rk4 and collect refuse a Kinematics built from another
+    state object, at another stencil order or dx, or from another model
+    object, even an equal one; they accept one built from an equal
+    lattice."""
     lat = LatticeSpec((8, 1, 1), 0.2)
     model = interacting_model()
     state = random_state(lat, 2, 2, seed=13)
-    kin = Kinematics.of(copy_state(state), lat, model)
-    with pytest.raises(ValueError):
-        eom_rhs(state, lat, model, kin)
-    with pytest.raises(ValueError):
-        step_rk4(state, lat, model, 0.05, kin)
+    others = [Kinematics.of(copy_state(state), lat, model),
+              Kinematics.of(state, dataclasses.replace(lat, stencil_order=4), model),
+              Kinematics.of(state, dataclasses.replace(lat, dx=0.1), model),
+              Kinematics.of(state, lat, interacting_model())]
+    for kin in others:
+        with pytest.raises(ValueError, match="another state, lattice or model"):
+            eom_rhs(state, lat, model, kin)
+        with pytest.raises(ValueError, match="another state, lattice or model"):
+            step_rk4(state, lat, model, 0.05, kin)
+        with pytest.raises(ValueError, match="another state, lattice or model"):
+            collect(state, lat, model, kin)
+    kin = Kinematics.of(state, LatticeSpec((8, 1, 1), 0.2), model)
+    assert collect(state, lat, model, kin) == collect(state, lat, model)
 
 
 @pytest.mark.parametrize("case", ["interacting_demo", "free_maxwell_wave",
@@ -662,7 +671,7 @@ def _sector_outputs(state, lat, model):
     return _all_arrays(d, _DERIVS) + [res, np.array([l2, linf, e0])]
 
 
-def switched_model(seed, order):
+def switched_model(seed):
     """A random model whose charges, h', k', target (flat, quartic or
     sextic) and potential are each switched on or off at random."""
     rng = np.random.default_rng(seed)
@@ -687,7 +696,7 @@ def switched_model(seed, order):
         kahler=kahler,
         potential=(polynomial(0.0, *rng.uniform(0.0, 1.0, 2)) if on[3]
                    else polynomial(0.0)),
-        n_gauge=nv, n_scalar=nc, stencil_order=order)
+        n_gauge=nv, n_scalar=nc)
 
 
 @settings(max_examples=40, deadline=None)
@@ -697,8 +706,8 @@ def test_sector_flags_skip_only_zeros_on_random_models(seed, order, dims):
     """On models with any mix of sectors switched off, skipping the blocks
     that are off changes eom_rhs, gauss_residual and energy_E0 at most in
     the sign of a zero."""
-    model = switched_model(seed, order)
-    lat = LatticeSpec(dims, 0.25)
+    model = switched_model(seed)
+    lat = LatticeSpec(dims, 0.25, order)
     state = random_state(lat, model.n_gauge, model.n_scalar, seed=seed % 1000)
     got = _sector_outputs(state, lat, model)
     want = _sector_outputs(state, lat, _all_sectors_on(model))

@@ -1,5 +1,6 @@
 """Grid geometry, stencils, covariant derivatives, norms, snapshots."""
 
+import dataclasses
 import math
 import struct
 
@@ -52,8 +53,8 @@ def test_central_diff_exact_on_modes():
     x = lat.axis_coordinates(0)[:, None, None]
     k = 2 * np.pi
     f = np.sin(k * x) * np.ones(lat.dims)
-    d2 = central_diff(f, 0, lat.dx, order=2)
-    d4 = central_diff(f, 0, lat.dx, order=4)
+    d2 = central_diff(f, 0, lat)
+    d4 = central_diff(f, 0, LatticeSpec(lat.dims, lat.dx, stencil_order=4))
     exact = k * np.cos(k * x) * np.ones(lat.dims)
     err2 = np.max(np.abs(d2 - exact))
     err4 = np.max(np.abs(d4 - exact))
@@ -64,7 +65,7 @@ def test_central_diff_exact_on_modes():
 
 def test_central_diff_size_one_axis_is_zero():
     f = np.ones((4, 1, 1))
-    assert np.all(central_diff(f, 1, 0.1) == 0.0)
+    assert np.all(central_diff(f, 1, LatticeSpec((4, 1, 1), 0.1)) == 0.0)
 
 
 # Reference stencils: shifted copies by np.roll, components joined by np.stack,
@@ -163,12 +164,13 @@ def test_stencils_match_roll_reference(dims, lead, order, complex_data, dx,
     rng = np.random.default_rng(seed)
     f = _laid_out(rng, lead + dims, complex_data, layout)
     v = _laid_out(rng, lead + (3,) + dims, complex_data, layout)
+    lat = LatticeSpec(dims, dx, order)
     for axis in range(3):
-        _same_bits(central_diff(f, axis, dx, order),
+        _same_bits(central_diff(f, axis, lat),
                    roll_central_diff(f, axis, dx, order))
-    _same_bits(gradient(f, dx, order), roll_gradient(f, dx, order))
-    _same_bits(curl(v, dx, order), roll_curl(v, dx, order))
-    _same_bits(divergence(v, dx, order), roll_divergence(v, dx, order))
+    _same_bits(gradient(f, lat), roll_gradient(f, dx, order))
+    _same_bits(curl(v, lat), roll_curl(v, dx, order))
+    _same_bits(divergence(v, lat), roll_divergence(v, dx, order))
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,12 +186,13 @@ def test_power_of_two_step_gives_the_division_bits(dims, lead, m, seed, layout):
     f = _laid_out(rng, lead + dims, False, layout)
     v = _laid_out(rng, lead + (3,) + dims, False, layout)
     dx = 2.0 ** -m
+    lat = LatticeSpec(dims, dx)
     old = divided_central_diff
     for axis in range(3):
-        _same_bits(central_diff(f, axis, dx), old(f, axis, dx, 2))
-    _same_bits(gradient(f, dx), roll_gradient(f, dx, 2, diff=old))
-    _same_bits(curl(v, dx), roll_curl(v, dx, 2, diff=old))
-    _same_bits(divergence(v, dx), roll_divergence(v, dx, 2, diff=old))
+        _same_bits(central_diff(f, axis, lat), old(f, axis, dx, 2))
+    _same_bits(gradient(f, lat), roll_gradient(f, dx, 2, diff=old))
+    _same_bits(curl(v, lat), roll_curl(v, dx, 2, diff=old))
+    _same_bits(divergence(v, lat), roll_divergence(v, dx, 2, diff=old))
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -211,7 +214,7 @@ def test_diff_into_writes_a_strided_output_in_place(order, axis):
     strided = np.transpose(buf, (0, 2, 3, 1))
     for src, out in ((f, np.empty(shape)), (f, strided),
                      (transposed, np.empty(shape)), (f, np.empty(shape))):
-        _diff_into(out, src, 1 + axis, 0.3, order)
+        _diff_into(out, src, 1 + axis, LatticeSpec(shape[1:], 0.3, order))
         _same_bits(np.ascontiguousarray(out),
                    roll_central_diff(src, axis, 0.3, order))
     assert not np.isnan(buf).any()
@@ -220,9 +223,10 @@ def test_diff_into_writes_a_strided_output_in_place(order, axis):
 @pytest.mark.parametrize("order", [2, 4])
 def test_single_site_box_stencils_are_zero_arrays(order):
     v = np.random.default_rng(3).standard_normal((2, 3, 1, 1, 1))
-    for got, shape in ((divergence(v, 0.1, order), (2, 1, 1, 1)),
-                       (curl(v, 0.1, order), (2, 3, 1, 1, 1)),
-                       (gradient(v[:, 0], 0.1, order), (2, 3, 1, 1, 1))):
+    lat = LatticeSpec((1, 1, 1), 0.1, order)
+    for got, shape in ((divergence(v, lat), (2, 1, 1, 1)),
+                       (curl(v, lat), (2, 3, 1, 1, 1)),
+                       (gradient(v[:, 0], lat), (2, 3, 1, 1, 1))):
         assert isinstance(got, np.ndarray) and got.shape == shape
         assert got.dtype == np.float64 and not np.any(got)
 
@@ -231,8 +235,8 @@ def test_div_curl_identity():
     lat = LatticeSpec((8, 8, 8), 0.3)
     rng = np.random.default_rng(1)
     v = rng.standard_normal((3,) + lat.dims)
-    c = curl(v, lat.dx, order=2)
-    d = divergence(c, lat.dx, order=2)
+    c = curl(v, lat)
+    d = divergence(c, lat)
     assert np.max(np.abs(d)) < 1e-13
 
 
@@ -241,7 +245,7 @@ def test_covariant_derivative_free_limit():
     model = free_model()
     st = random_state(lat, seed=4)
     D = Kinematics.of(st, lat, model).Dphi
-    grad = np.stack([central_diff(st.phi[0], ax, lat.dx, 2) for ax in range(3)])
+    grad = np.stack([central_diff(st.phi[0], ax, lat) for ax in range(3)])
     assert D[0] == pytest.approx(grad)
 
 
@@ -250,7 +254,7 @@ def test_covariant_derivative_charged():
     model = free_model(charges=np.array([1.5]))
     st = random_state(lat, seed=5)
     D = Kinematics.of(st, lat, model).Dphi
-    grad = np.stack([central_diff(st.phi[0], ax, lat.dx, 2) for ax in range(3)])
+    grad = np.stack([central_diff(st.phi[0], ax, lat) for ax in range(3)])
     expect = grad - 1j * 1.5 * st.A[0] * st.phi[0]
     assert D[0] == pytest.approx(expect)
 
@@ -411,6 +415,18 @@ def test_snapshot_header_in_range_loads(tmp_path):
 def test_lattice_spec_rejects_bad_dx(dx):
     with pytest.raises(ValidationError):
         LatticeSpec((4, 1, 1), dx)
+
+
+@pytest.mark.parametrize("order", [0, 3, 6])
+def test_lattice_spec_rejects_unsupported_stencil_order(order):
+    """Only orders 2 and 4 construct, also through dataclasses.replace, so
+    no difference is ever taken at another order."""
+    with pytest.raises(ValidationError, match="stencil order"):
+        LatticeSpec((4, 1, 1), 0.25, stencil_order=order)
+    lat = LatticeSpec((4, 1, 1), 0.25, stencil_order=4)
+    with pytest.raises(ValidationError, match="stencil order"):
+        dataclasses.replace(lat, stencil_order=order)
+    assert dataclasses.replace(lat, stencil_order=2) == LatticeSpec((4, 1, 1), 0.25)
 
 
 def test_is_finite_guard():
