@@ -7,12 +7,12 @@ floats or a whole trace's columns.  Their form changes with the potential
 (polynomial, or sine-Gordon and Toda) in I, H, Zcal and chi only, and
 `estimates` branches on it once.  Every integer power goes through `_pw`,
 libm pow, so a column and its per-record floats round alike, and each
-distinct power of an `estimates` call is computed once.  `run` writes
-the trace columns L..G from one call, and `audit_gronwall` reads every
-functional it needs from one call.  The tests keep a second, symbolic
-transcription of every display (a monomial list built term by term) as the
-reference `estimates` must match to rounding: the defense against
-transcription errors in the very long printed expressions.
+distinct power of an `estimates` call is computed once.  `write_trace`
+(mkg.trace) writes the columns L..G from one call, and `audit_gronwall`
+reads every functional it needs from one call.  The tests keep a second,
+symbolic transcription of every display (a monomial list built term by
+term) as the reference `estimates` must match to rounding: the defense
+against transcription errors in the very long printed expressions.
 
 All free multiplicative constants of the estimates (the various curly-C,
 K and B constants) default to 1; only b_n, C1..C3 and c4 are data.
@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonUniformSampling, TraceTooShort
-from .lattice import DiagnosticsRecord, NormSnapshot
 from .potentials import PotentialKind
+
+if TYPE_CHECKING:    # annotations only: mkg.trace imports this module
+    from .trace import DiagnosticsRecord, NormSnapshot
 
 
 @dataclass(frozen=True)
@@ -306,9 +309,9 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
     with slowly growing spikes while E1 itself stays bounded), so its running
     max never settles; the exponent of the integrated envelope does.
 
-    `trace` is columnar (run.parse_trace, lattice.stack_records): every
+    `trace` is columnar (trace.parse_trace, trace.stack_records): every
     field an array over the records.  Every functional comes from one
-    `estimates` call over the whole trace, the call run.write_trace makes.
+    `estimates` call over the whole trace, as in trace.write_trace.
     """
     ts = np.asarray(trace.t, dtype=float)
     dt = _check_uniform(ts)

@@ -18,8 +18,8 @@ What each PASS asserts:
 
 Each command imports the modules it uses when it runs.  So `check-bounds`,
 which reads a trace and audits it, starts without loading the config
-parser, the scenarios or the lattice evolver: it loads `run`'s trace
-format, `bounds`, `lattice`, `potentials` and `errors`, and no more.
+parser, the scenarios, the lattice or the evolver: it loads the trace
+format (`mkg.trace`), `bounds`, `potentials` and `errors`, and no more.
 """
 
 from __future__ import annotations
@@ -74,12 +74,13 @@ def cmd_check_geometry(args) -> int:
 
 
 def cmd_check_bounds(args) -> int:
-    from . import bounds, run as runmod
+    from . import bounds
+    from .trace import parse_trace, read_run_constants
 
-    trace = runmod.parse_trace(args.trace)
+    trace = parse_trace(args.trace)
     manifest = os.path.join(os.path.dirname(args.trace), "run.json")
     if os.path.exists(manifest):         # the constants the run audited with
-        constants = runmod.read_run_constants(manifest)
+        constants = read_run_constants(manifest)
     else:
         J0 = float(trace.flat_J[0]) if len(trace.flat_J) else 0.0
         try:

@@ -56,7 +56,7 @@ def _gauge_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def site_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-site u.v, summed over every axis in front of the three grid axes."""
-    return np.sum(u * v, axis=tuple(range(u.ndim - 3)))
+    return np.add.reduce(u * v, axis=tuple(range(u.ndim - 3)))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ DiagnosticsRecord per instant by `collect`.
 The per-site squares |pi|^2, |grad phi|^2, |D phi|^2, |E|^2 and |A|^2
 are computed once per Kinematics and shared by the norms, E0 and E0_sf;
 `norms` squares H once for linf_F and l2_H.  Every per-site density whose
-sum is reported is reduced by `np.sum`, which sums a contiguous array
-pairwise, so that its rounding error grows as O(log n) (Higham, SIAM J.
-Sci. Comput. 14, 1993).  E1_sf takes its second differences by periodic
+sum is reported is reduced by `np.add.reduce`, which sums a contiguous
+array pairwise, so that its rounding error grows as O(log n) (Higham, SIAM
+J. Sci. Comput. 14, 1993).  E1_sf takes its second differences by periodic
 summation by parts (Strand, J. Comput. Phys. 110, 1994), and sums their
 squares by `_sum_sq`: the central differences d_i of either order are
 circulant, commute and are antisymmetric, so
@@ -28,8 +28,8 @@ import numpy as np
 
 from .couplings import site_dot
 from .dynamics import Kinematics, ModelSpec, _kinematics, gauss_residual
-from .lattice import (DiagnosticsRecord, FieldState, LatticeSpec, NormSnapshot,
-                      _diff_into, divergence, gradient)
+from .lattice import FieldState, LatticeSpec, _diff_into, divergence, gradient
+from .trace import DiagnosticsRecord, NormSnapshot
 
 
 def energy_E0(kin: Kinematics) -> float:
@@ -46,10 +46,10 @@ def energy_E0(kin: Kinematics) -> float:
     U = 0.5 * site_dot(kin.H, h.apply(kin.H, kin.sh)) + kin.alpha * kin.Dphi2
     if sec.q:
         T += kin.Q * np.abs(kin.phi_pi) ** 2
-        U += kin.Q * np.sum(np.abs(kin.phi_Dphi) ** 2, axis=0)
+        U += kin.Q * np.add.reduce(np.abs(kin.phi_Dphi) ** 2, axis=0)
     if sec.potential:
         U += kin.V
-    return float(np.sum(T + U)) * kin.lattice.cell_volume
+    return float(np.add.reduce(T + U, axis=None)) * kin.lattice.cell_volume
 
 
 def flat_energy_J(snapshot: NormSnapshot, c1: float) -> float:
@@ -93,11 +93,11 @@ def sobolev_energies(kin: Kinematics) -> tuple[float, float]:
     e1 = (_grad_sum_sq(st.E, lat) + _sum_sq(divergence(dA, lat))
           + _grad_sum_sq(st.pi, lat) + _sum_sq(divergence(kin.dphi, lat)))
     np.square(dA, out=dA)
-    dens0 = (kin.E2 + np.sum(dA, axis=(0, 1, 2)) + kin.A2 + kin.pi2
+    dens0 = (kin.E2 + np.add.reduce(dA, axis=(0, 1, 2)) + kin.A2 + kin.pi2
              + kin.dphi2 + kin.psi)
 
     vol = kin.lattice.cell_volume
-    return 0.5 * float(np.sum(dens0)) * vol, 0.5 * e1 * vol
+    return 0.5 * float(np.add.reduce(dens0, axis=None)) * vol, 0.5 * e1 * vol
 
 
 def bianchi_residual(kin: Kinematics) -> float:
@@ -109,7 +109,7 @@ def bianchi_residual(kin: Kinematics) -> float:
 
 
 def _l2(density: np.ndarray, vol: float) -> float:
-    return np.sqrt(max(float(np.sum(density)) * vol, 0.0))
+    return np.sqrt(max(float(np.add.reduce(density, axis=None)) * vol, 0.0))
 
 
 def norms(kin: Kinematics) -> NormSnapshot:
@@ -123,10 +123,11 @@ def norms(kin: Kinematics) -> NormSnapshot:
 
     # dPsi: d_mu Psi = 2 Re(sum_a d_mu phi^a conj(phi^a)); time part uses pi
     dpsi_t = 2.0 * np.real(kin.phi_pi)
-    dpsi_x = 2.0 * np.real(np.sum(kin.dphi * st.phi.conj()[:, np.newaxis], axis=0))
-    dpsi2 = dpsi_t**2 + np.sum(dpsi_x**2, axis=0)
+    dpsi_x = 2.0 * np.real(np.add.reduce(kin.dphi * st.phi.conj()[:, np.newaxis], axis=0))
+    dpsi2 = dpsi_t**2 + np.add.reduce(dpsi_x**2, axis=0)
 
-    ff = np.sum(2.0 * (np.sum(HH, axis=1) - np.sum(st.E**2, axis=1)), axis=0)
+    ff = np.add.reduce(2.0 * (np.add.reduce(HH, axis=1)
+                              - np.add.reduce(st.E**2, axis=1)), axis=0)
 
     return NormSnapshot(
         t=st.t,
@@ -137,7 +138,7 @@ def norms(kin: Kinematics) -> NormSnapshot:
         linf_A=float(np.sqrt(np.max(kin.A2))),
         linf_dPsi=float(np.sqrt(np.max(dpsi2))),
         l2_E=_l2(kin.E2, vol),
-        l2_H=_l2(np.sum(HH, axis=(0, 1)), vol),
+        l2_H=_l2(np.add.reduce(HH, axis=(0, 1)), vol),
         l2_Dphi=_l2(pDphi2, vol),
         l2_phi=_l2(phi2, vol),
         l2_V=_l2(kin.V**2, vol),

@@ -45,7 +45,6 @@ conj(phi).Dphi and q.A once the scalar loop has.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +137,24 @@ def _cdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+class _cached:
+    """functools.cached_property without its lock, as Python 3.12 has it:
+    the first read stores the value in the instance __dict__, where every
+    later read finds it before this non-data descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.fn(obj)
+        return value
+
+
 @dataclass(eq=False)
 class Kinematics:
     """The field kinematics of one state.
@@ -172,7 +189,7 @@ class Kinematics:
     @classmethod
     def of(cls, state: FieldState, lattice: LatticeSpec,
            model: ModelSpec) -> "Kinematics":
-        psi = np.sum(np.abs(state.phi) ** 2, axis=0)
+        psi = np.add.reduce(np.abs(state.phi) ** 2, axis=0)
         r = np.sqrt(psi)
         return cls(state, lattice, model, psi, r,
                    alpha=model.kahler.alpha(r), Q=model.kahler.q(r))
@@ -185,12 +202,12 @@ class Kinematics:
             if name in self.__dict__:
                 del self.__dict__[name]
 
-    @cached_property
+    @_cached
     def H(self) -> np.ndarray:
         """curl A, [N_V, 3, grid]."""
         return curl(self.state.A, self.lattice)
 
-    @cached_property
+    @_cached
     def Dphi(self) -> np.ndarray:
         """grad phi - i (q.A) phi, [N_C, 3, grid]."""
         phi = self.state.phi
@@ -205,70 +222,71 @@ class Kinematics:
                     D[a, i] -= iqa[i] * phi[a]
         return D
 
-    @cached_property
+    @_cached
     def tanh_psi(self) -> np.ndarray:
         return np.tanh(self.psi)
 
-    @cached_property
+    @_cached
     def cosh2_psi(self) -> np.ndarray:
         return np.cosh(self.psi) ** 2
 
-    @cached_property
-    def sh(self) -> np.ndarray:
-        """h.s(psi), [grid]."""
-        return self.model.couplings.h.s(self.tanh_psi)
+    @_cached
+    def sh(self) -> np.ndarray | None:
+        """h.s(psi), [grid]; None when h is constant (apply and solve_h ignore it)."""
+        h = self.model.couplings.h
+        return h.s(self.tanh_psi) if h.varies else None
 
-    @cached_property
+    @_cached
     def qa(self) -> np.ndarray:
         """q.A_i, [3, grid]."""
         return _gauge_dot(self.model.charges, self.state.A)
 
-    @cached_property
+    @_cached
     def phi_pi(self) -> np.ndarray:
         """conj(phi).pi, [grid]."""
         return _cdot(self.state.phi, self.state.pi)
 
-    @cached_property
+    @_cached
     def phi_Dphi(self) -> np.ndarray:
         """conj(phi).D_i phi, [3, grid]."""
         return _cdot(self.state.phi[:, np.newaxis], self.Dphi)
 
-    @cached_property
+    @_cached
     def dphi(self) -> np.ndarray:
         """The gradient of phi, [N_C, 3, grid]; only the diagnostics read it."""
         return gradient(self.state.phi, self.lattice)
 
-    @cached_property
+    @_cached
     def V(self) -> np.ndarray:
         """Potential V(psi); only the diagnostics read it."""
         return self.model.potential.value(self.psi)
 
     # per-site squares, summed over every field and component axis
 
-    @cached_property
+    @_cached
     def pi2(self) -> np.ndarray:
-        return np.sum(np.abs(self.state.pi) ** 2, axis=0)
+        return np.add.reduce(np.abs(self.state.pi) ** 2, axis=0)
 
-    @cached_property
+    @_cached
     def Dphi2(self) -> np.ndarray:
-        return np.sum(np.abs(self.Dphi) ** 2, axis=(0, 1))
+        return np.add.reduce(np.abs(self.Dphi) ** 2, axis=(0, 1))
 
-    @cached_property
+    @_cached
     def dphi2(self) -> np.ndarray:
-        return np.sum(np.abs(self.dphi) ** 2, axis=(0, 1))
+        return np.add.reduce(np.abs(self.dphi) ** 2, axis=(0, 1))
 
-    @cached_property
+    @_cached
     def E2(self) -> np.ndarray:
-        return np.sum(self.state.E**2, axis=(0, 1))
+        return np.add.reduce(self.state.E**2, axis=(0, 1))
 
-    @cached_property
+    @_cached
     def A2(self) -> np.ndarray:
-        return np.sum(self.state.A**2, axis=(0, 1))
+        return np.add.reduce(self.state.A**2, axis=(0, 1))
 
 
-# the names Kinematics.release accepts: its cached_property arrays
+# the names Kinematics.release accepts: its cached arrays
 _CACHED_ARRAYS = frozenset(name for name, attr in vars(Kinematics).items()
-                           if isinstance(attr, cached_property))
+                           if isinstance(attr, _cached))
 
 
 def _kinematics(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
@@ -374,7 +392,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     del S
     if sec.w:
         u = kin.phi_pi
-        pD2 = np.sum(np.abs(pD) ** 2, axis=0)
+        pD2 = np.add.reduce(np.abs(pD) ** 2, axis=0)
         W = model.kahler.q_prime_over_2r(kin.r)
         c = W * (np.abs(u) ** 2 - pD2 - psidot * u) + c
         u = pD2 = W = None
@@ -382,7 +400,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     if sec.q:
         c = c - Q * kin.Dphi2
         if sec.charged:
-            c = c - 1j * Q * np.sum(kin.qa * pD, axis=0)
+            c = c - 1j * Q * np.add.reduce(kin.qa * pD, axis=0)
         R = (-2.0 * Q * kin.phi_pi) * pi
         R += c * phi
     else:
@@ -503,13 +521,13 @@ def gauss_residual(kin: Kinematics) -> tuple[np.ndarray, float, float]:
         # dPsi.E^G and dPsi.H^G over the vector index, then h', k' and h^-1
         dpsi = gradient(psi, kin.lattice)                   # (3, grid)
         if sec.h_prime:
-            src -= hf.apply_mod(np.sum(dpsi * E, axis=1),
+            src -= hf.apply_mod(np.add.reduce(dpsi * E, axis=1),
                                 hf.s_prime(kin.cosh2_psi))
         if sec.k:
-            src += kf.apply_mod(np.sum(dpsi * kin.H, axis=1),
+            src += kf.apply_mod(np.add.reduce(dpsi * kin.H, axis=1),
                                 kf.s_prime(kin.cosh2_psi))
     if src is not None:
         res -= model.couplings.solve_h(src, kin.sh)
-    l2 = float(np.sqrt(np.sum(res**2) * kin.lattice.cell_volume))
+    l2 = float(np.sqrt(np.add.reduce(res**2, axis=None) * kin.lattice.cell_volume))
     linf = float(np.max(np.abs(res)))
     return res, l2, linf

@@ -1,5 +1,5 @@
-"""Periodic lattice geometry, field storage, stencils, the diagnostics
-records, and snapshot IO.
+"""Periodic lattice geometry, field storage, stencils and snapshot IO.
+The diagnostics records and the trace format live in `mkg.trace`.
 
 Fields live on a uniform periodic box. Storage is structure-of-arrays:
 A and E are real arrays of shape [N_V, 3, nx, ny, nz], phi and pi are
@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
 
 import numpy as np
 
@@ -258,60 +257,6 @@ def divergence(v: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
             _diff_into(term, v[..., i, :, :, :], lead + i, lattice)
             out += term
     return out
-
-
-@dataclass(frozen=True)
-class NormSnapshot:
-    """Every norm the estimate functionals consume, at one instant
-    (computed by diagnostics.norms)."""
-
-    t: float
-    linf_phi: float
-    linf_dphi: float
-    linf_Dphi: float
-    linf_F: float
-    linf_A: float
-    linf_dPsi: float
-    l2_E: float
-    l2_H: float
-    l2_Dphi: float
-    l2_phi: float
-    l2_V: float
-
-    FIELDS: ClassVar[tuple[str, ...]]      # the field names, in order
-
-    def as_tuple(self):
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
-
-NormSnapshot.FIELDS = tuple(f.name for f in fields(NormSnapshot))
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """One diagnostics row (computed by diagnostics.collect), or a whole
-    trace's columns (stack_records, run.parse_trace)."""
-
-    t: float
-    energy_E0: float
-    flat_J: float
-    sobolev_E0: float
-    sobolev_E1: float
-    gauss_res_l2: float
-    gauss_res_linf: float
-    bianchi_res_linf: float
-    norm_snapshot: NormSnapshot
-
-
-def stack_records(records) -> DiagnosticsRecord:
-    """The columnar form of a list of records: one DiagnosticsRecord (and
-    NormSnapshot) whose every field is an array over the records."""
-    snaps = [r.norm_snapshot for r in records]
-    snap = NormSnapshot(**{name: np.array([getattr(s, name) for s in snaps])
-                           for name in NormSnapshot.FIELDS})
-    return DiagnosticsRecord(norm_snapshot=snap, **{
-        f.name: np.array([getattr(r, f.name) for r in records])
-        for f in fields(DiagnosticsRecord) if f.name != "norm_snapshot"})
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from __future__ import annotations
 import dataclasses
 
 from mkg.bounds import EstimateConstants, _pw, estimates, snapshot_env
-from mkg.lattice import NormSnapshot
 from mkg.potentials import PotentialKind
+from mkg.trace import NormSnapshot
 
 VARS = ("p", "dp", "Dp", "F4", "A", "dPsi", "E0h", "J0", "t")
 _IDX = {v: i for i, v in enumerate(VARS)}

@@ -16,12 +16,13 @@ from mkg.diagnostics import collect, energy_E0
 from mkg.dynamics import Kinematics, ModelSpec, step_rk4
 from mkg.kahler import (KahlerFamily, hessian_oracle, kahler_metric,
                         radial_bound_check, quartic_family)
-from mkg.lattice import LatticeSpec, NormSnapshot, stack_records, zero_state
+from mkg.lattice import LatticeSpec, zero_state
 from mkg.couplings import saturating_couplings
 from mkg.potentials import PotentialKind, polynomial
 from mkg.scenarios import SCENARIOS
 from mkg.spherical import (PlaneWave, SphereQuadrature, kirchhoff_lin,
                            kirchhoff_residual_scan)
+from mkg.trace import NormSnapshot, stack_records
 from analytic_fields import Constant, LinearTime
 from model_helpers import build, gauge_transform, sextic_family
 from monomial_oracle import BUILDERS, eval_fast, eval_monomial

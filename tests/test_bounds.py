@@ -16,9 +16,9 @@ from mkg.bounds import (EstimateConstants, GronwallAudit, _check_uniform,
                         _ddt, _fit_line_cap, _pw, _ratio_sup, audit_gronwall,
                         estimates, snapshot_env)
 from mkg.errors import NonUniformSampling, TraceTooShort
-from mkg.lattice import DiagnosticsRecord, NormSnapshot, stack_records
 from mkg.potentials import PotentialKind
-from mkg.run import CSV_COLUMNS, parse_trace, write_trace
+from mkg.trace import (CSV_COLUMNS, DiagnosticsRecord, NormSnapshot, parse_trace,
+                       stack_records, write_trace)
 from monomial_oracle import BUILDERS, Poly, eval_fast, eval_monomial, eval_Q
 
 

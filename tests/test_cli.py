@@ -19,12 +19,12 @@ from mkg.cli import main
 from mkg.config import load_config
 from mkg.errors import ParseError, ValidationError
 from mkg.kahler import KahlerFamily
-from mkg.lattice import (DiagnosticsRecord, LatticeSpec, NormSnapshot,
-                         read_snapshot, stack_records)
+from mkg.lattice import LatticeSpec, read_snapshot
 from mkg.diagnostics import collect
 from mkg.dynamics import step_rk4
-from mkg.run import CSV_COLUMNS, parse_trace, write_trace
 from mkg.scenarios import SCENARIOS, make_model, make_state
+from mkg.trace import (CSV_COLUMNS, DiagnosticsRecord, NormSnapshot, parse_trace,
+                       stack_records, write_trace)
 
 MINIMAL = """\
 [initial_data]
@@ -632,20 +632,22 @@ sys.exit(code)
 # every module of the lattice evolver and of the trace audit
 EVOLVER = tuple(f"mkg.{m}" for m in (
     "config", "scenarios", "run", "bounds", "diagnostics", "dynamics",
-    "couplings", "kahler", "potentials", "lattice"))
+    "couplings", "kahler", "potentials", "lattice", "trace"))
 
 
 @pytest.mark.parametrize("command, absent", [
     ("check-bounds", ("mkg.config", "mkg.scenarios", "mkg.dynamics",
                       "mkg.couplings", "mkg.kahler", "mkg.diagnostics",
-                      "mkg.spherical", "configparser")),
+                      "mkg.spherical", "mkg.run", "mkg.lattice",
+                      "configparser")),
     ("kirchhoff-verify", EVOLVER + ("configparser",)),
 ])
 def test_command_loads_only_its_modules(tmp_path, command, absent):
-    """A command imports only the modules it runs: check-bounds loads no
-    config parser, scenario or evolver, and kirchhoff-verify no lattice or
-    evolver module.  A module-level import added to mkg.cli, or to a module
-    it loads, fails this."""
+    """A command imports only the modules it runs: check-bounds loads
+    mkg.cli, errors, trace, bounds and potentials, and no config parser,
+    scenario, lattice, run or evolver module; kirchhoff-verify loads no
+    lattice, trace or evolver module.  A module-level import added to
+    mkg.cli, or to a module it loads, fails this."""
     argv = [command]
     if command == "check-bounds":
         trace = tmp_path / "trace.csv"

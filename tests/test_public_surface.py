@@ -2,7 +2,7 @@
 package, so a name that only the tests use lives in tests/.
 
 A top-level function or class counts as called where src/mkg reads its
-name, bare or as an attribute (`mkg.run.parse_trace`).  A method or
+name, bare or as an attribute (`mkg.trace.parse_trace`).  A method or
 property counts only where src/mkg reads it as an attribute (`.name`): a
 local variable of the same name, such as the gradient `dA` in
 `sobolev_energies`, is not a call.  Attributes are matched by name alone,
