@@ -14,7 +14,6 @@ What each PASS asserts:
   settled (`stabilized`).  `fits_stabilized` is printed on the "fit
   stabilization" line but not gated on; the acceptance suite's Gronwall
   criterion does gate on it.
-* `kirchhoff-verify`: the max residual over the probe points is < 1e-3.
 
 Each command imports the modules it uses when it runs.  So `check-bounds`,
 which reads a trace and audits it, starts without loading the config
@@ -25,7 +24,6 @@ format (`mkg.trace`), `bounds`, `potentials` and `errors`, and no more.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -104,43 +102,6 @@ def cmd_check_bounds(args) -> int:
     return 0 if ok else 1
 
 
-# kirchhoff-verify evaluates the wave on all 2 N^2 quadrature nodes at once,
-# so its memory grows as N^2 (a 14 MB peak and 0.06 s at N = 256 on a Xeon);
-# a far larger N would exhaust memory
-MAX_QUADRATURE_ORDER = 256
-
-
-def cmd_kirchhoff_verify(args) -> int:
-    from .spherical import PlaneWave, SphereQuadrature, kirchhoff_residual_scan
-
-    try:
-        k = np.array([float(p) for p in args.k.split(",")])
-    except ValueError:
-        k = np.array([])
-    with np.errstate(over="ignore"):       # k.k overflows past ~1e154
-        if k.size != 3 or not np.isfinite(np.linalg.norm(k)):
-            raise ValidationError(f"--k expects three comma-separated numbers "
-                                  f"with a finite norm |k| (got {args.k!r})")
-    if not 1 <= args.order <= MAX_QUADRATURE_ORDER:
-        raise ValidationError(f"--order must be between 1 and "
-                              f"{MAX_QUADRATURE_ORDER} (got {args.order})")
-    if not 0.0 < args.r0 < math.inf:
-        raise ValidationError(f"--r0 must be a positive finite number "
-                              f"(got {args.r0})")
-    quad = SphereQuadrature.build(args.order)
-    wave = PlaneWave(k)
-    points = [(0.0, np.zeros(3)), (1.0, np.array([0.3, -0.2, 0.5])),
-              (2.5, np.array([-0.7, 0.1, 0.0]))]
-    worst, rows = kirchhoff_residual_scan(wave, points, [args.r0], quad)
-    print(f"plane wave k={k.tolist()}, r0={args.r0}, order={args.order}")
-    for (t, x), r0, res in rows:
-        print(f"  t={t:<4} x=({x[0]:+.2f},{x[1]:+.2f},{x[2]:+.2f}) "
-              f"r0={r0}: residual {res:.3e}")
-    ok = worst < 1e-3
-    print(f"max residual {worst:.3e}:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mkg",
                                 description="lattice gauge-scalar simulator "
@@ -161,14 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--trace", required=True)
     pb.set_defaults(fn=cmd_check_bounds)
 
-    pk = sub.add_parser("kirchhoff-verify",
-                        help="validate the spherical-means formula")
-    pk.add_argument("--order", type=int, default=8,
-                    help=f"quadrature order N, 1 to {MAX_QUADRATURE_ORDER} "
-                         f"(2 N^2 nodes)")
-    pk.add_argument("--k", default="1.0,0.5,-0.8")
-    pk.add_argument("--r0", type=float, default=1.0)
-    pk.set_defaults(fn=cmd_kirchhoff_verify)
     return p
 
 

@@ -98,6 +98,12 @@ _KEYS = {
     "run": {"seed": _at_least(0)},
 }
 
+# the largest symbol of the central first difference, times dx: |sin theta|
+# at order 2 and |8 sin theta - sin 2 theta| / 6 at order 4
+STENCIL_SYMBOL_MAX = {2: 1.0, 4: 1.3722}
+# RK4 is stable on the imaginary axis up to |omega dt| = 2 sqrt 2
+RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
+
 # the dict that keeps, as given, the keys of a section with no field of their own
 _KEPT_AS_GIVEN = {"initial_data": "scenario_params",
                   "estimate_constants": "constants"}
@@ -141,6 +147,15 @@ class RunConfig:
     @property
     def dt_value(self) -> float:
         return self.dt if self.dt is not None else self.cfl * self.dx
+
+    @property
+    def courant_number(self) -> float:
+        """nu = (dt/dx) sigma_p sqrt(d), d the axes of size > 1: the largest
+        |omega dt| of the flow linearised about the vacuum (wave speed 1).
+        RK4 needs nu <= RK4_STABILITY_LIMIT, which is not sufficient."""
+        axes = sum(n > 1 for n in self.dims)
+        return (self.dt_value / self.dx * STENCIL_SYMBOL_MAX[self.stencil_order]
+                * math.sqrt(axes))
 
     @cached_property
     def model(self) -> ModelSpec:

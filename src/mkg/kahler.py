@@ -22,14 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateMetric, RadiusExceeded
+from .potentials import _poly_eval
 
 DEFAULT_R_MAX = 10.0
-
-
-def _poly_eval(coeffs: dict[int, float], r: np.ndarray | float):
-    """Evaluate sum_k coeffs[k] * r**k (integer powers >= 0 only)."""
-    r = np.asarray(r, dtype=float)
-    return sum((c * r**k for k, c in coeffs.items() if c != 0.0), np.zeros_like(r))
 
 
 def _poly_shift(coeffs: dict[int, float], factor, shift: int) -> dict[int, float]:
@@ -81,7 +76,7 @@ class KahlerFamily:
     # -- scalar radial functions (vectorized over r) --
 
     def phi(self, r):
-        return _poly_eval({k: c for k, c in enumerate(self.coefficients)}, r)
+        return _poly_eval(dict(enumerate(self.coefficients)), r)
 
     def alpha(self, r):
         """Phi'/(2r), evaluated through its regular series at small r."""

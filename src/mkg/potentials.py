@@ -23,6 +23,18 @@ class PotentialKind(Enum):
 PSI_SCAN_MAX = 100.0
 
 
+def _poly_eval(coeffs: dict[int, float], x):
+    """sum_k coeffs[k] * x**k over increasing k >= 0, in an array of x's
+    shape, from the constant term (+0.0 when it is zero): a constant costs
+    one pass, and a -0.0 term (c < 0 at x = 0) sums to +0.0."""
+    x = np.asarray(x, dtype=float)
+    out = np.full_like(x, coeffs.get(0) or 0.0)
+    for k, c in coeffs.items():
+        if k and c != 0.0:
+            out = out + c * x**k
+    return out
+
+
 @dataclass(frozen=True)
 class PotentialFamily:
     kind: PotentialKind
@@ -43,11 +55,7 @@ class PotentialFamily:
     def value(self, psi):
         psi = np.asarray(psi, dtype=float)
         if self.kind is PotentialKind.POLYNOMIAL:
-            out = np.zeros_like(psi)
-            for n, a in enumerate(self.coefficients):
-                if a != 0.0:
-                    out = out + a * psi**n
-            return out
+            return _poly_eval(dict(enumerate(self.coefficients)), psi)
         if self.kind is PotentialKind.SINE_GORDON:
             return self.v0 * (1.0 - np.cos(self.lam * psi))
         out = np.zeros_like(psi)
@@ -58,11 +66,8 @@ class PotentialFamily:
     def prime(self, psi):
         psi = np.asarray(psi, dtype=float)
         if self.kind is PotentialKind.POLYNOMIAL:
-            out = np.zeros_like(psi)
-            for n, a in enumerate(self.coefficients):
-                if n > 0 and a != 0.0:
-                    out = out + n * a * psi ** (n - 1)
-            return out
+            return _poly_eval({n - 1: n * a for n, a in
+                               enumerate(self.coefficients) if n}, psi)
         if self.kind is PotentialKind.SINE_GORDON:
             return self.v0 * self.lam * np.sin(self.lam * psi)
         out = np.zeros_like(psi)

@@ -6,11 +6,12 @@ trace.  The trace format and its IO live in `mkg.trace`.
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 
 from . import bounds
-from .config import RunConfig
+from .config import RK4_STABILITY_LIMIT, RunConfig
 from .diagnostics import collect
 from .dynamics import Kinematics, step_rk4
 from .errors import (NonFinite, NonUniformSampling, RadiusExceeded,
@@ -68,6 +69,11 @@ def svg_line_plot(path: str, title: str, series: dict, log_y: bool = False):
 
 def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None) -> int:
     """Evolve the configured scenario; returns a process exit code."""
+    nu = cfg.courant_number
+    if nu > RK4_STABILITY_LIMIT:
+        print(f"warning: nu = (dt/dx) sigma_p sqrt(d) = {nu:.4g} exceeds RK4's linear "
+              f"stability limit 2 sqrt 2; the limit is necessary, not sufficient "
+              f"(interacting_demo at amplitude 2 aborts at nu = 2.5)", file=sys.stderr)
     model, state = cfg.build()
     n_steps = steps if steps is not None else cfg.steps
     lattice = cfg.lattice

@@ -6,12 +6,13 @@ written as an average over the backward light cone's sphere of radius r0:
     u(t, x) = (1/4pi) Int_{S^2} dOmega [ r0 du/dt + r0 du/dr + u ]
 
 with the integrand evaluated at the retarded time t - r0 on the sphere
-x + r0 n.  This module discretizes the sphere average with a product
-quadrature and validates the representation against a plane wave.  A field
-u is any object with value(t, x), d_t(t, x) and grad(t, x), each taking
-points x of shape (..., 3) and giving one value, or one gradient of shape
-(3,), per point; the other test fields (a constant, u = t, sums, sampled
-callables) live in tests/analytic_fields.py.
+x + r0 n (Kirchhoff's formula; L. C. Evans, Partial Differential
+Equations, section 2.4.1).  This module discretizes the sphere average
+with a product quadrature.  A field u is any object with value(t, x),
+d_t(t, x) and grad(t, x), each taking points x of shape (..., 3) and
+giving one value, or one gradient of shape (3,), per point; the fields
+the tests check it on, the lattice evolver's Fourier interpolant among
+them, live in analytic_fields.py.
 """
 
 from __future__ import annotations
@@ -46,28 +47,6 @@ class SphereQuadrature:
         weights = np.repeat(wmu * w_az, n_az)
         return cls(nodes=nodes.reshape(order * n_az, 3), weights=weights,
                    order=order)
-
-
-class PlaneWave:
-    """u = amp * cos(k.x - |k| t + phase), a free wave for any k."""
-
-    def __init__(self, k, amplitude: float = 1.0, phase: float = 0.0):
-        self.k = np.asarray(k, dtype=float)
-        self.omega = float(np.linalg.norm(self.k))
-        self.amplitude = float(amplitude)
-        self.phase = float(phase)
-
-    def _arg(self, t, x):
-        return np.asarray(x, dtype=float) @ self.k - self.omega * t + self.phase
-
-    def value(self, t, x):
-        return self.amplitude * np.cos(self._arg(t, x))
-
-    def d_t(self, t, x):
-        return self.amplitude * self.omega * np.sin(self._arg(t, x))
-
-    def grad(self, t, x):
-        return np.multiply.outer(-self.amplitude * np.sin(self._arg(t, x)), self.k)
 
 
 def kirchhoff_lin(u, p, r0: float, quad: SphereQuadrature) -> float:

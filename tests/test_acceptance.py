@@ -20,10 +20,9 @@ from mkg.lattice import LatticeSpec, zero_state
 from mkg.couplings import saturating_couplings
 from mkg.potentials import PotentialKind, polynomial
 from mkg.scenarios import SCENARIOS
-from mkg.spherical import (PlaneWave, SphereQuadrature, kirchhoff_lin,
-                           kirchhoff_residual_scan)
 from mkg.trace import NormSnapshot, stack_records
-from analytic_fields import Constant, LinearTime
+from analytic_fields import Constant, LinearTime, PlaneWave
+from kirchhoff import SphereQuadrature, kirchhoff_lin, kirchhoff_residual_scan
 from model_helpers import build, gauge_transform, sextic_family
 from monomial_oracle import BUILDERS, eval_fast, eval_monomial
 

@@ -1,8 +1,11 @@
 """Scalar potential families: closed forms vs finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from mkg.kahler import KahlerFamily
 from mkg.potentials import PotentialKind, polynomial, sine_gordon, toda
 
 
@@ -11,6 +14,43 @@ def test_polynomial_values():
     psi = np.array([0.0, 1.0, 2.0])
     assert fam.value(psi) == pytest.approx([1.0, 3.5, 7.0])
     assert fam.prime(psi) == pytest.approx([2.0, 3.0, 4.0])
+
+
+def _term_sum(coeffs, x):
+    """The term-by-term reference: +0.0 plus c x**k for each nonzero c."""
+    out = np.zeros_like(x)
+    for k, c in coeffs.items():
+        if c != 0.0:
+            out = out + c * x**k
+    return out
+
+
+@pytest.mark.parametrize("coefficients", [
+    (0.0, 0.0, 1.0), (1.0,), (-0.0,), (0.0, -1.0), (-0.0, 0.0, -2.0),
+    (3.0, -0.0, 0.0, -1.5), (0.0, 0.0, 1.0, 0.0, 0.25),
+    (0.0, 0.0, 1.0, 0.0, -0.3, 0.0, 0.05)])
+def test_polynomial_evaluator_keeps_every_bit(coefficients):
+    """V, V' and the radial series of a target with Phi's coefficients give
+    the bits of the term-by-term sum from +0.0, the sign of a zero included
+    (a term c x**n with c < 0 at x = 0 is -0.0, and the sum +0.0), in an
+    array of the argument's shape."""
+    x = np.array([[0.0, 1e-300, 0.5], [1.0, 2.0, 37.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # V < 0 somewhere on its scan
+        potential = polynomial(*coefficients)
+    value = dict(enumerate(coefficients))
+    prime = {n - 1: n * a for n, a in value.items() if n}
+    pairs = [(potential.value(x), _term_sum(value, x)),
+             (potential.prime(x), _term_sum(prime, x))]
+    if all(c == 0.0 for c in coefficients[1::2]):
+        target = KahlerFamily(coefficients=coefficients)
+        pairs += [(target.phi(x), _term_sum(value, x)),
+                  (target.alpha(x), _term_sum(target._alpha_poly, x)),
+                  (target.q(x), _term_sum(target._q_poly, x)),
+                  (target.q_prime_over_2r(x), _term_sum(target._qp2r_poly, x))]
+    for got, want in pairs:
+        assert got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_polynomial_degree():
