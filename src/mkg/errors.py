@@ -9,10 +9,6 @@ class RadiusExceeded(MkgError):
     """Field amplitude left the validity radius of the target-space metric."""
 
 
-class DegenerateMetric(MkgError):
-    """Target-space metric failed its positivity check."""
-
-
 class IndefiniteCoupling(MkgError):
     """Gauge-coupling matrix family cannot guarantee positive definiteness."""
 

@@ -6,10 +6,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mkg.errors import DegenerateMetric, RadiusExceeded
-from mkg.kahler import (KahlerFamily, _check_radius, _radius,
-                        fit_bound_constants, hessian_oracle, kahler_metric,
-                        radial_bound_check, quartic_family, upper_bound_rhs)
+from mkg.errors import RadiusExceeded
+from mkg.kahler import KahlerFamily, quartic_family
+from kahler_oracle import (HELD_OUT_RADII, SCAN_RADII, DegenerateMetric,
+                           check_radius, fit_bound_constants, kahler_metric,
+                           kahler_potential, radial_bound_check, radius,
+                           upper_bound_rhs, worst_metric_error)
 from model_helpers import sextic_family
 
 FAMILIES = [KahlerFamily(), quartic_family(), sextic_family()]
@@ -19,8 +21,8 @@ def kahler_metric_holomorphic_derivative(family, phi):
     """d g[a, b] / d phi[c] from the closed-form q and q'/(2r), returned
     with index order [c, a, b]."""
     v = np.asarray(phi, dtype=complex)
-    r = _radius(v)
-    _check_radius(family, r)
+    r = radius(v)
+    check_radius(family, r)
     n = v.size
     q = float(family.q(r))
     qp = float(family.q_prime_over_2r(r))
@@ -38,7 +40,7 @@ def sherman_morrison_inverse(family, phi):
     """Closed-form inverse of g = alpha I + q conj(phi) phi^T, the rank-one
     downdate eom_rhs applies inline to solve g dpi/dt = R."""
     v = np.asarray(phi, dtype=complex)
-    r = _radius(v)
+    r = radius(v)
     a, q = float(family.alpha(r)), float(family.q(r))
     return (np.eye(v.size) / a
             - (q / (a * (a + q * r**2))) * np.outer(v.conj(), v))
@@ -76,14 +78,8 @@ def test_quartic_metric_derivative_frozen_value():
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=["flat", "quartic", "sextic"])
 def test_metric_matches_hessian_oracle(fam):
-    worst = 0.0
-    for n_comp in (1, 2, 3):
-        for v in random_points(12, n_comp, seed=n_comp):
-            g = kahler_metric(fam, v)
-            h = hessian_oracle(fam, v)
-            scale = max(1.0, float(np.max(np.abs(h))))
-            worst = max(worst, float(np.max(np.abs(g - h))) / scale)
-    assert worst < 1e-6
+    assert max(worst_metric_error(fam, random_points(12, n_comp, seed=n_comp))
+               for n_comp in (1, 2, 3)) < 1e-6
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=["flat", "quartic", "sextic"])
@@ -125,7 +121,8 @@ def test_radius_guard():
 
 
 def test_degenerate_metric_raises():
-    # a family whose alpha vanishes at finite radius is rejected at solve time
+    # a family whose alpha vanishes at finite radius is rejected by the
+    # dense metric; eom_rhs never checks that alpha > 0
     fam = KahlerFamily(coefficients=(0.0, 0.0, 1.0, 0.0, -0.5))
     with pytest.raises(DegenerateMetric):
         kahler_metric(fam, [1.0 + 0.0j])
@@ -144,9 +141,7 @@ def test_bad_coefficients_rejected(coefficients):
 def test_flat_family_bound_equality():
     # flat target: Phi = r^2, Q' = 0, so b = (0,) and the fitted C2 closes
     # the bound with equality: |Phi| = C2 r^2 / 2 at the largest radius
-    fam = KahlerFamily()
-    radii = np.linspace(0.002, 2.0, 1000)
-    report = radial_bound_check(fam, radii)
+    report = radial_bound_check(KahlerFamily(), SCAN_RADII)
     assert report.all_hold
     assert report.c2 == pytest.approx(2.0, rel=1e-9)
     assert report.b == (0.0,)
@@ -154,9 +149,11 @@ def test_flat_family_bound_equality():
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=["flat", "quartic", "sextic"])
 def test_radial_bound_holds_with_fitted_constants(fam):
-    radii = np.linspace(0.002, 2.0, 1000)
-    report = radial_bound_check(fam, radii)
-    assert report.all_hold
+    """The bounds hold on the scan the constants are fitted on, and with
+    those constants on a 10x denser grid over the same interval."""
+    assert radial_bound_check(fam, SCAN_RADII).all_hold
+    constants = fit_bound_constants(fam, SCAN_RADII)
+    assert radial_bound_check(fam, HELD_OUT_RADII, constants).all_hold
 
 
 def test_lower_bound_checked():
@@ -176,7 +173,7 @@ def test_family_is_frozen():
     flat = dataclasses.replace(fam, coefficients=(0.0, 0.0, 1.0))
     r = np.linspace(0.0, 2.0, 9)
     assert flat == KahlerFamily()
-    assert np.array_equal(flat.phi(r), r**2)
+    assert np.array_equal(kahler_potential(flat, r), r**2)
     assert np.array_equal(flat.alpha(r), np.ones_like(r))
     assert np.array_equal(flat.q(r), np.zeros_like(r))
     assert np.array_equal(flat.q_prime_over_2r(r), np.zeros_like(r))
@@ -186,8 +183,7 @@ def test_lower_bound_violation_detected():
     # Phi = r^2 - 0.01 r^4 falls below r^2 = (c1/2) r^2 at every r > 0,
     # while the upper bound still closes with the fitted constants
     fam = KahlerFamily(coefficients=(0.0, 0.0, 1.0, 0.0, -0.01))
-    radii = np.linspace(0.002, 2.0, 1000)
-    report = radial_bound_check(fam, radii)
+    report = radial_bound_check(fam, SCAN_RADII)
     assert np.all(report.holds)
     assert not np.all(report.lower_holds)     # every radius is <= 2
     assert not report.all_hold
@@ -217,3 +213,28 @@ def test_fit_bound_constants_flat():
     assert c1 == 0.0
     assert c2 == pytest.approx(2.0, rel=1e-9)
     assert c3 == 0.0
+
+
+def test_q_prefactor_fault_misses_hessian_oracle(monkeypatch):
+    """A q with the 1/(4r) prefactor in place of 1/(4r**2) misses the
+    Hessian oracle by 3.84e-1 on the quartic target, at 100 random points
+    of two components, while both radial bounds still hold on the scan:
+    the oracle is what fixes q."""
+    q = KahlerFamily.q
+    monkeypatch.setattr(KahlerFamily, "q", lambda self, r: q(self, r) * r)
+    fam = quartic_family()
+    assert worst_metric_error(fam, random_points(100, 2)) == pytest.approx(
+        0.384, rel=0.01)
+    assert radial_bound_check(fam, SCAN_RADII).all_hold
+
+
+def test_raised_lower_c1_fails_the_lower_bound():
+    """With c1 = 2.5 the lower bound Phi = r^2 + r^4/4 >= (c1/2) r^2 fails
+    below r = 1, on 499 of the 1000 scanned radii, while the upper bound
+    and the metric still hold."""
+    fam = dataclasses.replace(quartic_family(), lower_c1=2.5)
+    report = radial_bound_check(fam, SCAN_RADII)
+    assert int(np.sum(report.lower_holds)) == 501
+    assert np.all(report.holds)
+    assert not report.all_hold
+    assert worst_metric_error(fam, random_points(100, 2)) < 1e-6
