@@ -148,14 +148,13 @@ def norms(kin: Kinematics) -> NormSnapshot:
 def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             kin: Kinematics | None = None) -> DiagnosticsRecord:
     """One full diagnostics row for the current state, from one Kinematics:
-    kin when given (it must be Kinematics.of(state, lattice, model)), else
-    a new one.  The Sobolev energies come first, while kin holds the fewest
-    arrays (a new one only psi, r, alpha and Q, with H and Dphi not yet
-    built): the gradient of A is the largest temporary of a record.  Once
-    energy_E0, the last reader of the diagnostics-only arrays, is done, kin
-    releases them, so that a kin passed on to step_rk4 carries into stage
-    k1 only what eom_rhs reads, and eom_rhs releases each after its last
-    reader."""
+    kin when given (it must be a Kinematics of this state, lattice and
+    model), else a new one.  The Sobolev energies come first, while kin
+    holds the fewest arrays (a new one none): the gradient of A is the
+    largest temporary of a record.  Once energy_E0, the last reader of the
+    diagnostics-only arrays, is done, kin releases them, so that a kin
+    passed on to step_rk4 carries into stage k1 only what eom_rhs reads,
+    and eom_rhs releases each after its last reader and leaves none."""
     kin = _kinematics(state, lattice, model, kin)
     e0_sf, e1_sf = sobolev_energies(kin)
     snap = norms(kin)

@@ -32,14 +32,15 @@ when the potential is zero.  eom_rhs, Kinematics, gauss_residual and
 diagnostics.energy_E0 read these flags and skip the blocks that are off; the
 blocks that are on are computed as before, to the bit.
 
-Memory: a stage's arrays live only while the RHS reads them.
-Kinematics.of builds psi, r, alpha and Q; H, Dphi and the rest are built on
+Memory: a stage's arrays live only while the RHS reads them.  A
+Kinematics builds each of its arrays, psi, r, alpha and Q among them, on
 first read.  eom_rhs runs the gauge sector first and builds Dphi after its
 curls, and releases its Kinematics as it goes, whether it built it (RK4
 stages k2-k4) or was given it (the trace record's, at stage k1): H, tanh psi
 and cosh^2 psi once hH + kE is formed, h.s once dE is solved, conj(phi).pi
-and |Dphi|^2 once the scalar coefficients have read them, and Dphi,
-conj(phi).Dphi and q.A once the scalar loop has.
+and |Dphi|^2 once the scalar coefficients have read them, and every array
+left, Dphi among them, once the scalar loop has, so that no Kinematics
+carries an array into the next stage.
 """
 
 from __future__ import annotations
@@ -162,17 +163,18 @@ class Kinematics:
     eom_rhs and every diagnostic read psi = |phi|^2, r = |phi|, the metric
     scalars alpha(r) and Q(r), H = curl A and the covariant derivative
     Dphi = grad phi - i (q.A) phi from here instead of rebuilding them.
-    `of` builds psi, r, alpha and Q; everything else is computed on first
-    use and then kept: H, Dphi (in the gradient's buffer), tanh(psi) and
-    cosh(psi)^2, from which h and k form s and s', the contractions with
-    phi, and the per-site squares that the RHS, E0, E0_sf and the norms
-    share.  `release` forgets cached arrays, and a later read recomputes
-    them to the same bits.  One Kinematics may serve both the trace record
-    of a state and the first RK4 stage from it (step_rk4's `kin`).
-    `collect` releases the DIAGNOSTICS_ONLY arrays once their last reader
-    is done, so what that Kinematics carries into stage k1 is only what
-    eom_rhs reads, and eom_rhs releases each one after its last reader, in
-    a Kinematics it is given as in one it builds.
+    Kinematics(state, lattice, model) builds nothing; each array is
+    computed on first use and then kept: psi, r, alpha, Q, H, Dphi (in the
+    gradient's buffer), tanh(psi) and cosh(psi)^2, from which h and k form
+    s and s', the contractions with phi, and the per-site squares that the
+    RHS, E0, E0_sf and the norms share.  `release` forgets cached arrays,
+    and a later read recomputes them to the same bits.  One Kinematics may
+    serve both the trace record of a state and the first RK4 stage from it
+    (step_rk4's `kin`).  `collect` releases the DIAGNOSTICS_ONLY arrays
+    once their last reader is done, so what that Kinematics carries into
+    stage k1 is only what eom_rhs reads, and eom_rhs releases each one
+    after its last reader and leaves none, in a Kinematics it is given as
+    in one it builds.
     """
 
     # cached arrays that eom_rhs never reads
@@ -181,18 +183,6 @@ class Kinematics:
     state: FieldState
     lattice: LatticeSpec
     model: ModelSpec
-    psi: np.ndarray         # [grid]
-    r: np.ndarray           # [grid]
-    alpha: np.ndarray       # [grid]
-    Q: np.ndarray           # [grid]
-
-    @classmethod
-    def of(cls, state: FieldState, lattice: LatticeSpec,
-           model: ModelSpec) -> "Kinematics":
-        psi = np.add.reduce(np.abs(state.phi) ** 2, axis=0)
-        r = np.sqrt(psi)
-        return cls(state, lattice, model, psi, r,
-                   alpha=model.kahler.alpha(r), Q=model.kahler.q(r))
 
     def release(self, *names: str) -> None:
         """Forget the named cached arrays; a later read recomputes them."""
@@ -201,6 +191,26 @@ class Kinematics:
                 raise ValueError(f"{name!r} is not a cached array")
             if name in self.__dict__:
                 del self.__dict__[name]
+
+    @_cached
+    def psi(self) -> np.ndarray:
+        """|phi|^2, [grid]."""
+        return np.add.reduce(np.abs(self.state.phi) ** 2, axis=0)
+
+    @_cached
+    def r(self) -> np.ndarray:
+        """|phi|, [grid]."""
+        return np.sqrt(self.psi)
+
+    @_cached
+    def alpha(self) -> np.ndarray:
+        """alpha(r), [grid]."""
+        return self.model.kahler.alpha(self.r)
+
+    @_cached
+    def Q(self) -> np.ndarray:
+        """Q(r), [grid]."""
+        return self.model.kahler.q(self.r)
 
     @_cached
     def H(self) -> np.ndarray:
@@ -294,7 +304,7 @@ def _kinematics(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     """kin when it was built from this very state and model object (a
     ModelSpec holds arrays) and an equal lattice, or a new one."""
     if kin is None:
-        return Kinematics.of(state, lattice, model)
+        return Kinematics(state, lattice, model)
     if kin.state is not state or kin.model is not model or kin.lattice != lattice:
         raise ValueError("kin is the Kinematics of another state, lattice or model")
     return kin
@@ -303,15 +313,16 @@ def _kinematics(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
 def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
             kin: Kinematics | None = None) -> StateDerivative:
     """The time derivative of (A, E, phi, pi), which refers to state.E and
-    state.pi for dA and dphi (StateDerivative); kin, when given, must be
-    Kinematics.of(state, lattice, model), else one is built here.
+    state.pi for dA and dphi (StateDerivative); kin, when given, must be a
+    Kinematics of this state, lattice and model, else one is built here.
 
     The gauge sector runs first and Dphi is built only after its curls.
     The Kinematics, built or given, holds each cached array only while a
     reader needs it: H, tanh psi and cosh^2 psi are released once hH + kE
     is formed, h.s once dE is solved, conj(phi).pi and |Dphi|^2 once the
-    scalar coefficients have read them, and Dphi, conj(phi).Dphi and q.A
-    after the scalar loop, which leaves psi, r, alpha and Q."""
+    scalar coefficients have read them, and every array left, Dphi,
+    conj(phi).Dphi, q.A, psi, r, alpha and Q among them, after the scalar
+    loop, which leaves none."""
     kin = _kinematics(state, lattice, model, kin)
     rmax = float(np.max(kin.r))
     if rmax > model.kahler.r_max:
@@ -421,7 +432,7 @@ def eom_rhs(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
                 gD += (Q * pD[i]) * phi
             R += central_diff(gD, i, lattice)
     Dphi = Di = pD = None               # a view Di keeps Dphi's buffer
-    kin.release("Dphi", "phi_Dphi", "qa")
+    kin.release(*_CACHED_ARRAYS)
 
     # solve (alpha I + Q phi conj(phi)^T) dpi = R, in R's buffer
     if sec.q:
@@ -463,8 +474,8 @@ def step_rk4(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     k3's are that stage's own arrays, which nothing else holds), and A's
     sign goes into the last multiplier: the new A is A - dt/6 (E1 + 2 E2 +
     2 E3 + E4), the bits of A + dt/6 (-E1 - 2 E2 - 2 E3 - E4).  kin, when
-    given, is Kinematics.of(state, lattice, model) and serves stage k1,
-    which releases its arrays as stages k2-k4 release their own."""
+    given, is a Kinematics of this state, lattice and model and serves
+    stage k1, which empties it as stages k2-k4 empty their own."""
     if not state.is_finite():
         raise NonFinite(f"non-finite field entering step at t = {state.t:.6g}")
     k1 = eom_rhs(state, lattice, model, kin)

@@ -84,7 +84,7 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None) ->
     # nothing; its overflowing cells read inf or nan, without a warning.
     # A recorded state's Kinematics also serves stage k1 of the next step.
     with np.errstate(over="ignore", invalid="ignore"):
-        kin = Kinematics.of(state, lattice, model)
+        kin = Kinematics(state, lattice, model)
         records = [collect(state, lattice, model, kin)]
     constants = cfg.estimate_constants(records[0].flat_J or 1.0)
     out = out_dir or cfg.directory
@@ -103,7 +103,7 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None) ->
             state = step_rk4(state, lattice, model, dt, kin)
             kin = None
             if i % cfg.csv_cadence == 0:
-                kin = Kinematics.of(state, lattice, model)
+                kin = Kinematics(state, lattice, model)
                 records.append(collect(state, lattice, model, kin))
             if cfg.snapshot_cadence and i % cfg.snapshot_cadence == 0:
                 write_snapshot(os.path.join(out, f"snap_{i:06d}.mkg"),

@@ -19,7 +19,7 @@ from mkg.lattice import central_diff, curl
 
 def reference_rhs(state, lattice, model) -> SimpleNamespace:
     """The rates dA, dE, dphi and dpi, each its own array."""
-    kin = Kinematics.of(state, lattice, model)
+    kin = Kinematics(state, lattice, model)
     q = model.charges
     phi, pi, E = state.phi, state.pi, state.E
     psi, alpha, Q, sh, H = kin.psi, kin.alpha, kin.Q, kin.sh, kin.H

@@ -169,11 +169,11 @@ def _interacting_drift(cfl, n=64, amp=0.8, quartic=4.0, total_time=1.0):
                        + 0.5j * np.sin(4 * np.pi * x)) * np.ones(lat.dims)
     st.pi[0] = 1j * amp * np.exp(2j * np.pi * x) * np.ones(lat.dims)
     st.pi[1] = 0.4 * amp * np.ones(lat.dims, dtype=complex)
-    e0 = energy_E0(Kinematics.of(st, lat, model))
+    e0 = energy_E0(Kinematics(st, lat, model))
     dt = cfl * lat.dx
     for _ in range(int(round(total_time / dt))):
         st = step_rk4(st, lat, model, dt)
-    return abs(energy_E0(Kinematics.of(st, lat, model)) - e0) / e0
+    return abs(energy_E0(Kinematics(st, lat, model)) - e0) / e0
 
 
 def test_criterion_3_free_limit():
@@ -212,11 +212,11 @@ def test_criterion_4_energy_conservation():
     n = 1024
     lat = LatticeSpec((n, 1, 1), 1.0 / n)
     model, st = build("interacting_demo", lat)
-    e0 = energy_E0(Kinematics.of(st, lat, model))
+    e0 = energy_E0(Kinematics(st, lat, model))
     dt = 0.5 * lat.dx
     for _ in range(int(round(1.0 / dt))):     # one light-crossing time
         st = step_rk4(st, lat, model, dt)
-    drift = abs(energy_E0(Kinematics.of(st, lat, model)) - e0) / e0
+    drift = abs(energy_E0(Kinematics(st, lat, model)) - e0) / e0
     report(4, "interacting energy conservation", drift < 1e-5,
            f"relative drift {drift:.2e} over one crossing at {n} sites")
 
@@ -229,7 +229,7 @@ def _global_charge_drift(name, cfl, n=64, total_time=2.0):
     model, st = build(name, lat)
 
     def charge(st):
-        kin = Kinematics.of(st, lat, model)
+        kin = Kinematics(st, lat, model)
         density = 2.0 * np.imag((kin.alpha + kin.Q * kin.psi) * kin.phi_pi)
         return float(np.sum(density)) * lat.cell_volume
 

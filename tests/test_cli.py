@@ -536,7 +536,7 @@ def test_courant_number_brackets_the_3d_limit(order, fraction, stable):
     for f in (state.phi, state.pi):
         f[...] = 1e-3 * (rng.standard_normal(f.shape)
                          + 1j * rng.standard_normal(f.shape))
-    e0 = energy_E0(Kinematics.of(state, lat, model))
+    e0 = energy_E0(Kinematics(state, lat, model))
     try:
         for _ in range(300):
             state = step_rk4(state, lat, model, dt)
@@ -544,7 +544,7 @@ def test_courant_number_brackets_the_3d_limit(order, fraction, stable):
         assert not stable
     else:
         assert stable
-        assert energy_E0(Kinematics.of(state, lat, model)) < e0
+        assert energy_E0(Kinematics(state, lat, model)) < e0
 
 
 @pytest.mark.parametrize("cfl, warned", [("2.9", True), ("0.25", False)])

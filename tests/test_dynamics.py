@@ -12,6 +12,7 @@ from coupling_matrices import matrix_value
 from model_helpers import build, copy_state, gauge_transform, sextic_family
 from reference_rhs import reference_rhs
 from mkg.couplings import constant_couplings, saturating_couplings, site_dot
+from mkg import dynamics
 from mkg.dynamics import (_CACHED_ARRAYS, Kinematics, ModelSpec, Sectors,
                           _cdot, eom_rhs, gauss_residual, step_rk4)
 from mkg.errors import NonFinite, RadiusExceeded
@@ -89,7 +90,7 @@ def test_euler_lagrange_residual():
 
     def Ltot(A, phi, Adot, pivals):
         st = FieldState(A, -Adot, phi, pivals, 0.0)
-        return float(np.sum(lagrangian_density(Kinematics.of(st, lat, model)))
+        return float(np.sum(lagrangian_density(Kinematics(st, lat, model)))
                      * lat.cell_volume)
 
     def exact_pA(A, phi, Adot):
@@ -211,11 +212,11 @@ def test_free_maxwell_wave_energy_exact():
     st = zero_state(lat, 1, 1)
     st.A[0, 1] = 0.1 * np.sin(k * x)
     st.E[0, 1] = 0.1 * k * np.cos(k * x)
-    e0 = energy_E0(Kinematics.of(st, lat, model))
+    e0 = energy_E0(Kinematics(st, lat, model))
     dt = 0.25 * lat.dx
     for _ in range(int(round(1.0 / dt))):
         st = step_rk4(st, lat, model, dt)
-    assert abs(energy_E0(Kinematics.of(st, lat, model)) - e0) / e0 < 1e-10
+    assert abs(energy_E0(Kinematics(st, lat, model)) - e0) / e0 < 1e-10
 
 
 def band_limited_state(lattice, amp=0.1):
@@ -240,11 +241,11 @@ def test_interacting_energy_conserved():
     lat = LatticeSpec((n, 1, 1), 1.0 / n)
     model = interacting_model()
     st = band_limited_state(lat)
-    e0 = energy_E0(Kinematics.of(st, lat, model))
+    e0 = energy_E0(Kinematics(st, lat, model))
     dt = 0.25 * lat.dx
     for _ in range(int(round(0.5 / dt))):
         st = step_rk4(st, lat, model, dt)
-    assert abs(energy_E0(Kinematics.of(st, lat, model)) - e0) / e0 < 1e-8
+    assert abs(energy_E0(Kinematics(st, lat, model)) - e0) / e0 < 1e-8
 
 
 def test_gauss_residual_conserved():
@@ -252,11 +253,11 @@ def test_gauss_residual_conserved():
     lat = LatticeSpec((n, 1, 1), 1.0 / n)
     model = interacting_model()
     st = random_state(lat, 2, 2, seed=5, scale=0.1)
-    _, g0, _ = gauss_residual(Kinematics.of(st, lat, model))
+    _, g0, _ = gauss_residual(Kinematics(st, lat, model))
     dt = 0.25 * lat.dx
     for _ in range(int(round(0.5 / dt))):
         st = step_rk4(st, lat, model, dt)
-    _, g1, _ = gauss_residual(Kinematics.of(st, lat, model))
+    _, g1, _ = gauss_residual(Kinematics(st, lat, model))
     assert g1 < 1.5 * g0 + 1e-12
 
 
@@ -275,8 +276,8 @@ def test_gauge_transform_invariants():
     assert np.array_equal(st2.E, st.E)
     assert np.abs(st2.phi) == pytest.approx(np.abs(st.phi), abs=1e-14)
     # the energy is a gauge scalar
-    e1 = energy_E0(Kinematics.of(st, lat, model))
-    e2 = energy_E0(Kinematics.of(st2, lat, model))
+    e1 = energy_E0(Kinematics(st, lat, model))
+    e2 = energy_E0(Kinematics(st2, lat, model))
     assert abs(e2 - e1) / e1 < 1e-8
 
 
@@ -441,7 +442,7 @@ def test_step_rk4_is_textbook_sum_bit_for_bit(dims, recorded):
     state = random_state(lat, 2, 2, seed=11)
     want = _state_bytes(_textbook_rk4(state, lat, model, 0.05))
     assert _state_bytes(step_rk4(state, lat, model, 0.05)) == want
-    kin = Kinematics.of(state, lat, model)
+    kin = Kinematics(state, lat, model)
     if recorded:
         collect(state, lat, model, kin)
     assert _state_bytes(step_rk4(state, lat, model, 0.05, kin)) == want
@@ -483,7 +484,7 @@ def test_rhs_and_step_leave_input_alone(dims):
     model = interacting_model()
     state = random_state(lat, 2, 2, seed=12)
     before = _state_bytes(state)
-    kin = Kinematics.of(state, lat, model)
+    kin = Kinematics(state, lat, model)
     kin_names = ("psi", "r", "alpha", "Q", "sh", "H", "qa", "Dphi",
                  "phi_pi", "phi_Dphi")
     kin_before = [a.tobytes() for a in _all_arrays(kin, kin_names)]
@@ -505,10 +506,10 @@ def test_kinematics_of_another_state_is_refused():
     lat = LatticeSpec((8, 1, 1), 0.2)
     model = interacting_model()
     state = random_state(lat, 2, 2, seed=13)
-    others = [Kinematics.of(copy_state(state), lat, model),
-              Kinematics.of(state, dataclasses.replace(lat, stencil_order=4), model),
-              Kinematics.of(state, dataclasses.replace(lat, dx=0.1), model),
-              Kinematics.of(state, lat, interacting_model())]
+    others = [Kinematics(copy_state(state), lat, model),
+              Kinematics(state, dataclasses.replace(lat, stencil_order=4), model),
+              Kinematics(state, dataclasses.replace(lat, dx=0.1), model),
+              Kinematics(state, lat, interacting_model())]
     for kin in others:
         with pytest.raises(ValueError, match="another state, lattice or model"):
             eom_rhs(state, lat, model, kin)
@@ -516,7 +517,7 @@ def test_kinematics_of_another_state_is_refused():
             step_rk4(state, lat, model, 0.05, kin)
         with pytest.raises(ValueError, match="another state, lattice or model"):
             collect(state, lat, model, kin)
-    kin = Kinematics.of(state, LatticeSpec((8, 1, 1), 0.2), model)
+    kin = Kinematics(state, LatticeSpec((8, 1, 1), 0.2), model)
     assert collect(state, lat, model, kin) == collect(state, lat, model)
 
 
@@ -535,7 +536,7 @@ def test_rhs_releases_every_kinematics_alike(case, monkeypatch):
     if case == "sextic_target":
         model = dataclasses.replace(model, kahler=sextic_family(0.1))
         assert model.sectors.w
-    fresh = Kinematics.of(state, lat, model)
+    fresh = Kinematics(state, lat, model)
     want_kin = {n: _bits(getattr(fresh, n)) for n in sorted(_CACHED_ARRAYS)}
     calls = []
     release = Kinematics.release
@@ -547,7 +548,7 @@ def test_rhs_releases_every_kinematics_alike(case, monkeypatch):
     monkeypatch.setattr(Kinematics, "release", spy)
     results, released = [], []
     for given in ("none", "fresh", "recorded"):
-        kin = None if given == "none" else Kinematics.of(state, lat, model)
+        kin = None if given == "none" else Kinematics(state, lat, model)
         if given == "recorded":
             collect(state, lat, model, kin)
         calls.clear()
@@ -558,12 +559,41 @@ def test_rhs_releases_every_kinematics_alike(case, monkeypatch):
         assert all(k is used for k, _ in calls)
         released.append([names for _, names in calls])
         assert not vars(used).keys() & _CACHED_ARRAYS, given
+        assert _arrays_held(used) == [], given
         assert {n: _bits(getattr(used, n)) for n in want_kin} == want_kin
     assert results == results[:1] * 3
     assert released == released[:1] * 3
-    for name in ("psi", "tanh"):    # built by `of`, and no such array
-        with pytest.raises(ValueError):
-            fresh.release(name)
+    fresh.release("psi")                # cached like every other array
+    assert "psi" not in vars(fresh)
+    with pytest.raises(ValueError):
+        fresh.release("tanh")           # no such array
+
+
+def _arrays_held(kin):
+    """The names of the ndarrays a Kinematics instance holds."""
+    return sorted(n for n, v in vars(kin).items() if isinstance(v, np.ndarray))
+
+
+def test_step_enters_stage_k2_with_the_given_kinematics_empty(monkeypatch):
+    """Stage k1 empties the record's Kinematics that step_rk4 is given, psi,
+    r, alpha and Q included, so none of its arrays rides through stages
+    k2-k4."""
+    lat = LatticeSpec((8, 6, 4), 1.0 / 8)
+    model, state = build("interacting_demo", lat)
+    kin = Kinematics(state, lat, model)
+    collect(state, lat, model, kin)
+    held = []
+    rhs = dynamics.eom_rhs
+
+    def spy(*args):
+        held.append(_arrays_held(kin))
+        return rhs(*args)
+
+    monkeypatch.setattr(dynamics, "eom_rhs", spy)
+    step_rk4(state, lat, model, 0.01, kin)
+    assert len(held) == 4
+    assert {"psi", "r", "alpha", "Q"} <= set(held[0])
+    assert held[1:] == [[]] * 3
 
 
 # tracemalloc peaks over the bytes of the input state, on a 32^3
@@ -584,8 +614,17 @@ RHS_PEAK_OVER_STATE = 2.7
 # k2's arrays and those arrays dropped by collect, 7.35 with the rates of
 # A and phi read from each stage's E and pi, 6.50 with each stage's RHS
 # building Dphi after the curls and releasing its own Kinematics as it goes,
-# 4.86 with stage k1 releasing the record's Kinematics by the same rule.
-STEP_PEAK_OVER_STATE = 5.2
+# 4.86 with stage k1 releasing the record's Kinematics by the same rule,
+# 4.65 with psi, r, alpha and Q cached and released like every other array,
+# so that stage k1 leaves the record's Kinematics empty.
+STEP_PEAK_OVER_STATE = 5.0
+
+# Kinematics + collect, the new Kinematics' own arrays included: 3.50
+# while the Kinematics built psi, r, alpha and Q on construction, 3.35
+# with them built on first read (the Sobolev energies then run while it
+# holds none).  Keeping the DIAGNOSTICS_ONLY arrays to the end of collect
+# measured 3.55 on top of the former.
+COLLECT_PEAK_OVER_STATE = 3.6
 
 
 def _demo_32():
@@ -613,7 +652,7 @@ def test_step_memory_peak():
     step_rk4(state, lat, model, 0.01)
     tracemalloc.start()
     try:
-        kin = Kinematics.of(state, lat, model)
+        kin = Kinematics(state, lat, model)
         collect(state, lat, model, kin)
         tracemalloc.reset_peak()
         step_rk4(state, lat, model, 0.01, kin)
@@ -623,6 +662,20 @@ def test_step_memory_peak():
     print(f"step_rk4 peak {peak / state_bytes:.3f} x state, "
           f"bound {STEP_PEAK_OVER_STATE}")
     assert peak <= STEP_PEAK_OVER_STATE * state_bytes, peak / state_bytes
+
+
+def test_collect_memory_peak():
+    lat, model, state, state_bytes = _demo_32()
+    collect(state, lat, model)
+    tracemalloc.start()
+    try:
+        collect(state, lat, model, Kinematics(state, lat, model))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"collect peak {peak / state_bytes:.3f} x state, "
+          f"bound {COLLECT_PEAK_OVER_STATE}")
+    assert peak <= COLLECT_PEAK_OVER_STATE * state_bytes, peak / state_bytes
 
 
 def _numpy_bytes(snapshot):
@@ -672,8 +725,8 @@ def _all_sectors_on(model):
 
 def _sector_outputs(state, lat, model):
     d = eom_rhs(state, lat, model)
-    res, l2, linf = gauss_residual(Kinematics.of(state, lat, model))
-    e0 = energy_E0(Kinematics.of(state, lat, model))
+    res, l2, linf = gauss_residual(Kinematics(state, lat, model))
+    e0 = energy_E0(Kinematics(state, lat, model))
     return _all_arrays(d, _DERIVS) + [res, np.array([l2, linf, e0])]
 
 

@@ -244,7 +244,7 @@ def test_covariant_derivative_free_limit():
     lat = LatticeSpec((32, 1, 1), 1.0 / 32)
     model = free_model()
     st = random_state(lat, seed=4)
-    D = Kinematics.of(st, lat, model).Dphi
+    D = Kinematics(st, lat, model).Dphi
     grad = np.stack([central_diff(st.phi[0], ax, lat) for ax in range(3)])
     assert D[0] == pytest.approx(grad)
 
@@ -253,7 +253,7 @@ def test_covariant_derivative_charged():
     lat = LatticeSpec((32, 1, 1), 1.0 / 32)
     model = free_model(charges=np.array([1.5]))
     st = random_state(lat, seed=5)
-    D = Kinematics.of(st, lat, model).Dphi
+    D = Kinematics(st, lat, model).Dphi
     grad = np.stack([central_diff(st.phi[0], ax, lat) for ax in range(3)])
     expect = grad - 1j * 1.5 * st.A[0] * st.phi[0]
     assert D[0] == pytest.approx(expect)
@@ -268,8 +268,8 @@ def test_norm_scaling_with_amplitude():
     st2.E *= 2.0
     st2.phi *= 2.0
     st2.pi *= 2.0
-    n1 = norms(Kinematics.of(st, lat, model))
-    n2 = norms(Kinematics.of(st2, lat, model))
+    n1 = norms(Kinematics(st, lat, model))
+    n2 = norms(Kinematics(st2, lat, model))
     assert n2.linf_phi == pytest.approx(2 * n1.linf_phi)
     assert n2.l2_E == pytest.approx(2 * n1.l2_E)
     assert n2.l2_phi == pytest.approx(2 * n1.l2_phi)
@@ -281,7 +281,7 @@ def test_l2_norm_value():
     model = free_model()
     st = zero_state(lat, 1, 1)
     st.phi[0] = 0.7 + 0.0j
-    n = norms(Kinematics.of(st, lat, model))
+    n = norms(Kinematics(st, lat, model))
     vol = math.prod(lat.dims) * lat.cell_volume
     assert n.l2_phi == pytest.approx(0.7 * np.sqrt(vol))
     assert n.linf_phi == pytest.approx(0.7)
