@@ -87,7 +87,6 @@ class GronwallAudit:
     gronwall_half: float
     fits_stabilized: bool
     records: int
-    dt: float
 
 
 def _pw(x, k: int):
@@ -382,4 +381,4 @@ def audit_gronwall(trace: DiagnosticsRecord, constants: EstimateConstants):
         c0=c0, c1=c1, k0=k0, k1=k1, stabilized=stabilized,
         half_sup=half, final_quarter_sup=quarter, C0_half=C0_half,
         gronwall_half=gronwall_half, fits_stabilized=fits_stabilized,
-        records=n, dt=dt)
+        records=n)

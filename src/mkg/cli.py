@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 check failure, 2 configuration error,
 3 numerical abort or radius exceeded during `run`.
 
+`run` writes --out, unless empty, and --steps onto the config's
+`directory` and `steps` (--steps checked by that key's own rule).
+
 `check-bounds` prints PASS when the fits and caps are finite and J's
 envelope ratio has settled (`stabilized`).  `fits_stabilized` is printed
 on the "fit stabilization" line but not gated on; the acceptance suite's
@@ -26,13 +29,17 @@ from .errors import ConfigError, MkgError, ValidationError
 
 
 def cmd_run(args) -> int:
-    from .config import load_config
+    from .config import load_config, parse_steps
     from .run import run
 
     cfg = load_config(args.config)
-    if args.steps is not None and args.steps < 1:
-        raise ValidationError("--steps must be >= 1")
-    return run(cfg, out_dir=args.out, steps=args.steps)
+    cfg.directory = args.out or cfg.directory
+    if args.steps is not None:
+        try:
+            cfg.steps = parse_steps(str(args.steps))
+        except ValueError as exc:
+            raise ValidationError(f"--steps {exc}") from None
+    return run(cfg)
 
 
 def cmd_check_bounds(args) -> int:

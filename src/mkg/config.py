@@ -5,12 +5,14 @@ to defaults.  Every key has a documented default; the minimal valid config
 is a bare ``[initial_data]`` section naming a scenario.
 
 ``_KEYS`` is the one list of sections and keys: each key's parser converts
-its text, checks its range and says why it rejects one.  A key sets the
-`RunConfig` field of its name, which holds the default until then; the
-scenario parameters and the estimate constants are kept as given, since
-their defaults live in `make_state` and `EstimateConstants`.  The scenario
-is built once per command: `load_config` builds the model to check it and
-keeps it on the `RunConfig`, and `RunConfig.build` adds the initial state.
+its text, checks its range and says why it rejects one; `mkg run --steps`
+is checked by steps' own.  A key sets the `RunConfig` field of its name,
+which holds the default until then (`mkg run` writes --out and --steps
+onto `directory` and `steps`); the scenario parameters and the estimate
+constants are kept as given, since their defaults live in `make_state` and
+`EstimateConstants`.  The scenario is built once per command: `load_config`
+builds the model to check it and keeps it on the `RunConfig`, and
+`RunConfig.build` adds the initial state.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 from .bounds import EstimateConstants
 from .dynamics import ModelSpec
 from .errors import ParseError, ValidationError
-from .lattice import LatticeSpec
+from .lattice import STENCIL_SYMBOL_MAX, LatticeSpec
 from .scenarios import SCENARIOS, make_model, make_state
 
 
@@ -77,6 +79,8 @@ def _at_least(low: int):
 
 
 _positive = _checked(_number, lambda v: v > 0, "must be positive")
+# integrator.steps, by which `mkg run --steps` is checked too
+parse_steps = _at_least(1)
 
 # section -> key -> parser, for every config key
 _KEYS = {
@@ -85,9 +89,10 @@ _KEYS = {
     "initial_data": {"scenario": _checked(str.strip, SCENARIOS.__contains__,
                                           f"must be one of {', '.join(SCENARIOS)}"),
                      "amplitude": _number, "mode": _integer, "width": _number},
-    "integrator": {"dt": _positive, "cfl": _positive, "steps": _at_least(1),
-                   "stencil_order": _checked(_integer, (2, 4).__contains__,
-                                             "must be 2 or 4")},
+    "integrator": {"dt": _positive, "cfl": _positive, "steps": parse_steps,
+                   "stencil_order": _checked(
+                       _integer, STENCIL_SYMBOL_MAX.__contains__,
+                       f"must be {' or '.join(map(str, STENCIL_SYMBOL_MAX))}")},
     "outputs": {"directory": str.strip, "csv_cadence": _at_least(1),
                 "snapshot_cadence": _at_least(0), "plots": _boolean},
     "estimate_constants": {
@@ -98,9 +103,6 @@ _KEYS = {
     "run": {"seed": _at_least(0)},
 }
 
-# the largest symbol of the central first difference, times dx: |sin theta|
-# at order 2 and |8 sin theta - sin 2 theta| / 6 at order 4
-STENCIL_SYMBOL_MAX = {2: 1.0, 4: 1.3722}
 # RK4 is stable on the imaginary axis up to |omega dt| = 2 sqrt 2
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 

@@ -54,6 +54,13 @@ def _gauge_dot(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.reshape(m.shape[:-1] + v.shape[1:])
 
 
+def _readonly(a) -> np.ndarray:
+    """A read-only float copy of a: how the frozen model parts store arrays."""
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def site_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-site u.v, summed over every axis in front of the three grid axes."""
     return np.add.reduce(u * v, axis=tuple(range(u.ndim - 3)))
@@ -61,7 +68,7 @@ def site_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """One matrix-valued function base + amp * tanh(psi) * mod."""
+    """One matrix-valued function base + amp * tanh(psi) * mod (read-only)."""
 
     base: np.ndarray
     mod: np.ndarray
@@ -70,6 +77,8 @@ class MatrixFamily:
     varies: bool = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "base", _readonly(self.base))
+        object.__setattr__(self, "mod", _readonly(self.mod))
         object.__setattr__(self, "varies",
                            self.amplitude != 0.0 and bool(np.any(self.mod)))
 
@@ -98,15 +107,18 @@ class MatrixFamily:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class CouplingFamily:
-    """The pair (h, k) of gauge-coupling matrix functions."""
+    """The pair (h, k) of gauge-coupling matrix functions, n_gauge square."""
 
-    n_gauge: int
     h: MatrixFamily
     k: MatrixFamily
     _P: np.ndarray = field(init=False, repr=False)
     _d: np.ndarray = field(init=False, repr=False)
+
+    @property
+    def n_gauge(self) -> int:
+        return len(self.h.base)
 
     def __post_init__(self):
         n = self.n_gauge
@@ -121,11 +133,12 @@ class CouplingFamily:
             raise IndefiniteCoupling(
                 "h_base is not positive definite") from None
         linv = np.linalg.inv(chol)
-        self._d, u = np.linalg.eigh(_sym(linv @ self.h.mod @ linv.T))
-        self._P = linv.T @ u
+        d, u = np.linalg.eigh(_sym(linv @ self.h.mod @ linv.T))
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_P", linv.T @ u)
         amp = self.h.amplitude
-        lower = 1.0 + amp * self._d
-        tol = _CERT_RTOL * (1.0 + abs(amp) * float(np.max(np.abs(self._d))))
+        lower = 1.0 + amp * d
+        tol = _CERT_RTOL * (1.0 + abs(amp) * float(np.max(np.abs(d))))
         if np.min(lower) <= tol:
             raise IndefiniteCoupling(
                 f"h(psi) loses definiteness: min_i (1 + amp*d_i) = "
@@ -148,12 +161,8 @@ def constant_couplings(n_gauge: int, h: np.ndarray | None = None,
 
 def saturating_couplings(n_gauge: int, h_base=None, h_mod=None, h_amplitude=1.0,
                          k_base=None, k_mod=None, k_amplitude=1.0) -> CouplingFamily:
-    n = n_gauge
-    hb = _sym(np.asarray(h_base, dtype=float)) if h_base is not None else np.eye(n)
-    hm = _sym(np.asarray(h_mod, dtype=float)) if h_mod is not None else np.zeros((n, n))
-    kb = _sym(np.asarray(k_base, dtype=float)) if k_base is not None else np.zeros((n, n))
-    km = _sym(np.asarray(k_mod, dtype=float)) if k_mod is not None else np.zeros((n, n))
+    def sym(m, default=np.zeros((n_gauge, n_gauge))):
+        return default if m is None else _sym(np.asarray(m, dtype=float))
     return CouplingFamily(
-        n,
-        MatrixFamily(hb, hm, float(h_amplitude)),
-        MatrixFamily(kb, km, float(k_amplitude)))
+        MatrixFamily(sym(h_base, np.eye(n_gauge)), sym(h_mod), float(h_amplitude)),
+        MatrixFamily(sym(k_base), sym(k_mod), float(k_amplitude)))

@@ -18,8 +18,6 @@ circulant, commute and are antisymmetric, so
     sum_x sum_ij |d_i d_j f|^2 = sum_x |sum_i d_i d_i f|^2
 
 exactly, one difference of each gradient component along its own axis.
-E0 skips the Q and V terms of a model whose sectors switch them off
-(ModelSpec.sectors).
 """
 
 from __future__ import annotations
@@ -153,8 +151,7 @@ def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     holds the fewest arrays (a new one none): the gradient of A is the
     largest temporary of a record.  Once energy_E0, the last reader of the
     diagnostics-only arrays, is done, kin releases them, so that a kin
-    passed on to step_rk4 carries into stage k1 only what eom_rhs reads,
-    and eom_rhs releases each after its last reader and leaves none."""
+    passed on to step_rk4 carries into stage k1 only what eom_rhs reads."""
     kin = _kinematics(state, lattice, model, kin)
     e0_sf, e1_sf = sobolev_energies(kin)
     snap = norms(kin)
@@ -162,7 +159,6 @@ def collect(state: FieldState, lattice: LatticeSpec, model: ModelSpec,
     kin.release(*Kinematics.DIAGNOSTICS_ONLY)
     _, g_l2, g_linf = gauss_residual(kin)
     return DiagnosticsRecord(
-        t=state.t,
         energy_E0=e0,
         flat_J=flat_energy_J(snap, model.kahler.lower_c1),
         sobolev_E0=e0_sf,

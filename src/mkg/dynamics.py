@@ -25,22 +25,19 @@ the tests hold it to within rounding):
     difference d_i of g D_i phi, built one axis at a time.
 
 A model switches some blocks off identically, and ModelSpec.sectors says
-which, once, on construction: W = Q'/(2r) on a flat or quartic target, Q on
-a flat one, the k' and k_mod terms when k is constant, h' when h is
-constant, q.A and the 2 q Im X source when the charges are zero, and V'
-when the potential is zero.  eom_rhs, Kinematics, gauss_residual and
-diagnostics.energy_E0 read these flags and skip the blocks that are off; the
-blocks that are on are computed as before, to the bit.
+which, worked out once from the frozen model: W = Q'/(2r) on a flat or
+quartic target, Q on a flat one, the k' and k_mod terms when k is constant,
+h' when h is constant, q.A and the 2 q Im X source when the charges are
+zero, and V' when the potential is zero.  eom_rhs, Kinematics,
+gauss_residual and diagnostics.energy_E0 read these flags and skip the
+blocks that are off; the blocks that are on are computed as before, to the
+bit.
 
 Memory: a stage's arrays live only while the RHS reads them.  A
-Kinematics builds each of its arrays, psi, r, alpha and Q among them, on
-first read.  eom_rhs runs the gauge sector first and builds Dphi after its
-curls, and releases its Kinematics as it goes, whether it built it (RK4
-stages k2-k4) or was given it (the trace record's, at stage k1): H, tanh psi
-and cosh^2 psi once hH + kE is formed, h.s once dE is solved, conj(phi).pi
-and |Dphi|^2 once the scalar coefficients have read them, and every array
-left, Dphi among them, once the scalar loop has, so that no Kinematics
-carries an array into the next stage.
+Kinematics builds each of its arrays on first read, and eom_rhs releases
+each after its last reader (its docstring lists when), in a Kinematics it
+was given (the trace record's, at RK4 stage k1) as in one it built, so that
+none carries an array into the next stage.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .couplings import CouplingFamily, _gauge_dot, site_dot
+from .couplings import CouplingFamily, _gauge_dot, _readonly, site_dot
 from .errors import NonFinite, RadiusExceeded
 from .kahler import KahlerFamily
 from .lattice import (FieldState, LatticeSpec, central_diff, curl, divergence,
@@ -70,32 +67,34 @@ class Sectors:
     potential: bool    # V != 0: V' in the scalar source, V in the energy
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
-    """The physical model: charges and the three constitutive families, from
-    which `sectors` is worked out; its discretisation is a LatticeSpec's."""
+    """The physical model (its discretisation is a LatticeSpec's): charges
+    and the three constitutive families, from which the gauge count and
+    `sectors` are worked out; frozen, the charges a read-only copy."""
 
     charges: np.ndarray            # q per gauge index, shared by all scalars
     couplings: CouplingFamily
     kahler: KahlerFamily
     potential: PotentialFamily
-    n_gauge: int
     n_scalar: int
     sectors: Sectors = field(init=False, repr=False)
 
+    @property
+    def n_gauge(self) -> int:
+        return len(self.charges)
+
     def __post_init__(self):
-        self.charges = np.asarray(self.charges, dtype=float)
-        if self.n_gauge < 1 or self.n_scalar < 1:
+        object.__setattr__(self, "charges", _readonly(self.charges))
+        if self.charges.ndim != 1 or min(self.n_gauge, self.n_scalar) < 1:
             raise ValueError("need at least one gauge and one scalar field")
-        if self.charges.shape != (self.n_gauge,):
-            raise ValueError("one charge per gauge index")
         if self.couplings.n_gauge != self.n_gauge:
-            raise ValueError("coupling family has wrong gauge rank")
-        self.sectors = Sectors(
+            raise ValueError("need one charge per gauge index of the couplings")
+        object.__setattr__(self, "sectors", Sectors(
             charged=bool(np.any(self.charges)),
             h_prime=self.couplings.h.varies, k=self.couplings.k.varies,
             q=self.kahler.has_q, w=self.kahler.has_w,
-            potential=not self.potential.vanishes)
+            potential=not self.potential.vanishes))
 
 
 @dataclass(eq=False)
@@ -163,18 +162,13 @@ class Kinematics:
     eom_rhs and every diagnostic read psi = |phi|^2, r = |phi|, the metric
     scalars alpha(r) and Q(r), H = curl A and the covariant derivative
     Dphi = grad phi - i (q.A) phi from here instead of rebuilding them.
-    Kinematics(state, lattice, model) builds nothing; each array is
-    computed on first use and then kept: psi, r, alpha, Q, H, Dphi (in the
-    gradient's buffer), tanh(psi) and cosh(psi)^2, from which h and k form
-    s and s', the contractions with phi, and the per-site squares that the
-    RHS, E0, E0_sf and the norms share.  `release` forgets cached arrays,
-    and a later read recomputes them to the same bits.  One Kinematics may
-    serve both the trace record of a state and the first RK4 stage from it
-    (step_rk4's `kin`).  `collect` releases the DIAGNOSTICS_ONLY arrays
-    once their last reader is done, so what that Kinematics carries into
-    stage k1 is only what eom_rhs reads, and eom_rhs releases each one
-    after its last reader and leaves none, in a Kinematics it is given as
-    in one it builds.
+    Kinematics(state, lattice, model) builds nothing; each array below is
+    computed on first use and then kept, tanh(psi) and cosh(psi)^2 for h and
+    k to form s and s'.  `release` forgets cached arrays, and a later read
+    recomputes them to the same bits.  One Kinematics may serve both the
+    trace record of a state and the first RK4 stage from it (step_rk4's
+    `kin`): `collect` releases the DIAGNOSTICS_ONLY arrays after their last
+    reader, and eom_rhs every array after its own.
     """
 
     # cached arrays that eom_rhs never reads

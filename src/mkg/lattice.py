@@ -52,6 +52,11 @@ from .errors import ParseError, ValidationError
 SNAPSHOT_MAGIC = b"MKG1"
 SNAPSHOT_VERSION = 1
 
+# each stencil order's largest first-difference symbol times dx: max |sin t|
+# = 1, and max (8 sin t - sin 2t) / 6, taken at cos t = 1 - sqrt(6) / 2
+STENCIL_SYMBOL_MAX = {2: 1.0, 4: 1.3722219798033597}
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """The discretisation: a uniform periodic box (site counts per axis and
@@ -66,7 +71,7 @@ class LatticeSpec:
             raise ValidationError("lattice dims must be >= 1")
         if not (np.isfinite(self.dx) and self.dx > 0):
             raise ValidationError(f"lattice dx must be positive and finite, got {self.dx!r}")
-        if self.stencil_order not in (2, 4):
+        if self.stencil_order not in STENCIL_SYMBOL_MAX:
             raise ValidationError(f"unsupported stencil order {self.stencil_order!r}")
 
     @property

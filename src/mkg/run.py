@@ -21,14 +21,16 @@ from .lattice import write_snapshot
 from .trace import CSV_COLUMNS, stack_records, write_run_json, write_trace  # noqa: F401
 
 
-def svg_line_plot(path: str, title: str, series: dict, log_y: bool = False):
-    """Minimal hand-rolled SVG polyline plot (no plotting dependency)."""
+def svg_line_plot(path: str, title: str, ts: np.ndarray, series: dict,
+                  log_y: bool = False):
+    """Minimal hand-rolled SVG polyline plot (no plotting dependency) of
+    each named series over the one time column ts."""
     width, height, pad = 640, 400, 50
-    xs_all = np.concatenate([np.asarray(ts, dtype=float) for ts, _ in series.values()])
-    ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, ys in series.values()])
     if log_y:
-        ys_all = np.log10(np.maximum(np.abs(ys_all), 1e-300))
-    x0, x1 = float(xs_all.min()), float(xs_all.max())
+        series = {name: np.log10(np.maximum(np.abs(ys), 1e-300))
+                  for name, ys in series.items()}
+    ys_all = np.concatenate([np.asarray(ys, dtype=float) for ys in series.values()])
+    x0, x1 = float(np.min(ts)), float(np.max(ts))
     y0, y1 = float(ys_all.min()), float(ys_all.max())
     if x1 - x0 < 1e-300:
         x1 = x0 + 1.0
@@ -51,10 +53,7 @@ def svg_line_plot(path: str, title: str, series: dict, log_y: bool = False):
         f'y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
     ]
-    for i, (name, (ts, ys)) in enumerate(series.items()):
-        ys = np.asarray(ys, dtype=float)
-        if log_y:
-            ys = np.log10(np.maximum(np.abs(ys), 1e-300))
+    for i, (name, ys) in enumerate(series.items()):
         pts = " ".join(f"{sx(t):.2f},{sy(y):.2f}" for t, y in zip(ts, ys))
         color = colors[i % len(colors)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -67,15 +66,15 @@ def svg_line_plot(path: str, title: str, series: dict, log_y: bool = False):
         fh.write("\n".join(parts) + "\n")
 
 
-def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None) -> int:
-    """Evolve the configured scenario; returns a process exit code."""
+def run(cfg: RunConfig) -> int:
+    """Evolve the configured scenario for cfg.steps steps into
+    cfg.directory; returns a process exit code."""
     nu = cfg.courant_number
     if nu > RK4_STABILITY_LIMIT:
         print(f"warning: nu = (dt/dx) sigma_p sqrt(d) = {nu:.4g} exceeds RK4's linear "
               f"stability limit 2 sqrt 2; the limit is necessary, not sufficient "
               f"(interacting_demo at amplitude 2 aborts at nu = 2.5)", file=sys.stderr)
     model, state = cfg.build()
-    n_steps = steps if steps is not None else cfg.steps
     lattice = cfg.lattice
     dt = cfg.dt_value
 
@@ -87,7 +86,7 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None) ->
         kin = Kinematics(state, lattice, model)
         records = [collect(state, lattice, model, kin)]
     constants = cfg.estimate_constants(records[0].flat_J or 1.0)
-    out = out_dir or cfg.directory
+    out = cfg.directory
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:          # an existing file, or a path under one
@@ -99,7 +98,7 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None) ->
         write_snapshot(os.path.join(out, "snap_000000.mkg"), state, lattice)
     aborted = None
     try:
-        for i in range(1, n_steps + 1):
+        for i in range(1, cfg.steps + 1):
             state = step_rk4(state, lattice, model, dt, kin)
             kin = None
             if i % cfg.csv_cadence == 0:
@@ -123,19 +122,16 @@ def run(cfg: RunConfig, out_dir: str | None = None, steps: int | None = None) ->
 
     if cfg.plots:
         ts = trace.t
-        svg_line_plot(os.path.join(out, "energy.svg"), "energies",
-                      {"E0": (ts, trace.energy_E0),
-                       "E0_sf": (ts, trace.sobolev_E0),
-                       "E1_sf": (ts, trace.sobolev_E1)})
+        svg_line_plot(os.path.join(out, "energy.svg"), "energies", ts,
+                      {"E0": trace.energy_E0, "E0_sf": trace.sobolev_E0,
+                       "E1_sf": trace.sobolev_E1})
         svg_line_plot(os.path.join(out, "flat_energy.svg"),
-                      "J(t) against the linear envelope",
-                      {"J": (ts, trace.flat_J),
-                       "J0(1+t)": (ts, constants.J0 * (1 + ts))})
+                      "J(t) against the linear envelope", ts,
+                      {"J": trace.flat_J, "J0(1+t)": constants.J0 * (1 + ts)})
         svg_line_plot(os.path.join(out, "constraints.svg"),
-                      "constraint residuals (log10)",
-                      {"gauss_l2": (ts, trace.gauss_res_l2),
-                       "bianchi": (ts, trace.bianchi_res_linf)},
-                      log_y=True)
+                      "constraint residuals (log10)", ts,
+                      {"gauss_l2": trace.gauss_res_l2,
+                       "bianchi": trace.bianchi_res_linf}, log_y=True)
 
     try:
         audit = bounds.audit_gronwall(trace, constants)

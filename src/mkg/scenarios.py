@@ -16,43 +16,38 @@ from .kahler import KahlerFamily, quartic_family
 from .lattice import FieldState, LatticeSpec, zero_state
 from .potentials import polynomial
 
-SCENARIOS = ("vacuum", "free_maxwell_wave", "free_scalar_wave",
-             "gaussian_pulse", "interacting_demo")
+# the shipped scenarios, in order, each with its default amplitude
+_DEFAULT_AMPLITUDE = {"vacuum": 0.0, "free_maxwell_wave": 0.01,
+                      "free_scalar_wave": 0.01, "gaussian_pulse": 0.05,
+                      "interacting_demo": 0.05}
+SCENARIOS = tuple(_DEFAULT_AMPLITUDE)
 
 
-def _free_model() -> ModelSpec:
-    """Uncharged flat-target model with identity couplings and V = 0."""
-    return ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
-                     kahler=KahlerFamily(), potential=polynomial(0.0),
-                     n_gauge=1, n_scalar=1)
-
-
-def _interacting_model() -> ModelSpec:
-    """Two gauge fields, two scalars, saturating h, nonzero k, quartic
-    target correction, quartic potential."""
+def make_model(name: str) -> ModelSpec:
+    """The scenario's model.  interacting_demo has two gauge fields and two
+    scalars, a saturating h, a nonzero k, a quartic target correction and a
+    quartic potential; every other scenario one uncharged gauge field and
+    one scalar, identity couplings, a flat target and V = 0."""
+    if name not in SCENARIOS:
+        raise ValidationError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
+    if name != "interacting_demo":
+        return ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
+                         kahler=KahlerFamily(), potential=polynomial(0.0),
+                         n_scalar=1)
     return ModelSpec(
         charges=np.array([1.0, -0.5]),
         couplings=saturating_couplings(
             2, h_base=[[2.0, 0.3], [0.3, 1.5]], h_mod=[[0.2, 0.1], [0.1, 0.3]],
             h_amplitude=0.5, k_base=[[0.1, 0.05], [0.05, -0.1]],
             k_mod=[[0.05, 0.0], [0.0, 0.05]], k_amplitude=0.3),
-        kahler=quartic_family(),
-        potential=polynomial(0.0, 0.0, 1.0),
-        n_gauge=2, n_scalar=2)
-
-
-def make_model(name: str) -> ModelSpec:
-    if name not in SCENARIOS:
-        raise ValidationError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
-    if name == "interacting_demo":
-        return _interacting_model()
-    return _free_model()
+        kahler=quartic_family(), potential=polynomial(0.0, 0.0, 1.0),
+        n_scalar=2)
 
 
 def make_state(name: str, lattice: LatticeSpec, model: ModelSpec,
                params: dict | None = None, seed: int = 0) -> FieldState:
     params = dict(params or {})
-    amp = float(params.pop("amplitude", _default_amplitude(name)))
+    amp = float(params.pop("amplitude", _DEFAULT_AMPLITUDE[name]))
     mode = int(params.pop("mode", 1))
     width = float(params.pop("width", 0.1))
     if params:
@@ -103,8 +98,3 @@ def make_state(name: str, lattice: LatticeSpec, model: ModelSpec,
     st.pi[0] = 1j * amp * np.exp(1j * k * x) * ones
     st.pi[1] = 0.4 * amp * ones.astype(complex)
     return st
-
-
-def _default_amplitude(name: str) -> float:
-    return {"vacuum": 0.0, "free_maxwell_wave": 0.01, "free_scalar_wave": 0.01,
-            "gaussian_pulse": 0.05, "interacting_demo": 0.05}[name]

@@ -1,6 +1,7 @@
 """The trace format that `mkg run` writes and `check-bounds` reads: the
-records (a whole trace is one DiagnosticsRecord of column arrays), the CSV
-columns, and the trace and run.json IO.  It imports no lattice or evolver."""
+records (a whole trace is one DiagnosticsRecord of column arrays, whose one
+t is its NormSnapshot's), the CSV columns, and the trace and run.json IO.
+It imports no lattice or evolver."""
 
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ class DiagnosticsRecord:
     """One diagnostics row (computed by diagnostics.collect), or a whole
     trace's columns (stack_records, parse_trace)."""
 
-    t: float
     energy_E0: float
     flat_J: float
     sobolev_E0: float
@@ -59,29 +59,29 @@ class DiagnosticsRecord:
     bianchi_res_linf: float
     norm_snapshot: NormSnapshot
 
+    @property
+    def t(self):
+        return self.norm_snapshot.t
+
 
 # the trace columns of estimate functionals, by bounds.estimates key
 _ESTIMATE_COLUMNS = {"L": "L", "M": "M", "N": "N", "S": "Sg", "X": "Xg",
                      "U": "Ug", "W": "Wg", "G": "G"}
 
-CSV_COLUMNS = (
-    ("t", "E0", "J", "J_envelope", "E0_sf", "E1_sf",
-     "gauss_l2", "gauss_linf", "bianchi_linf")
-    + NormSnapshot.FIELDS[1:]
-    + tuple(_ESTIMATE_COLUMNS)
-)
+CSV_COLUMNS = (("t", "E0", "J", "J_envelope", "E0_sf", "E1_sf", "gauss_l2",
+                "gauss_linf", "bianchi_linf")
+               + NormSnapshot.FIELDS[1:] + tuple(_ESTIMATE_COLUMNS))
 
 # the trace columns stored from a DiagnosticsRecord field, by column name;
-# the other stored columns are the NormSnapshot fields under their own names
-RECORD_COLUMNS = {"t": "t", "E0": "energy_E0", "J": "flat_J",
+# the others are the NormSnapshot fields, t among them, under their own names
+RECORD_COLUMNS = {"E0": "energy_E0", "J": "flat_J",
                   "E0_sf": "sobolev_E0", "E1_sf": "sobolev_E1",
                   "gauss_l2": "gauss_res_l2", "gauss_linf": "gauss_res_linf",
                   "bianchi_linf": "bianchi_res_linf"}
 
 
 def _columnar(col: dict) -> DiagnosticsRecord:
-    """The DiagnosticsRecord of the stored trace columns, by column name; the
-    one t column is also its NormSnapshot's t."""
+    """The DiagnosticsRecord of the stored trace columns, by column name."""
     snap = NormSnapshot(**{name: col[name] for name in NormSnapshot.FIELDS})
     return DiagnosticsRecord(norm_snapshot=snap, **{
         field: col[name] for name, field in RECORD_COLUMNS.items()})
@@ -90,7 +90,7 @@ def _columnar(col: dict) -> DiagnosticsRecord:
 def stack_records(records) -> DiagnosticsRecord:
     """The columnar form of a list of records."""
     col = {name: np.array([getattr(r.norm_snapshot, name) for r in records])
-           for name in NormSnapshot.FIELDS[1:]}
+           for name in NormSnapshot.FIELDS}
     col.update((name, np.array([getattr(r, field) for r in records]))
                for name, field in RECORD_COLUMNS.items())
     return _columnar(col)
@@ -104,7 +104,7 @@ def write_trace(path: str, trace: DiagnosticsRecord,
     one that overflows reads inf or nan."""
     snap = trace.norm_snapshot
     col = {name: getattr(trace, field) for name, field in RECORD_COLUMNS.items()}
-    col.update((name, getattr(snap, name)) for name in NormSnapshot.FIELDS[1:])
+    col.update((name, getattr(snap, name)) for name in NormSnapshot.FIELDS)
     with np.errstate(over="ignore", invalid="ignore"):
         col["J_envelope"] = constants.J0 * (1.0 + trace.t)
         f = bounds.estimates(snap, constants)

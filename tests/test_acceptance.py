@@ -157,7 +157,7 @@ def _interacting_drift(cfl, n=64, amp=0.8, quartic=4.0, total_time=1.0):
             k_mod=[[0.05, 0.0], [0.0, 0.05]], k_amplitude=0.3),
         kahler=quartic_family(),
         potential=polynomial(0.0, 0.0, quartic),
-        n_gauge=2, n_scalar=2)
+        n_scalar=2)
     x = lat.axis_coordinates(0)[:, None, None]
     st = zero_state(lat, 2, 2)
     st.A[0, 1] = amp * np.sin(2 * np.pi * x)

@@ -122,7 +122,7 @@ def make_trace(n=21, dt=0.1, growth=0.05):
                          linf_F=0.4, linf_A=0.1, linf_dPsi=0.15, l2_E=1.0,
                          l2_H=1.0, l2_Dphi=0.5, l2_phi=0.5, l2_V=0.2)
         recs.append(DiagnosticsRecord(
-            t=t, energy_E0=2.0, flat_J=2.0 + 0.5 * t,
+            energy_E0=2.0, flat_J=2.0 + 0.5 * t,
             sobolev_E0=1.0 + 0.1 * t, sobolev_E1=1.5 * math.exp(growth * t),
             gauss_res_l2=0.0, gauss_res_linf=0.0, bianchi_res_linf=0.0,
             norm_snapshot=s))
@@ -168,9 +168,20 @@ def test_audit_nonuniform_sampling():
 def test_audit_nan_time_is_nonuniform():
     c = EstimateConstants(J0=1.0)
     recs = make_trace()
-    recs[5] = dataclasses.replace(recs[5], t=math.nan)
+    recs[5] = dataclasses.replace(recs[5], norm_snapshot=dataclasses.replace(
+        recs[5].norm_snapshot, t=math.nan))
     with pytest.raises(NonUniformSampling):
         audit_gronwall(stack_records(recs), c)
+
+
+def test_record_time_is_its_snapshot_time():
+    """A record has one t, its NormSnapshot's, in a row and in a trace's
+    columns alike."""
+    recs = make_trace(n=5)
+    assert "t" not in {f.name for f in dataclasses.fields(DiagnosticsRecord)}
+    assert all(r.t is r.norm_snapshot.t for r in recs)
+    trace = stack_records(recs)
+    assert trace.t is trace.norm_snapshot.t
 
 
 def test_audit_subsample_stability():
@@ -203,7 +214,7 @@ def test_dphi_cap_bound_is_the_Q_terms_weighted_by_their_integrals(
     rng = np.random.default_rng(5)
     dt = 0.1
     recs = [DiagnosticsRecord(
-        t=i * dt, energy_E0=1.0, flat_J=1.0 + i * dt, sobolev_E0=1.0,
+        energy_E0=1.0, flat_J=1.0 + i * dt, sobolev_E0=1.0,
         sobolev_E1=1.0, gauss_res_l2=0.0, gauss_res_linf=0.0,
         bianchi_res_linf=0.0, norm_snapshot=random_snapshot(rng, t=i * dt))
         for i in range(12)]
@@ -273,7 +284,7 @@ def records_st(draw):
         t = i * dt
         snap = NormSnapshot(t, *row[:11])
         recs.append(DiagnosticsRecord(
-            t=t, energy_E0=row[11], flat_J=0.01 + row[12],
+            energy_E0=row[11], flat_J=0.01 + row[12],
             sobolev_E0=row[13] - 0.5, sobolev_E1=0.01 + row[14],
             gauss_res_l2=row[15], gauss_res_linf=row[16],
             bianchi_res_linf=row[17], norm_snapshot=snap))
@@ -416,7 +427,7 @@ def reference_audit(trace, constants):
         C0_half=C0_half, gronwall_half=gronwall_half,
         fits_stabilized=(C0_fit <= 1.05 * C0_half + 1e-300
                          and gronwall_fit <= 1.05 * gronwall_half + 1e-300),
-        records=n, dt=dt)
+        records=n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -442,7 +453,7 @@ def test_trace_write_parse_roundtrip(v, c):
     """write_trace then parse_trace gives back every record field exactly,
     from subnormals and -0.0 to the largest finite floats."""
     recs = [DiagnosticsRecord(
-        t=r[0], energy_E0=r[1], flat_J=r[2], sobolev_E0=r[3],
+        energy_E0=r[1], flat_J=r[2], sobolev_E0=r[3],
         sobolev_E1=r[4], gauss_res_l2=r[5], gauss_res_linf=r[6],
         bianchi_res_linf=r[7],
         norm_snapshot=NormSnapshot(r[0], *r[8:])) for r in v]

@@ -14,10 +14,10 @@ import mkg.config
 import mkg.scenarios
 from mkg.bounds import EstimateConstants
 from mkg.cli import main
-from mkg.config import (RK4_STABILITY_LIMIT, STENCIL_SYMBOL_MAX, RunConfig,
-                        load_config)
+from mkg.config import RK4_STABILITY_LIMIT, RunConfig, load_config
 from mkg.errors import NonFinite, ParseError, RadiusExceeded, ValidationError
-from mkg.lattice import LatticeSpec, read_snapshot, zero_state
+from mkg.lattice import (STENCIL_SYMBOL_MAX, LatticeSpec, read_snapshot,
+                         zero_state)
 from mkg.diagnostics import collect, energy_E0
 from mkg.dynamics import Kinematics, step_rk4
 from mkg.scenarios import make_model, make_state
@@ -451,6 +451,30 @@ def test_nonpositive_steps_is_config_error(tmp_path, capsys, steps):
     assert not out.exists()
 
 
+def test_out_and_steps_flags_act_as_the_config_keys(tmp_path, capsys):
+    """`mkg run --out D --steps N` writes the same files and prints the same
+    output, byte for byte, as the config with directory = D and steps = N;
+    an empty --out leaves the config's directory."""
+    def run_and_read(cfg, out, *flags):
+        assert main(["run", "--config", cfg, *flags]) == 0
+        printed = capsys.readouterr()
+        return (printed.out, printed.err,
+                {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+
+    def with_directory(text, out):
+        return text.replace("[outputs]\n", f"[outputs]\ndirectory = {out}\n")
+
+    flags, keys, empty = tmp_path / "flags", tmp_path / "keys", tmp_path / "empty"
+    by_flags = run_and_read(write(tmp_path, DEMO), flags,
+                            "--out", str(flags), "--steps", "8")
+    by_keys = run_and_read(write(tmp_path, with_directory(
+        DEMO.replace("steps = 40", "steps = 8"), keys), "keys.ini"), keys)
+    by_empty = run_and_read(write(tmp_path, with_directory(DEMO, empty),
+                                  "empty.ini"), empty, "--out", "", "--steps", "8")
+    assert "trace.csv" in by_flags[2] and "energy.svg" in by_flags[2]
+    assert by_flags == by_keys == by_empty
+
+
 def test_trace_rows_only_on_cadence(tmp_path, capsys):
     """steps = 40 is not a multiple of csv_cadence = 3: the trace stays
     uniformly sampled, so the run's own audit and check-bounds both read it."""
@@ -643,7 +667,7 @@ def test_command_loads_only_its_modules(tmp_path, command, absent):
     if command == "check-bounds":
         trace = tmp_path / "trace.csv"
         recs = [DiagnosticsRecord(
-            t=0.1 * i, energy_E0=1.0, flat_J=1.0, sobolev_E0=1.0,
+            energy_E0=1.0, flat_J=1.0, sobolev_E0=1.0,
             sobolev_E1=1.0, gauss_res_l2=0.0, gauss_res_linf=0.0,
             bianchi_res_linf=0.0, norm_snapshot=NormSnapshot(0.1 * i, *[0.1] * 11))
             for i in range(10)]

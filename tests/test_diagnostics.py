@@ -52,7 +52,7 @@ def test_energy_free_field_value():
     lat = LatticeSpec((16, 16, 1), 0.5)
     model = ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
                       kahler=KahlerFamily(), potential=polynomial(0.0),
-                      n_gauge=1, n_scalar=1)
+                      n_scalar=1)
     st = zero_state(lat, 1, 1)
     st.E[0, 0] = 0.3
     vol = math.prod(lat.dims) * lat.cell_volume
@@ -161,7 +161,7 @@ def test_vacuum_record_is_zero():
     lat = LatticeSpec((16, 1, 1), 1.0 / 16)
     model = ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
                       kahler=KahlerFamily(), potential=polynomial(0.0),
-                      n_gauge=1, n_scalar=1)
+                      n_scalar=1)
     rec = collect(zero_state(lat, 1, 1), lat, model)
     assert rec.energy_E0 == 0.0
     assert rec.flat_J == 0.0

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from coupling_matrices import matrix_value
 from model_helpers import build, copy_state, gauge_transform, sextic_family
 from reference_rhs import reference_rhs
-from mkg.couplings import constant_couplings, saturating_couplings, site_dot
+from mkg.couplings import (CouplingFamily, constant_couplings,
+                           saturating_couplings, site_dot)
 from mkg import dynamics
 from mkg.dynamics import (_CACHED_ARRAYS, Kinematics, ModelSpec, Sectors,
                           _cdot, eom_rhs, gauss_residual, step_rk4)
@@ -20,7 +21,7 @@ from mkg.diagnostics import collect, energy_E0
 from mkg.kahler import KahlerFamily, quartic_family
 from mkg.lattice import FieldState, LatticeSpec, curl, zero_state
 from mkg.potentials import polynomial
-from mkg.scenarios import SCENARIOS
+from mkg.scenarios import SCENARIOS, make_model, make_state
 
 
 def interacting_model():
@@ -32,13 +33,13 @@ def interacting_model():
             k_mod=[[0.05, 0.0], [0.0, 0.05]], k_amplitude=0.3),
         kahler=quartic_family(),
         potential=polynomial(0.0, 0.0, 0.5),
-        n_gauge=2, n_scalar=2)
+        n_scalar=2)
 
 
 def free_model():
     return ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
                      kahler=KahlerFamily(), potential=polynomial(0.0),
-                     n_gauge=1, n_scalar=1)
+                     n_scalar=1)
 
 
 def random_state(lattice, nv, nc, seed=7, scale=0.2):
@@ -320,7 +321,7 @@ def test_radius_exceeded_guard():
     lat = LatticeSpec((8, 1, 1), 0.125)
     model = ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
                       kahler=quartic_family(r_max=0.5),
-                      potential=polynomial(0.0), n_gauge=1, n_scalar=1)
+                      potential=polynomial(0.0), n_scalar=1)
     st = zero_state(lat, 1, 1)
     st.phi[0] = 1.0 + 0.0j
     with pytest.raises(RadiusExceeded):
@@ -378,7 +379,7 @@ def random_model(seed, interacting):
         return ModelSpec(charges=np.zeros(nv),
                          couplings=constant_couplings(nv, h_base, sym(0.3)),
                          kahler=KahlerFamily(), potential=polynomial(0.0),
-                         n_gauge=nv, n_scalar=nc)
+                         n_scalar=nc)
     family = quartic_family if rng.random() < 0.5 else sextic_family
     return ModelSpec(
         charges=rng.uniform(-1.0, 1.0, nv),
@@ -387,7 +388,7 @@ def random_model(seed, interacting):
             k_base=sym(0.3), k_mod=sym(0.2), k_amplitude=rng.uniform(-0.5, 0.5)),
         kahler=family(rng.uniform(0.0, 0.3)),
         potential=polynomial(0.0, *rng.uniform(0.0, 1.0, 2)),
-        n_gauge=nv, n_scalar=nc)
+        n_scalar=nc)
 
 
 def _close(a, b, rtol):
@@ -717,9 +718,70 @@ def test_sectors_of_the_shipped_models():
         assert not any(dataclasses.astuple(build(name, lat)[0].sectors)), name
 
 
+@pytest.mark.parametrize("name", ["free_scalar_wave", "interacting_demo"])
+def test_model_parts_are_frozen(name):
+    """No field of a ModelSpec or its CouplingFamily can be rebound, and
+    neither its charges nor a coupling matrix can be written into, so that
+    its gauge count, sectors and the couplings' eigenbasis cannot go stale;
+    the gauge count is read from the arrays."""
+    model = make_model(name)
+    for part in (model, model.couplings):
+        for f in dataclasses.fields(part):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(part, f.name, getattr(part, f.name))
+    arrays = [model.charges] + [m for fam in (model.couplings.h, model.couplings.k)
+                                for m in (fam.base, fam.mod)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert model.n_gauge == model.couplings.n_gauge == len(model.charges)
+    for cls in (ModelSpec, CouplingFamily):
+        assert "n_gauge" not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_model_copies_its_charges():
+    """The charges are a copy: writing into the array a model was built
+    from leaves the model, and its sectors, as they were."""
+    q = np.zeros(1)
+    model = dataclasses.replace(make_model("free_scalar_wave"), charges=q)
+    q[0] = 1.0
+    assert model.charges[0] == 0.0 and not model.sectors.charged
+
+
+def test_model_checks_charges_against_couplings():
+    kw = dict(kahler=KahlerFamily(), potential=polynomial(0.0), n_scalar=1)
+    with pytest.raises(ValueError, match="one charge per gauge index"):
+        ModelSpec(charges=np.zeros(2), couplings=constant_couplings(1), **kw)
+    for charges in (np.zeros(0), np.zeros((1, 1))):
+        with pytest.raises(ValueError, match="at least one gauge"):
+            ModelSpec(charges=charges, couplings=constant_couplings(1), **kw)
+
+
+def test_replaced_model_works_out_its_sectors():
+    """dataclasses.replace of a model's potential gives the sectors and the
+    eom_rhs bits of a model built with that potential, V' included.  (A
+    model whose potential was rebound in place kept its old sectors and
+    dropped V': dpi 0.25 off here.)"""
+    lat = LatticeSpec((16, 1, 1), 1.0 / 16)
+    free = make_model("free_scalar_wave")
+    replaced = dataclasses.replace(free, potential=polynomial(0, 0, 1))
+    built = ModelSpec(charges=np.zeros(1), couplings=constant_couplings(1),
+                      kahler=KahlerFamily(), potential=polynomial(0, 0, 1),
+                      n_scalar=1)
+    assert replaced.sectors == built.sectors and replaced.sectors.potential
+    state = make_state("free_scalar_wave", lat, free, {"amplitude": 0.5})
+    want = eom_rhs(state, lat, built)
+    got = eom_rhs(state, lat, replaced)
+    for x, y in zip(_all_arrays(got, _DERIVS), _all_arrays(want, _DERIVS)):
+        assert x.tobytes() == y.tobytes()
+    dropped = eom_rhs(state, lat, free).dpi
+    assert np.max(np.abs(got.dpi - dropped)) == pytest.approx(0.25)
+
+
 def _all_sectors_on(model):
-    forced = copy.copy(model)
-    forced.sectors = Sectors(*[True] * len(dataclasses.fields(Sectors)))
+    forced = copy.copy(model)       # frozen: its flags are set past __setattr__
+    object.__setattr__(forced, "sectors",
+                       Sectors(*[True] * len(dataclasses.fields(Sectors))))
     return forced
 
 
@@ -755,7 +817,7 @@ def switched_model(seed):
         kahler=kahler,
         potential=(polynomial(0.0, *rng.uniform(0.0, 1.0, 2)) if on[3]
                    else polynomial(0.0)),
-        n_gauge=nv, n_scalar=nc)
+        n_scalar=nc)
 
 
 @settings(max_examples=40, deadline=None)

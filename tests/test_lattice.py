@@ -24,7 +24,7 @@ def free_model(n_gauge=1, n_scalar=1, charges=None):
     return ModelSpec(charges=np.zeros(n_gauge) if charges is None else charges,
                      couplings=constant_couplings(n_gauge),
                      kahler=KahlerFamily(), potential=polynomial(0.0),
-                     n_gauge=n_gauge, n_scalar=n_scalar)
+                     n_scalar=n_scalar)
 
 
 def random_state(lattice, n_gauge=1, n_scalar=1, seed=0, scale=0.3):
