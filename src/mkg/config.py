@@ -7,12 +7,14 @@ is a bare ``[initial_data]`` section naming a scenario.
 ``_KEYS`` is the one list of sections and keys: each key's parser converts
 its text, checks its range and says why it rejects one; `mkg run --steps`
 is checked by steps' own.  A key sets the `RunConfig` field of its name,
-which holds the default until then (`mkg run` writes --out and --steps
-onto `directory` and `steps`); the scenario parameters and the estimate
-constants are kept as given, since their defaults live in `make_state` and
-`EstimateConstants`.  The scenario is built once per command: `load_config`
-builds the model to check it and keeps it on the `RunConfig`, and
-`RunConfig.build` adds the initial state.
+which otherwise keeps its default (`mkg run` writes --out and --steps onto
+`directory` and `steps`).  The time step `dt` is the one field without a
+default: `load_config` sets it to integrator.dt, or else to cfl * dx once
+every key is read, cfl the key's value or 0.25.  The scenario parameters
+and the estimate constants are kept as given, since their defaults live in
+`make_state` and `EstimateConstants`.  The scenario is built once per
+command: `load_config` builds the model to check it and keeps it on the
+`RunConfig`, and `RunConfig.build` adds the initial state.
 """
 
 from __future__ import annotations
@@ -121,18 +123,17 @@ def _config_errors():
         raise ValidationError(str(exc)) from exc
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    """A run's inputs: one field per config key, at its default unless the
-    file sets it, and the scenario parameters and estimate constants that
-    the file sets."""
+    """A run's inputs: one field per config key but cfl, at its default
+    unless the file sets it (dt has none), and the scenario parameters and
+    estimate constants that the file sets."""
 
     dims: tuple[int, ...] = (64, 1, 1)
     dx: float = 1.0 / 64
     scenario: str = "vacuum"
     scenario_params: dict = field(default_factory=dict)
-    cfl: float | None = 0.25
-    dt: float | None = None
+    dt: float
     steps: int = 100
     stencil_order: int = 2
     directory: str = "out"
@@ -147,16 +148,13 @@ class RunConfig:
         return LatticeSpec(self.dims, self.dx, self.stencil_order)
 
     @property
-    def dt_value(self) -> float:
-        return self.dt if self.dt is not None else self.cfl * self.dx
-
-    @property
     def courant_number(self) -> float:
-        """nu = (dt/dx) sigma_p sqrt(d), d the axes of size > 1: the largest
-        |omega dt| of the flow linearised about the vacuum (wave speed 1).
-        RK4 needs nu <= RK4_STABILITY_LIMIT, which is not sufficient."""
+        """nu = (dt/dx) sigma_p sqrt(d), d the axes of size > 1, at the
+        run's one time step dt: the largest |omega dt| of the flow
+        linearised about the vacuum (wave speed 1).  RK4 needs nu <=
+        RK4_STABILITY_LIMIT, which is not sufficient."""
         axes = sum(n > 1 for n in self.dims)
-        return (self.dt_value / self.dx * STENCIL_SYMBOL_MAX[self.stencil_order]
+        return (self.dt / self.dx * STENCIL_SYMBOL_MAX[self.stencil_order]
                 * math.sqrt(axes))
 
     @cached_property
@@ -206,12 +204,10 @@ def load_config(path: str) -> RunConfig:
             if key not in _KEYS[section]:
                 raise ParseError(f"unknown key {section}.{key} in {path}")
 
-    cfg = RunConfig()
-    if parser.has_option("integrator", "dt"):
-        if parser.has_option("integrator", "cfl"):
-            raise ValidationError(f"integrator.dt: give either dt or cfl, not both "
-                                  f"(got {parser['integrator']['dt']!r})")
-        cfg.cfl = None
+    if parser.has_option("integrator", "dt") and parser.has_option("integrator", "cfl"):
+        raise ValidationError(f"integrator.dt: give either dt or cfl, not both "
+                              f"(got {parser['integrator']['dt']!r})")
+    values = {name: {} for name in _KEPT_AS_GIVEN.values()}
     for section, keys in _KEYS.items():
         for key, parse in keys.items():
             if not parser.has_option(section, key):
@@ -221,10 +217,13 @@ def load_config(path: str) -> RunConfig:
                 value = parse(text)
             except ValueError as exc:
                 raise ValidationError(f"{section}.{key}: {exc} (got {text!r})") from None
-            if key in _FIELDS:
-                setattr(cfg, key, value)
+            if key in _FIELDS or key == "cfl":
+                values[key] = value
             else:
-                getattr(cfg, _KEPT_AS_GIVEN[section])[key] = value
+                values[_KEPT_AS_GIVEN[section]][key] = value
+    cfl = values.pop("cfl", 0.25)     # the cfl key's default
+    values.setdefault("dt", cfl * values.get("dx", RunConfig.dx))
+    cfg = RunConfig(**values)
 
     # fail fast: the model, kept for the command, and the constants construct
     cfg.estimate_constants(1.0)

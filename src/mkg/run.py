@@ -76,7 +76,6 @@ def run(cfg: RunConfig) -> int:
               f"(interacting_demo at amplitude 2 aborts at nu = 2.5)", file=sys.stderr)
     model, state = cfg.build()
     lattice = cfg.lattice
-    dt = cfg.dt_value
 
     # The first record and the constants come before --out is created, so
     # that initial data whose J overflows is a config error that writes
@@ -99,7 +98,7 @@ def run(cfg: RunConfig) -> int:
     aborted = None
     try:
         for i in range(1, cfg.steps + 1):
-            state = step_rk4(state, lattice, model, dt, kin)
+            state = step_rk4(state, lattice, model, cfg.dt, kin)
             kin = None
             if i % cfg.csv_cadence == 0:
                 kin = Kinematics(state, lattice, model)

@@ -1,5 +1,6 @@
 """Config loading, run orchestration outputs, CLI exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -61,7 +62,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.scenario == "vacuum"
     assert cfg.lattice.dims == (64, 1, 1)
     assert cfg.steps == 100
-    assert cfg.cfl == 0.25
+    assert cfg.dt == 0.25 * cfg.dx
     assert cfg.stencil_order == 2
     assert cfg.seed == 0
 
@@ -143,6 +144,42 @@ def test_dt_cfl_exclusive(tmp_path):
     bad = MINIMAL + "\n[integrator]\ndt = 0.01\ncfl = 0.5\n"
     with pytest.raises(ValidationError):
         load_config(write(tmp_path, bad))
+
+
+def test_run_config_has_one_time_step():
+    """RunConfig keeps the step once, as dt, which has no default: a
+    RunConfig built in code names its step, and no field is left from
+    which another step could be worked out."""
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    assert {"dt", "cfl"} & set(fields) == {"dt"}
+    assert fields["dt"].default is dataclasses.MISSING
+    assert fields["dt"].default_factory is dataclasses.MISSING
+    with pytest.raises(TypeError, match="dt"):
+        RunConfig()
+
+
+def run_outputs(tmp_path, capsys, name, text):
+    """(exit code, stdout, stderr, {file name: bytes}) of `mkg run` on text."""
+    code = main(["run", "--config", write(tmp_path, text, f"{name}.ini"),
+                 "--out", str(tmp_path / name)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, {
+        p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+
+
+@pytest.mark.parametrize("cfl, dt", [("0.25", "0.00390625"), ("2.9", "0.0453125")])
+def test_dt_runs_as_the_equivalent_cfl(tmp_path, capsys, cfl, dt):
+    """DEMO with dt = cfl * dx in place of cfl writes every output file,
+    stdout and stderr byte for byte as the cfl form, exit code included:
+    at cfl 0.25, and at cfl 2.9, where nu > 2 sqrt 2 and both forms print
+    the same stability warning."""
+    by_cfl = run_outputs(tmp_path, capsys, "cfl",
+                         DEMO.replace("cfl = 0.25", f"cfl = {cfl}"))
+    by_dt = run_outputs(tmp_path, capsys, "dt",
+                        DEMO.replace("cfl = 0.25", f"dt = {dt}"))
+    assert by_dt == by_cfl
+    assert set(by_cfl[3]) >= {"trace.csv", "run.json", "snap_final.mkg"}
+    assert by_cfl[2].startswith("warning: nu = ") == (cfl == "2.9")
 
 
 def test_empty_b_n_is_validation_error(tmp_path):
@@ -529,8 +566,8 @@ def test_courant_number_brackets_the_measured_limits(order, runs, diverges):
     lies below 2 sqrt 2 at the one and above it at the other.  On the
     benchmark's inputs, 32^3 and 1024x1x1 at cfl 0.25, nu is 0.25 sqrt 3
     and 0.25."""
-    def nu(**kw):
-        return RunConfig(stencil_order=order, **kw).courant_number
+    def nu(cfl, dx=1 / 64, **kw):
+        return RunConfig(dt=cfl * dx, dx=dx, stencil_order=order, **kw).courant_number
 
     assert nu(cfl=runs) <= RK4_STABILITY_LIMIT < nu(cfl=diverges)
     assert nu(cfl=0.25, dims=(32, 32, 32), dx=1 / 32) == pytest.approx(
@@ -549,7 +586,7 @@ def test_courant_number_brackets_the_3d_limit(order, fraction, stable):
     stops, with RadiusExceeded at the 29th step at order 2 and the 69th at
     order 4.  Data that varies only along x cannot show this bracket."""
     dims, dx = (8, 8, 8), 1 / 8
-    unit = RunConfig(dims=dims, dx=dx, cfl=1.0, stencil_order=order).courant_number
+    unit = RunConfig(dims=dims, dx=dx, dt=1.0 * dx, stencil_order=order).courant_number
     dt = fraction * RK4_STABILITY_LIMIT / unit * dx
     lat = LatticeSpec(dims, dx, order)
     model = make_model("free_scalar_wave")
@@ -604,7 +641,7 @@ def test_run_trace_equals_unshared_loop(tmp_path, dims, cadence):
     model, state = cfg.build()
     records = [collect(state, cfg.lattice, model)]
     for i in range(1, cfg.steps + 1):
-        state = step_rk4(state, cfg.lattice, model, cfg.dt_value)
+        state = step_rk4(state, cfg.lattice, model, cfg.dt)
         if i % cadence == 0:
             records.append(collect(state, cfg.lattice, model))
     loop = tmp_path / "loop.csv"
