@@ -88,6 +88,30 @@ class GronwallAudit:
     fits_stabilized: bool
     records: int
 
+    @property
+    def passed(self) -> bool:
+        """The audit's verdict: every fit and cap is finite and J's envelope
+        ratio has settled (`stabilized`).  `fits_stabilized` is reported
+        but not gated on; the acceptance suite's Gronwall criterion does
+        gate on it."""
+        return bool(np.isfinite([self.C_N_fit, self.C0_fit, self.gronwall_fit,
+                                 self.c0, self.c1, self.k0, self.k1]).all()
+                    and self.stabilized)
+
+    def report(self) -> str:
+        """The audit as `check-bounds` and `run` print it: five lines, the
+        last the verdict."""
+        return "\n".join((
+            f"fitted constants: C_N_fit={self.C_N_fit:.6g} "
+            f"C0_fit={self.C0_fit:.6g} gronwall_fit={self.gronwall_fit:.6g}",
+            f"caps: c0={self.c0:.6g} c1={self.c1:.6g} "
+            f"k0={self.k0:.6g} k1={self.k1:.6g}",
+            f"stabilized={self.stabilized} over {self.records} records",
+            f"fit stabilization: C0 {self.C0_half:.6g} -> {self.C0_fit:.6g}, "
+            f"E1 exponent {self.gronwall_half:.6g} -> {self.gronwall_fit:.6g} "
+            f"(stabilized={self.fits_stabilized})",
+            f"check-bounds: {'PASS' if self.passed else 'FAIL'}"))
+
 
 def _pw(x, k: int):
     """x**k for a float or a column array, rounded as libm pow rounds it.

@@ -6,10 +6,9 @@ Exit codes: 0 success, 1 check failure, 2 configuration error,
 `run` writes --out, unless empty, and --steps onto the config's
 `directory` and `steps` (--steps checked by that key's own rule).
 
-`check-bounds` prints PASS when the fits and caps are finite and J's
-envelope ratio has settled (`stabilized`).  `fits_stabilized` is printed
-on the "fit stabilization" line but not gated on; the acceptance suite's
-Gronwall criterion does gate on it.
+`check-bounds` prints the audit's report (`GronwallAudit.report`) and
+exits 0 or 1 on its verdict (`GronwallAudit.passed`, which holds the
+rule); `run` prints the same report on each trace it writes.
 
 Each command imports the modules it uses when it runs.  So `check-bounds`,
 which reads a trace and audits it, starts without loading the config
@@ -22,8 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
 
 from .errors import ConfigError, MkgError, ValidationError
 
@@ -58,19 +55,8 @@ def cmd_check_bounds(args) -> int:
             raise ValidationError(f"cannot audit {args.trace} without a run.json: "
                                   f"J0 = {J0!r} from its first J: {exc}") from None
     audit = bounds.audit_gronwall(trace, constants)
-    print(f"C_N_fit={audit.C_N_fit:.6g} C0_fit={audit.C0_fit:.6g} "
-          f"gronwall_fit={audit.gronwall_fit:.6g}")
-    print(f"caps: c0={audit.c0:.6g} c1={audit.c1:.6g} "
-          f"k0={audit.k0:.6g} k1={audit.k1:.6g}")
-    print(f"stabilized={audit.stabilized} over {audit.records} records")
-    print(f"fit stabilization: C0 {audit.C0_half:.6g} -> {audit.C0_fit:.6g}, "
-          f"E1 exponent {audit.gronwall_half:.6g} -> {audit.gronwall_fit:.6g} "
-          f"(stabilized={audit.fits_stabilized})")
-    ok = (np.isfinite([audit.C_N_fit, audit.C0_fit, audit.gronwall_fit,
-                       audit.c0, audit.c1, audit.k0, audit.k1]).all()
-          and audit.stabilized)
-    print("check-bounds:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    print(audit.report())
+    return 0 if audit.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,9 @@ is checked by steps' own.  A key sets the `RunConfig` field of its name,
 which otherwise keeps its default (`mkg run` writes --out and --steps onto
 `directory` and `steps`).  The time step `dt` is the one field without a
 default: `load_config` sets it to integrator.dt, or else to cfl * dx once
-every key is read, cfl the key's value or 0.25.  The scenario parameters
-and the estimate constants are kept as given, since their defaults live in
+every key is read, cfl the key's value or 0.25, and refuses a cfl * dx
+that is not positive and finite.  The scenario parameters and the
+estimate constants are kept as given, since their defaults live in
 `make_state` and `EstimateConstants`.  The scenario is built once per
 command: `load_config` builds the model to check it and keeps it on the
 `RunConfig`, and `RunConfig.build` adds the initial state.
@@ -29,7 +30,7 @@ from functools import cached_property
 from .bounds import EstimateConstants
 from .dynamics import ModelSpec
 from .errors import ParseError, ValidationError
-from .lattice import STENCIL_SYMBOL_MAX, LatticeSpec
+from .lattice import DX_MAX, STENCIL_SYMBOL_MAX, LatticeSpec
 from .scenarios import SCENARIOS, make_model, make_state
 
 
@@ -87,7 +88,9 @@ parse_steps = _at_least(1)
 # section -> key -> parser, for every config key
 _KEYS = {
     "lattice": {"dims": _checked(_dims, lambda d: min(d) >= 1, "must be positive"),
-                "dx": _positive},
+                "dx": _checked(_number, lambda v: 0 < v <= DX_MAX,
+                               f"must be positive and at most {DX_MAX:.4g}, "
+                               f"so that the cell volume dx**3 is finite")},
     "initial_data": {"scenario": _checked(str.strip, SCENARIOS.__contains__,
                                           f"must be one of {', '.join(SCENARIOS)}"),
                      "amplitude": _number, "mode": _integer, "width": _number},
@@ -222,7 +225,10 @@ def load_config(path: str) -> RunConfig:
             else:
                 values[_KEPT_AS_GIVEN[section]][key] = value
     cfl = values.pop("cfl", 0.25)     # the cfl key's default
-    values.setdefault("dt", cfl * values.get("dx", RunConfig.dx))
+    dt = values.setdefault("dt", cfl * values.get("dx", RunConfig.dx))
+    if not 0 < dt < math.inf:         # cfl * dx overflowed or underflowed
+        raise ValidationError(f"integrator.cfl: the time step cfl * dx = {dt!r} "
+                              f"must be positive and finite (got cfl = {cfl!r})")
     cfg = RunConfig(**values)
 
     # fail fast: the model, kept for the command, and the constants construct

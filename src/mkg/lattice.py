@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +57,9 @@ SNAPSHOT_VERSION = 1
 # = 1, and max (8 sin t - sin 2t) / 6, taken at cos t = 1 - sqrt(6) / 2
 STENCIL_SYMBOL_MAX = {2: 1.0, 4: 1.3722219798033597}
 
+# the largest dx taken, about 5.64e102: its cell volume dx**3 is a finite float
+DX_MAX = sys.float_info.max ** (1 / 3)
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -69,8 +73,10 @@ class LatticeSpec:
     def __post_init__(self):
         if any(d < 1 for d in self.dims):
             raise ValidationError("lattice dims must be >= 1")
-        if not (np.isfinite(self.dx) and self.dx > 0):
-            raise ValidationError(f"lattice dx must be positive and finite, got {self.dx!r}")
+        if not 0 < self.dx <= DX_MAX:
+            raise ValidationError(f"lattice dx must be positive and at most "
+                                  f"{DX_MAX:.4g}, so that the cell volume dx**3 "
+                                  f"is finite, got {self.dx!r}")
         if self.stencil_order not in STENCIL_SYMBOL_MAX:
             raise ValidationError(f"unsupported stencil order {self.stencil_order!r}")
 
@@ -312,9 +318,9 @@ def write_snapshot(path, state: FieldState, lattice: LatticeSpec) -> None:
 def read_snapshot(path) -> tuple[FieldState, LatticeSpec]:
     """The state and lattice of a snapshot file; ParseError if it is not a
     snapshot of this version, its header has a dim < 1, a dx that is not
-    positive and finite or a t that is not finite, or its length does not
-    match its header.  A snapshot records dims and dx but not the stencil
-    order, so the lattice returned has the default order, 2."""
+    positive and at most DX_MAX or a t that is not finite, or its length
+    does not match its header.  A snapshot records dims and dx but not the
+    stencil order, so the lattice returned has the default order, 2."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER_BYTES or raw[:4] != SNAPSHOT_MAGIC:
@@ -323,10 +329,10 @@ def read_snapshot(path) -> tuple[FieldState, LatticeSpec]:
     if version != SNAPSHOT_VERSION:
         raise ParseError(f"unsupported snapshot version {version}")
     grid = (nx, ny, nz)
-    if min(grid) < 1 or not (np.isfinite(dx) and dx > 0) or not np.isfinite(t):
+    if min(grid) < 1 or not 0 < dx <= DX_MAX or not np.isfinite(t):
         raise ParseError(f"snapshot header has dims {grid}, dx = {dx!r}, "
                          f"t = {t!r}: dims must be >= 1, dx positive and "
-                         f"finite, t finite")
+                         f"at most {DX_MAX:.4g}, t finite")
     size = _HEADER_BYTES + 8 * 2 * (3 * nv + 2 * nc) * nx * ny * nz
     if len(raw) != size:
         raise ParseError(f"snapshot has {len(raw)} bytes, its header "

@@ -1,6 +1,7 @@
 """Run orchestration: evolve a configured scenario, write the trace CSV,
-the run.json manifest, binary snapshots and SVG plots, then audit the
-trace.  The trace format and its IO live in `mkg.trace`.
+the run.json manifest, binary snapshots and SVG plots, then print the
+audit report that `check-bounds` prints on that trace.  The trace format
+and its IO live in `mkg.trace`.
 """
 
 from __future__ import annotations
@@ -117,9 +118,8 @@ def run(cfg: RunConfig) -> int:
         reason = ("radius exceeded" if isinstance(aborted, RadiusExceeded)
                   else "numerical abort")
         print(f"{reason}: {aborted}; post-mortem snapshot written")
-        return 3
-
-    if cfg.plots:
+        print("audit of the partial trace:")
+    elif cfg.plots:
         ts = trace.t
         svg_line_plot(os.path.join(out, "energy.svg"), "energies", ts,
                       {"E0": trace.energy_E0, "E0_sf": trace.sobolev_E0,
@@ -132,11 +132,9 @@ def run(cfg: RunConfig) -> int:
                       {"gauss_l2": trace.gauss_res_l2,
                        "bianchi": trace.bianchi_res_linf}, log_y=True)
 
+    # the verdict is advisory: it leaves the exit code alone (ROADMAP item 6)
     try:
-        audit = bounds.audit_gronwall(trace, constants)
-        print(f"fitted constants: C_N={audit.C_N_fit:.6g} "
-              f"C0={audit.C0_fit:.6g} gronwall={audit.gronwall_fit:.6g} "
-              f"(stabilized={audit.stabilized})")
-    except (TraceTooShort, NonUniformSampling) as exc:   # audit is advisory
+        print(bounds.audit_gronwall(trace, constants).report())
+    except (TraceTooShort, NonUniformSampling) as exc:
         print(f"audit skipped: {exc}")
-    return 0
+    return 3 if aborted else 0

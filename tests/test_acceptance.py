@@ -356,12 +356,11 @@ def test_criterion_9_gronwall_audit(interacting_long):
     c = EstimateConstants(b_n=(1.0, 1.0), N=2,
                           J0=interacting_long[0].flat_J)
     audit = audit_gronwall(stack_records(interacting_long), c)
-    finite = all(np.isfinite([audit.C_N_fit, audit.C0_fit,
-                              audit.gronwall_fit]))
     no_blowup = all(np.isfinite(r.sobolev_E0) and np.isfinite(r.sobolev_E1)
                     for r in interacting_long)
-    ok = finite and no_blowup and audit.fits_stabilized
+    ok = audit.passed and audit.fits_stabilized and no_blowup
     report(9, "Gronwall audit", ok,
+           f"verdict {'PASS' if audit.passed else 'FAIL'}, "
            f"C0 {audit.C0_fit:.4f} (half {audit.C0_half:.4f}), "
            f"E1 exponent {audit.gronwall_fit:.4f} "
            f"(half {audit.gronwall_half:.4f}), no blow-up {no_blowup}")

@@ -139,6 +139,25 @@ def test_audit_fits_finite_and_stabilized():
     assert audit.stabilized
 
 
+def test_verdict_gates_on_finite_fits_and_caps_and_stabilized():
+    """`passed` holds when every fit and cap is finite and J's envelope has
+    stabilized; `fits_stabilized` is reported but not gated on.  The
+    report's last line prints the verdict."""
+    c = EstimateConstants(b_n=(1.0, 1.0), N=2, J0=2.0)
+    audit = audit_gronwall(stack_records(make_trace()), c)
+    changes = [{}, {"fits_stabilized": False}, {"stabilized": False}] + [
+        {name: bad} for name in ("C_N_fit", "C0_fit", "gronwall_fit",
+                                 "c0", "c1", "k0", "k1")
+        for bad in (math.nan, math.inf)]
+    for change in changes:
+        changed = dataclasses.replace(audit, **change)
+        passed = set(change) <= {"fits_stabilized"}
+        assert changed.passed is passed, change
+        lines = changed.report().split("\n")
+        assert len(lines) == 5
+        assert lines[-1] == f"check-bounds: {'PASS' if passed else 'FAIL'}"
+
+
 def test_audit_trace_too_short():
     c = EstimateConstants(J0=1.0)
     with pytest.raises(TraceTooShort):

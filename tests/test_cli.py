@@ -17,6 +17,8 @@ from mkg.bounds import EstimateConstants
 from mkg.cli import main
 from mkg.config import RK4_STABILITY_LIMIT, RunConfig, load_config
 from mkg.errors import NonFinite, ParseError, RadiusExceeded, ValidationError
+from mkg.potentials import polynomial
+from mkg.run import run
 from mkg.lattice import (STENCIL_SYMBOL_MAX, LatticeSpec, read_snapshot,
                          zero_state)
 from mkg.diagnostics import collect, energy_E0
@@ -120,7 +122,8 @@ def test_nonfinite_number_is_config_error(tmp_path, capsys, section, key, value)
 CONFIG_REJECTIONS = [
     ("lattice", "dims", "64 1"), ("lattice", "dims", "64 x 1"),
     ("lattice", "dims", "64 1.5 1"), ("lattice", "dims", "0 1 1"),
-    ("lattice", "dx", "0"), ("integrator", "stencil_order", "3"),
+    ("lattice", "dx", "0"), ("lattice", "dx", "1e300"),
+    ("integrator", "stencil_order", "3"),
     ("outputs", "csv_cadence", "0"), ("outputs", "snapshot_cadence", "-1"),
     ("run", "seed", "-1"), ("outputs", "plots", "maybe"),
     ("initial_data", "mode", "x"), ("estimate_constants", "N", "x"),
@@ -137,6 +140,20 @@ def test_rejected_value_is_config_error(tmp_path, capsys, section, key, value):
     assert err.startswith("config error: ") and err.count("\n") == 1
     if (key, value) not in (("N", "0"), ("C1", "-1")):
         assert re.match(rf"config error: {section}\.\S*{key}", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dx, cfl", [("1e100", "1e300"), ("1e-200", "1e-200")])
+def test_time_step_out_of_range_is_config_error(tmp_path, capsys, dx, cfl):
+    """A cfl * dx that overflows to inf or underflows to 0 is refused like
+    a dt key out of range: one config-error line, exit 2, and no output
+    directory."""
+    out = tmp_path / "out"
+    text = (MINIMAL + f"[lattice]\ndx = {dx}\n[integrator]\ncfl = {cfl}\n")
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: integrator.cfl: the time step cfl * dx = ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -299,19 +316,86 @@ def test_check_bounds_header_only_trace(tmp_path, capsys):
     assert "need >= 3 records, got 0" in capsys.readouterr().err
 
 
+def run_and_check(tmp_path, capsys, text, name="run"):
+    """(exit code, stdout) of `mkg run` on text, then of `mkg check-bounds`
+    on the trace it wrote."""
+    ran, ran_out, _, _ = run_outputs(tmp_path, capsys, name, text)
+    checked = main(["check-bounds", "--trace", str(tmp_path / name / "trace.csv")])
+    return ran, ran_out, checked, capsys.readouterr().out
+
+
 def test_check_bounds_uses_run_constants(tmp_path, capsys):
     """check-bounds on a run's trace reads the run's run.json and so prints
-    the C0 and E1 exponent the run printed (N from the quartic potential,
-    not the default N = 1)."""
-    cfg = write(tmp_path, DEMO.replace("plots = true", "plots = false"))
-    out = tmp_path / "demo"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    ran = re.search(r"C0=(\S+) gronwall=(\S+)", capsys.readouterr().out)
-    manifest = json.loads((out / "run.json").read_text())
+    the report the run printed, byte for byte (N from the quartic
+    potential, not the default N = 1)."""
+    ran, ran_out, checked, printed = run_and_check(
+        tmp_path, capsys, DEMO.replace("plots = true", "plots = false"))
+    manifest = json.loads((tmp_path / "run" / "run.json").read_text())
     assert manifest["estimate_constants"]["N"] == 2
-    assert main(["check-bounds", "--trace", str(out / "trace.csv")]) == 0
-    printed = capsys.readouterr().out
-    assert f"C0_fit={ran.group(1)} gronwall_fit={ran.group(2)}" in printed
+    assert (ran, checked) == (0, 0)
+    assert ran_out == printed
+
+
+# an interacting_demo run past the stability limit that exits 3 on its
+# sixth record (RadiusExceeded at step 6 of 200, nu = 3)
+ABORTING = (MINIMAL.replace("vacuum\n", "interacting_demo\namplitude = 2\n")
+            + "[integrator]\ncfl = 3\nsteps = 200\n")
+# free_maxwell_wave past the stability limit (nu = 2.9): E0 grows to 2.9e269
+DIVERGING = (DEMO.replace("interacting_demo", "free_maxwell_wave")
+             .replace("cfl = 0.25", "cfl = 2.9").replace("steps = 40", "steps = 2000"))
+
+
+@pytest.mark.parametrize("text, codes, verdict", [
+    (DEMO, (0, 0), "PASS"), (DIVERGING, (0, 1), "FAIL"),
+    (ABORTING, (3, 0), "PASS")], ids=["demo", "diverged", "aborted"])
+def test_run_prints_the_check_bounds_report(tmp_path, capsys, text, codes,
+                                            verdict):
+    """`run` prints the report that check-bounds prints on the trace it
+    wrote, byte for byte: after a normal end as its whole stdout, and after
+    exit 3 under one label line that follows the abort line.  The verdict
+    leaves run's exit code alone: the diverged run exits 0, and
+    check-bounds exits 1 on its trace."""
+    ran, ran_out, checked, printed = run_and_check(tmp_path, capsys, text)
+    assert (ran, checked) == codes
+    assert printed.endswith(f"\ncheck-bounds: {verdict}\n")
+    if ran == 3:
+        abort, label, report = ran_out.split("\n", 2)
+        assert abort.startswith("radius exceeded: ")
+        assert label == "audit of the partial trace:"
+        ran_out = report
+    assert ran_out == printed
+
+
+@pytest.mark.parametrize("focusing, code, C_N, stabilized, verdict", [
+    (True, 3, "110.469", "stabilized=False over 40 records", "FAIL"),
+    (False, 0, "1", "stabilized=True over 49 records", "PASS")],
+    ids=["focusing", "shipped"])
+def test_audit_fails_a_focusing_blowup_and_passes_the_shipped_run(
+        tmp_path, capsys, focusing, code, C_N, stabilized, verdict):
+    """Negative control for the audit: interacting_demo at amplitude 0.5 on
+    64x1x1 at cfl 0.25, a record every 32 steps, up to t = 6.  With the
+    focusing V = -Psi^2 the run stops with RadiusExceeded at t = 4.879,
+    exit 3, and the audit of its 40 records reads FAIL (J's envelope ratio
+    C_N 110.5 has not settled); with the shipped V = Psi^2 it runs to the
+    end, and the audit of its 49 records reads PASS."""
+    cfg = RunConfig(dims=(64, 1, 1), dx=1 / 64, dt=0.25 / 64,
+                    scenario="interacting_demo", scenario_params={"amplitude": 0.5},
+                    steps=1536, csv_cadence=32, plots=False,
+                    directory=str(tmp_path / "out"))
+    if focusing:
+        with pytest.warns(UserWarning, match="potential takes negative values"):
+            cfg.model = dataclasses.replace(cfg.model,
+                                            potential=polynomial(0, 0, -1))
+    assert run(cfg) == code
+    *head, fitted, _, settled, _, last = capsys.readouterr().out.splitlines()
+    if focusing:
+        assert head[0].startswith("radius exceeded: ")
+        assert head[1:] == ["audit of the partial trace:"]
+    else:
+        assert head == []
+    assert fitted.startswith(f"fitted constants: C_N_fit={C_N} ")
+    assert settled == stabilized
+    assert last == f"check-bounds: {verdict}"
 
 
 HEADER = ",".join(CSV_COLUMNS)
@@ -530,7 +614,8 @@ def test_trace_rows_only_on_cadence(tmp_path, capsys):
 
 def test_radius_exceeded_is_postmortem_exit(tmp_path, capsys):
     """A field that leaves the metric's validity radius mid-run exits 3 with
-    a post-mortem snapshot and the partial trace, like a numerical abort."""
+    a post-mortem snapshot and the partial trace, like a numerical abort;
+    its one record is too few to audit, and the run says so."""
     cfg = write(tmp_path, DEMO.replace("[initial_data]\n",
                                        "[initial_data]\namplitude = 5\n"))
     out = tmp_path / "big"
@@ -538,6 +623,8 @@ def test_radius_exceeded_is_postmortem_exit(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "radius exceeded" in printed and "at site (" in printed
     assert "np.int64" not in printed
+    assert printed.endswith("\naudit of the partial trace:\n"
+                            "audit skipped: need >= 3 records, got 1\n")
     assert (out / "postmortem.mkg").exists()
     assert len(parse_trace(str(out / "trace.csv")).t) >= 1
 
@@ -545,9 +632,7 @@ def test_radius_exceeded_is_postmortem_exit(tmp_path, capsys):
 def test_aborted_run_writes_the_rows_before_the_abort(tmp_path, capsys):
     """A run that exits 3 after several rows writes the same trace.csv, byte
     for byte, as the same run stopped by --steps before the abort."""
-    cfg = write(tmp_path, MINIMAL.replace(
-        "vacuum\n", "interacting_demo\namplitude = 2\n")
-        + "[integrator]\ncfl = 3\nsteps = 200\n")
+    cfg = write(tmp_path, ABORTING)
     aborted, short = tmp_path / "aborted", tmp_path / "short"
     assert main(["run", "--config", cfg, "--out", str(aborted)]) == 3
     assert main(["run", "--config", cfg, "--out", str(short),
@@ -618,7 +703,7 @@ def test_run_warns_past_the_stability_limit(tmp_path, capsys, cfl, warned):
                  "--steps", "8"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("fitted constants: ")
-    assert captured.out.count("\n") == 1
+    assert captured.out.count("\n") == 5         # the audit report's lines
     if warned:
         assert captured.err.startswith("warning: nu = (dt/dx) sigma_p sqrt(d) = 2.9 ")
         assert "necessary, not sufficient" in captured.err

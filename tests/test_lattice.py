@@ -14,9 +14,9 @@ from mkg.diagnostics import norms
 from mkg.dynamics import Kinematics, ModelSpec
 from mkg.errors import ParseError, ValidationError
 from mkg.kahler import KahlerFamily
-from mkg.lattice import (LatticeSpec, _diff_into, _pack, _subtractions,
-                         central_diff, curl, divergence, gradient,
-                         read_snapshot, write_snapshot, zero_state)
+from mkg.lattice import (DX_MAX, LatticeSpec, _diff_into, _pack,
+                         _subtractions, central_diff, curl, divergence,
+                         gradient, read_snapshot, write_snapshot, zero_state)
 from mkg.potentials import polynomial
 
 
@@ -393,11 +393,12 @@ def test_malformed_snapshot_is_parse_error(tmp_path, cut):
     ((1, 1, 1), float("nan"), 0.0), ((1, 1, 1), float("inf"), 0.0),
     ((1, 1, 1), 0.0, 0.0), ((1, 1, 1), -0.5, 0.0),
     ((1, 1, 1), 0.5, float("nan")), ((1, 1, 1), 0.5, float("-inf")),
-    ((0, 1, 1), 0.5, 0.0)])
+    ((0, 1, 1), 0.5, 0.0), ((1, 1, 1), 1e300, 0.0)])
 def test_snapshot_header_out_of_range_is_parse_error(tmp_path, dims, dx, t):
     """A hand-built header with no fields (N_V = N_C = 0), so that its
-    length matches, but a dim < 1, a dx that is not positive and finite or
-    a t that is not finite, is rejected as a ParseError."""
+    length matches, but a dim < 1, a dx that is not positive and at most
+    DX_MAX (1e300, whose cube overflows) or a t that is not finite, is
+    rejected as a ParseError."""
     path = tmp_path / "state.mkg"
     path.write_bytes(b"MKG1" + struct.pack("<IIIIIIdd", 1, *dims, 0, 0, dx, t))
     with pytest.raises(ParseError):
@@ -411,10 +412,19 @@ def test_snapshot_header_in_range_loads(tmp_path):
     assert lat == LatticeSpec((1, 1, 1), 0.5) and st.t == 2.0
 
 
-@pytest.mark.parametrize("dx", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+@pytest.mark.parametrize("dx", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0,
+                                1e300])
 def test_lattice_spec_rejects_bad_dx(dx):
     with pytest.raises(ValidationError):
         LatticeSpec((4, 1, 1), dx)
+
+
+def test_largest_dx_has_a_finite_cell_volume():
+    """DX_MAX, the largest dx taken, has a finite cube; the next float up
+    is refused."""
+    assert math.isfinite(LatticeSpec((1, 1, 1), DX_MAX).cell_volume)
+    with pytest.raises(ValidationError):
+        LatticeSpec((1, 1, 1), math.nextafter(DX_MAX, math.inf))
 
 
 @pytest.mark.parametrize("order", [0, 3, 6])
